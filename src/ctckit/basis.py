@@ -18,26 +18,19 @@ __all__ = ["HermitianBasis", "hermitian_basis"]
 
 
 def _gell_mann_elements(dim):
-    out = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            out.append(m)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1.0j / np.sqrt(2.0)
-            m[k, j] = 1.0j / np.sqrt(2.0)
-            out.append(m)
+    out = np.zeros((dim * dim, dim, dim), dtype=complex)
+    out[0] = np.eye(dim, dtype=complex) / np.sqrt(dim)
+    pairs = [(j, k) for j in range(dim) for k in range(j + 1, dim)]
+    for i, (j, k) in enumerate(pairs, start=1):
+        out[i, j, k] = out[i, k, j] = 1.0 / np.sqrt(2.0)
+        out[i + len(pairs), j, k] = -1.0j / np.sqrt(2.0)
+        out[i + len(pairs), k, j] = 1.0j / np.sqrt(2.0)
     for l in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[range(l), range(l)] = 1.0
-        m[l, l] = -float(l)
-        out.append(m / np.sqrt(l * (l + 1)))
-    for m in out:
-        m.setflags(write=False)
-    return tuple(out)
+        diag = np.ones(l + 1, dtype=complex)
+        diag[l] = -float(l)
+        out[2 * len(pairs) + l, range(l + 1), range(l + 1)] = diag / np.sqrt(l * (l + 1))
+    out.setflags(write=False)
+    return out
 
 
 class HermitianBasis:
@@ -47,6 +40,7 @@ class HermitianBasis:
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
+        # Read-only stack ``(dim**2, dim, dim)``; ``traceless`` is its tail.
         self.elements = _gell_mann_elements(dim)
         self.traceless = self.elements[1:]
 
@@ -55,18 +49,19 @@ class HermitianBasis:
         return self.dim * self.dim - 1
 
     def traceless_coords(self, m):
-        """Real coordinates ``x_i = Tr(m B_i)`` over the traceless elements."""
-        return np.array([np.trace(m @ b).real for b in self.traceless])
+        """Real coordinates ``x_i = Tr(m B_i)`` of a matrix or a stack ``(..., dim, dim)``."""
+        return np.trace(m[..., None, :, :] @ self.traceless, axis1=-2, axis2=-1).real
 
     def from_traceless(self, x, trace=1.0):
         """Hermitian matrix with the given traceless coordinates and trace."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_traceless,):
             raise ValueError(f"expected {self.n_traceless} coordinates, got {x.shape}")
-        m = (trace / self.dim) * np.eye(self.dim, dtype=complex)
-        for xi, b in zip(x, self.traceless):
-            m = m + xi * b
-        return m
+        terms = np.empty((self.n_traceless + 1, self.dim, self.dim), dtype=complex)
+        terms[0] = (trace / self.dim) * np.eye(self.dim, dtype=complex)
+        np.multiply(x[:, None, None], self.traceless, out=terms[1:])
+        # The outer-axis sum adds in order, bit for bit ``m = m + x_i * B_i``.
+        return terms.sum(axis=0)
 
 
 @lru_cache(maxsize=None)

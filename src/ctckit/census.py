@@ -17,7 +17,6 @@ import hashlib
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,6 +294,7 @@ def run_census(config, resume=False):
 
     with open(path, "a", encoding="utf-8") as fh:
         if config.workers > 1 and todo:
+            from concurrent.futures import ProcessPoolExecutor  # serial runs skip it
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 for rec in pool.map(_classify_one, args):
                     fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")

@@ -30,7 +30,7 @@ from .discontinuity import (
 from .reference import reference_center, reference_gate
 from .selection import SelectionRule, ctc_channel, select
 from .states import DensityOperator, UnitaryGate, from_bloch, von_neumann_entropy
-from .linalg import kron, matrix_to_json
+from .linalg import matrix_to_json
 
 log = logging.getLogger("ctckit")
 
@@ -74,7 +74,7 @@ def parse_rho(obj):
                 raise ValueError("product form needs at least one factor")
             m = factors[0].matrix
             for f in factors[1:]:
-                m = kron(m, f.matrix)
+                m = np.kron(m, f.matrix)
             return DensityOperator(m)
         if isinstance(obj, dict) and "matrix" in obj:
             return DensityOperator.from_json(obj["matrix"])

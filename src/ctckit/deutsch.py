@@ -16,11 +16,12 @@ refinement alone is exact and no iteration occurs.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .basis import hermitian_basis
-from .linalg import conjugate, hermitian_trace_norm, kron, matrix_from_json, matrix_to_json, partial_trace_1, partial_trace_2
+from .linalg import conjugate, hermitian_trace_norm, matrix_from_json, matrix_to_json, partial_trace_1, partial_trace_2
 from .states import DensityOperator, UnitaryGate
 
 __all__ = [
@@ -115,6 +116,11 @@ class FixedPointSet:
     residuals: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
+    @cached_property
+    def affine_pinv(self):
+        """Pseudoinverse of ``linear - I`` at cutoff :data:`SV_TOL`."""
+        return _truncated_pinv(self.affine.linear - np.eye(self.affine.n), SV_TOL)[3]
+
     def state_at(self, coeffs):
         """State ``particular + sum_i coeffs[i] basis[i]``; raises if not PSD."""
         coeffs = np.asarray(coeffs, dtype=float)
@@ -150,7 +156,7 @@ class FixedPointSet:
 
 
 def _sandwich(u, rho, sigma_matrix):
-    return conjugate(u.matrix, kron(rho.matrix, sigma_matrix), permutation=u.permutation)
+    return conjugate(u.matrix, np.kron(rho.matrix, sigma_matrix), permutation=u.permutation)
 
 
 def deutsch_map(u, rho, sigma):
@@ -174,19 +180,17 @@ def build_superoperator(u, rho):
     """
     if rho.dim != u.dim1:
         raise ValueError(f"system dim {rho.dim} does not match gate dim1 {u.dim1}")
-    d2 = u.dim2
+    d1, d2 = u.dim1, u.dim2
     b2 = hermitian_basis(d2)
-    n = b2.n_traceless
-
-    def image_coords(m):
-        w = _sandwich(u, rho, m)
-        return b2.traceless_coords(partial_trace_1(w, u.dim1, d2))
-
-    offset = image_coords(np.eye(d2, dtype=complex) / d2)
-    linear = np.empty((n, n))
-    for j, bj in enumerate(b2.traceless):
-        linear[:, j] = image_coords(bj)
-    return AffineMapReal(linear, offset)
+    inputs = np.concatenate([np.eye(d2, dtype=complex)[None] / d2, b2.traceless])
+    # All images at once, with the float operations of imaging one at a time:
+    # the broadcast product is np.kron's, the rest act matrix by matrix.
+    joint = (rho.matrix[None, :, None, :, None] * inputs[:, None, :, None, :]).reshape(
+        len(inputs), d1 * d2, d1 * d2)
+    w = conjugate(u.matrix, joint, permutation=u.permutation)
+    images = np.einsum("naiaj->nij", w.reshape(len(inputs), d1, d2, d1, d2))
+    coords = b2.traceless_coords(images)
+    return AffineMapReal(np.ascontiguousarray(coords[1:].T), coords[0])
 
 
 def _truncated_pinv(a, sv_tol):
@@ -270,10 +274,11 @@ def fixed_point_set(u, rho, sv_tol=SV_TOL, residual_tol=RESIDUAL_TOL, max_iterat
         # Iterate from the maximally mixed state; the running mean of the
         # orbit converges to a fixed state, and refinement removes the
         # remaining error transverse to the solution subspace.
+        linear, offset = aff.linear, aff.offset
         x = np.zeros(n)
         mean = np.zeros(n)
         for i in range(1, max_iterations + 1):
-            x = aff.apply(x)
+            x = linear @ x + offset
             mean += (x - mean) / i
             if i % _CHECK_EVERY == 0 or i == max_iterations:
                 x0 = consider(refine(mean))
@@ -322,12 +327,13 @@ def fixed_point_set(u, rho, sv_tol=SV_TOL, residual_tol=RESIDUAL_TOL, max_iterat
     )
 
 
-def membership(fps, sigma, tol=RESIDUAL_TOL, sv_tol=SV_TOL):
+def membership(fps, sigma, tol=RESIDUAL_TOL):
     """Test whether ``sigma`` lies in the fixed-point set.
 
     Both the distance from the affine solution subspace (in coordinate norm)
     and the trace distance moved by one application of the map must fall
-    below ``tol``.
+    below ``tol``.  The subspace distance uses the set's cached
+    pseudoinverse at :data:`SV_TOL`.
     """
     if sigma.dim != fps.dim2:
         raise ValueError(f"state dim {sigma.dim} does not match set dim {fps.dim2}")
@@ -337,9 +343,8 @@ def membership(fps, sigma, tol=RESIDUAL_TOL, sv_tol=SV_TOL):
         return MembershipCheck(True, 0.0, 0.0, tol)
     aff = fps.affine
     a = aff.linear - np.eye(n)
-    _, _, _, a_pinv = _truncated_pinv(a, sv_tol)
     x = b2.traceless_coords(sigma.matrix)
-    affine_residual = float(np.linalg.norm(a_pinv @ (a @ x + aff.offset)))
+    affine_residual = float(np.linalg.norm(fps.affine_pinv @ (a @ x + aff.offset)))
     map_residual = 0.5 * hermitian_trace_norm(
         b2.from_traceless(aff.apply(x)) - sigma.matrix
     )

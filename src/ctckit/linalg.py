@@ -8,7 +8,6 @@ import numpy as np
 
 __all__ = [
     "dagger",
-    "kron",
     "partial_trace_1",
     "partial_trace_2",
     "conjugate",
@@ -21,11 +20,6 @@ __all__ = [
 def dagger(m):
     """Conjugate transpose."""
     return np.conjugate(np.transpose(m))
-
-
-def kron(a, b):
-    """Kronecker product with the first factor on the slow index."""
-    return np.kron(a, b)
 
 
 def _as_quad(m, dim1, dim2):
@@ -48,7 +42,7 @@ def partial_trace_2(m, dim1, dim2):
 
 
 def conjugate(u, m, permutation=None):
-    """Return ``u @ m @ u^dagger``.
+    """Return ``u @ m @ u^dagger``, for one matrix or a stack ``(..., n, n)``.
 
     When ``u`` is known to be a permutation matrix, pass its image list
     (``u[permutation[j], j] == 1``) to use index shuffling instead of two
@@ -56,7 +50,7 @@ def conjugate(u, m, permutation=None):
     """
     if permutation is not None:
         inv = np.argsort(np.asarray(permutation))
-        return np.asarray(m)[np.ix_(inv, inv)]
+        return np.asarray(m)[..., inv[:, None], inv]
     return u @ m @ dagger(u)
 
 

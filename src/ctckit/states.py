@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, hermitian_trace_norm, kron, matrix_from_json, matrix_to_json
+from .linalg import dagger, hermitian_trace_norm, matrix_from_json, matrix_to_json
 
 __all__ = [
     "PAULI_X",
@@ -84,7 +84,7 @@ class DensityOperator:
     @classmethod
     def product(cls, a, b):
         """Tensor product of two states, first factor on the slow index."""
-        return cls(kron(a.matrix, b.matrix))
+        return cls(np.kron(a.matrix, b.matrix))
 
     def to_json(self):
         return matrix_to_json(self.matrix)

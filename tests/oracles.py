@@ -7,6 +7,9 @@ einsum/affine implementations is meaningful evidence, not a tautology.
 
 import numpy as np
 
+from ctckit.basis import hermitian_basis
+from ctckit.linalg import dagger, partial_trace_1
+
 
 def partial_trace_1_loops(m, dim1, dim2):
     """Trace out the first factor with explicit index loops."""
@@ -83,3 +86,65 @@ def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+# Loop versions of the batched solver core.  They do the same floating-point
+# operations in the same order as the batched code, one matrix at a time, so
+# the two must agree bit for bit, not just to a tolerance.
+
+
+def gell_mann_loop(dim):
+    """Generalized Gell-Mann matrices built one matrix at a time."""
+    out = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
+            out.append(m)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = -1.0j / np.sqrt(2.0)
+            m[k, j] = 1.0j / np.sqrt(2.0)
+            out.append(m)
+    for l in range(1, dim):
+        m = np.zeros((dim, dim), dtype=complex)
+        m[range(l), range(l)] = 1.0
+        m[l, l] = -float(l)
+        out.append(m / np.sqrt(l * (l + 1)))
+    return out
+
+
+def traceless_coords_loop(basis, m):
+    """``x_i = Tr(m B_i)``, one trace per traceless element."""
+    return np.array([np.trace(m @ b).real for b in basis.traceless])
+
+
+def from_traceless_loop(basis, x, trace=1.0):
+    """``trace I / d + sum_i x_i B_i``, accumulated one term at a time."""
+    m = (trace / basis.dim) * np.eye(basis.dim, dtype=complex)
+    for xi, b in zip(np.asarray(x, dtype=float), basis.traceless):
+        m = m + xi * b
+    return m
+
+
+def build_superoperator_loop(u, rho):
+    """``(linear, offset)`` of the induced map, imaging one input at a time."""
+    d1, d2 = u.dim1, u.dim2
+    b2 = hermitian_basis(d2)
+    n = b2.n_traceless
+
+    def image_coords(m):
+        joint = np.kron(rho.matrix, m)
+        if u.permutation is not None:
+            inv = np.argsort(np.asarray(u.permutation))
+            w = joint[np.ix_(inv, inv)]
+        else:
+            w = u.matrix @ joint @ dagger(u.matrix)
+        return traceless_coords_loop(b2, partial_trace_1(w, d1, d2))
+
+    offset = image_coords(np.eye(d2, dtype=complex) / d2)
+    linear = np.empty((n, n))
+    for j, bj in enumerate(b2.traceless):
+        linear[:, j] = image_coords(bj)
+    return linear, offset

@@ -19,8 +19,11 @@ from ctckit.census import (
     run_census,
     summarize,
 )
-from ctckit.discontinuity import classify
+from ctckit import discontinuity
+from ctckit.discontinuity import DEFAULT_EPSILONS, classify
 from ctckit.states import UnitaryGate
+
+from test_discontinuity import failing_at
 
 
 def small_config(tmp_path, **overrides):
@@ -168,6 +171,16 @@ class TestResume:
         with pytest.raises(CensusFileError):
             run_census(other, resume=True)
 
+    def test_truncated_header_is_rejected(self, tmp_path):
+        cfg = small_config(tmp_path, dim1=2, dim2=1)
+        run_census(cfg)
+        header = open(cfg.out_path).readline()
+        open(cfg.out_path, "w").write(header[: len(header) // 2])
+        with pytest.raises(CensusFileError, match="line 1"):
+            run_census(cfg, resume=True)
+        with pytest.raises(CensusFileError, match="line 1"):
+            summarize(cfg.out_path)
+
     def test_resume_rejects_corrupt_middle_line(self, tmp_path):
         cfg = CensusConfig(4, 2, mode="sample", sample_size=3, seed=5,
                            out_path=str(tmp_path / "m.jsonl"))
@@ -206,6 +219,24 @@ class TestSummarize:
         open(cfg.out_path, "a").write(json.dumps(rec.to_json()) + "\n")
         with pytest.raises(CensusFileError, match="line 4"):
             summarize(cfg.out_path)
+
+
+def test_solver_diagnostic_still_writes_the_gate_record(tmp_path, monkeypatch):
+    def records(cfg):
+        run_census(cfg)
+        return {tuple(r["permutation"]): r for r in map(json.loads, open(cfg.out_path).readlines()[1:])}
+
+    clean = records(CensusConfig(2, 2, mode="sample", sample_size=3, seed=1,
+                                 out_path=str(tmp_path / "clean.jsonl")))
+    # The finest point of vertex 0's path toward |1>: (1 - eps)|0><0| + eps|1><1|.
+    eps = min(DEFAULT_EPSILONS)
+    monkeypatch.setattr(discontinuity, "fixed_point_set", failing_at(np.diag([1.0 - eps, eps])))
+    failed = records(CensusConfig(2, 2, mode="sample", sample_size=3, seed=1,
+                                  out_path=str(tmp_path / "failed.jsonl")))
+    assert failed.keys() == clean.keys()
+    # Every gate solved that state, so every witness records the failure.
+    for perm, rec in failed.items():
+        assert rec["witness_digest"] != clean[perm]["witness_digest"]
 
 
 def test_parallel_run_matches_serial(tmp_path):

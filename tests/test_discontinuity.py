@@ -10,6 +10,8 @@ it only says no probed path witnessed a jump.
 import numpy as np
 import pytest
 
+from ctckit import discontinuity
+from ctckit.deutsch import SolverDiagnostic
 from ctckit.discontinuity import (
     DEFAULT_EPSILONS,
     PathFamily,
@@ -98,6 +100,44 @@ class TestProbe:
         result = probe(reference_gate(), paper_path((0.3, 0.2)))
         assert len(result.records) == 4
         assert {r.direction for r in result.records} == {"a", "b"}
+
+
+def failing_at(target):
+    """``fixed_point_set`` that raises ``SolverDiagnostic`` for one input state."""
+    solve = discontinuity.fixed_point_set
+
+    def fake(u, rho, **kwargs):
+        if np.allclose(rho.matrix, target, rtol=0.0, atol=1e-15):
+            raise SolverDiagnostic("injected failure")
+        return solve(u, rho, **kwargs)
+
+    return fake
+
+
+class TestSolverDiagnostic:
+    """A failing solve is recorded on its probe point, not raised or dropped."""
+
+    def test_probe_record_carries_the_error(self, monkeypatch):
+        path = paper_path()
+        finest_eps, finest_state = path.direction_a[-1]
+        monkeypatch.setattr(discontinuity, "fixed_point_set", failing_at(finest_state.matrix))
+        result = probe(reference_gate(), path)
+        failed = [r for r in result.records if r.error is not None]
+        assert [(r.direction, r.epsilon) for r in failed] == [("a", finest_eps)]
+        assert failed[0].error == "injected failure"
+        assert failed[0].k is None and failed[0].sigma is None
+
+    def test_failing_finest_point_leaves_no_clean_tail(self, monkeypatch):
+        path = paper_path()
+        monkeypatch.setattr(discontinuity, "fixed_point_set",
+                            failing_at(path.direction_a[-1][1].matrix))
+        c = classify(reference_gate(), paths=[path])
+        (analysis,) = c.witness["paths"]
+        assert analysis["tail_length"] == 0
+        assert analysis["rows"][-1]["sigma_jump_running"] is None
+        assert any("no qualifying tail" in n for n in analysis["notes"])
+        # Without the failure this path witnesses a physical jump.
+        assert c.verdict == "continuous_witnessed_none"
 
 
 class TestGenerateFamilies:

@@ -5,7 +5,6 @@ from ctckit.linalg import (
     conjugate,
     dagger,
     hermitian_trace_norm,
-    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace_1,
@@ -35,7 +34,7 @@ def test_partial_trace_of_product_recovers_factors():
     rng = np.random.default_rng(3)
     a = random_density(rng, 3)
     b = random_density(rng, 4)
-    joint = kron(a, b)
+    joint = np.kron(a, b)
     np.testing.assert_allclose(partial_trace_1(joint, 3, 4), b, atol=1e-13)
     np.testing.assert_allclose(partial_trace_2(joint, 3, 4), a, atol=1e-13)
 
@@ -71,6 +70,21 @@ def test_conjugate_permutation_fast_path_matches_dense():
     np.testing.assert_allclose(
         conjugate(u, m, permutation=perm), u @ m @ dagger(u), atol=1e-14
     )
+
+
+def test_conjugate_acts_on_each_matrix_of_a_stack():
+    rng = np.random.default_rng(13)
+    from oracles import random_unitary
+
+    u = random_unitary(rng, 4)
+    perm = tuple(rng.permutation(4))
+    p = np.zeros((4, 4))
+    p[list(perm), range(4)] = 1.0
+    stack = np.stack([random_density(rng, 4) for _ in range(3)])
+    for gate, images in ((u, None), (p, perm)):
+        batched = conjugate(gate, stack, permutation=images)
+        for m, out in zip(stack, batched):
+            np.testing.assert_array_equal(out, conjugate(gate, m, permutation=images))
 
 
 def test_hermitian_trace_norm():
