@@ -9,6 +9,10 @@ the header hash, skips gates already recorded, and repairs a partial
 trailing line left by an interrupted write.  Records are written in
 enumeration order regardless of worker count, so reruns produce identical
 files apart from per-record wall times.
+
+``_read_census`` is the one reader of a record file: resume and
+:func:`summarize` both go through it, and a run summarizes the records it
+loaded and wrote without reading the file again.
 """
 
 import itertools
@@ -211,31 +215,25 @@ def _classify_one(args):
     )
 
 
-def _read_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+def _read_census(path, repair=False):
+    """``(header config hash, {permutation: record})`` of a census file.
 
-
-def _load_existing(path, config, repair=False):
-    """Header check plus the set of permutations already recorded.
-
-    With ``repair=True`` an unparseable final line (an interrupted append)
-    is truncated away; corruption anywhere else always raises.
+    The first record of a permutation wins.  A corrupt line or an unknown
+    verdict raises :class:`CensusFileError` with its line number; with
+    ``repair=True`` only an unparseable final line (an interrupted append)
+    is truncated away instead.
     """
-    lines = _read_lines(path)
+    if not os.path.exists(path):
+        raise CensusFileError(f"{path} does not exist")
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     if not lines:
-        return set()
+        return None, {}
     try:
-        header = json.loads(lines[0])
-        stored_hash = header["config_hash"]
+        header_hash = json.loads(lines[0])["config_hash"]
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise CensusFileError(f"{path} line 1: bad census header ({exc})") from exc
-    if stored_hash != config.config_hash():
-        raise CensusFileError(
-            f"{path} was produced by a different configuration "
-            f"({stored_hash[:12]}... != {config.config_hash()[:12]}...)"
-        )
-    done = set()
+    records = {}
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -243,13 +241,14 @@ def _load_existing(path, config, repair=False):
             rec = CensusRecord.from_json(json.loads(line))
         except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
             if repair and i == len(lines):
-                keep = "\n".join(lines[:-1]) + "\n"
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(keep)
+                    fh.write("\n".join(lines[:-1]) + "\n")
                 break
             raise CensusFileError(f"{path} line {i}: corrupt record ({exc})") from exc
-        done.add(rec.permutation)
-    return done
+        if rec.verdict not in VERDICTS:
+            raise CensusFileError(f"{path} line {i}: unknown verdict {rec.verdict!r}")
+        records.setdefault(rec.permutation, rec)
+    return header_hash, records
 
 
 def run_census(config, resume=False):
@@ -265,11 +264,16 @@ def run_census(config, resume=False):
         config.exhaustive_cap,
     )
 
-    done = set()
+    records = {}
     if os.path.exists(path) and os.path.getsize(path) > 0:
         if not resume:
             raise CensusFileError(f"{path} exists; resume or remove it first")
-        done = _load_existing(path, config, repair=True)
+        stored_hash, records = _read_census(path, repair=True)
+        if stored_hash != config.config_hash():
+            raise CensusFileError(
+                f"{path} was produced by a different configuration "
+                f"({stored_hash[:12]}... != {config.config_hash()[:12]}...)"
+            )
     else:
         header = {
             "kind": "ctckit-census",
@@ -280,7 +284,7 @@ def run_census(config, resume=False):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
 
-    todo = [p for p in perms if p not in done]
+    todo = [p for p in perms if p not in records]
     cfg = {
         "dim1": config.dim1,
         "dim2": config.dim2,
@@ -293,19 +297,20 @@ def run_census(config, resume=False):
     args = [(p, cfg) for p in todo]
 
     with open(path, "a", encoding="utf-8") as fh:
+        def append(new_records):
+            for rec in new_records:
+                fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+                fh.flush()
+                records[rec.permutation] = rec
+
         if config.workers > 1 and todo:
             from concurrent.futures import ProcessPoolExecutor  # serial runs skip it
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                for rec in pool.map(_classify_one, args):
-                    fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-                    fh.flush()
+                append(pool.map(_classify_one, args))
         else:
-            for a in args:
-                rec = _classify_one(a)
-                fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-                fh.flush()
+            append(map(_classify_one, args))
 
-    return summarize(path)
+    return _summary(records.values())
 
 
 def summarize(path):
@@ -314,32 +319,14 @@ def summarize(path):
     Duplicate records for a permutation are counted once.  Raises
     :class:`CensusFileError` with a line number on any corrupt line.
     """
-    if not os.path.exists(path):
-        raise CensusFileError(f"{path} does not exist")
-    lines = _read_lines(path)
-    if not lines:
-        return CensusSummary(0, 0.0, 0.0, 0.0, {v: 0 for v in VERDICTS})
-    try:
-        json.loads(lines[0])["config_hash"]
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
-        raise CensusFileError(f"{path} line 1: bad census header ({exc})") from exc
+    return _summary(_read_census(path)[1].values())
 
-    by_perm = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rec = CensusRecord.from_json(json.loads(line))
-        except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
-            raise CensusFileError(f"{path} line {i}: corrupt record ({exc})") from exc
-        if rec.verdict not in VERDICTS:
-            raise CensusFileError(f"{path} line {i}: unknown verdict {rec.verdict!r}")
-        by_perm.setdefault(rec.permutation, rec)
 
+def _summary(records):
     counts = {v: 0 for v in VERDICTS}
-    for rec in by_perm.values():
+    for rec in records:
         counts[rec.verdict] += 1
-    total = len(by_perm)
+    total = sum(counts.values())
     if total == 0:
         return CensusSummary(0, 0.0, 0.0, 0.0, counts)
     n_phys = counts["physical"]

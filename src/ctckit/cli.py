@@ -354,7 +354,6 @@ def build_parser():
     src = p.add_mutually_exclusive_group()
     src.add_argument("--scenario", help="scenario JSON file")
     src.add_argument("--paper-example", action="store_true")
-    p.add_argument("--plane", choices=["xz"], default="xz")
     p.add_argument("--resolution", type=int, default=201)
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_bloch_slice)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import hermitian_basis
-from .linalg import conjugate, hermitian_trace_norm, matrix_from_json, matrix_to_json, partial_trace_1, partial_trace_2
+from .linalg import conjugate, hermitian_trace_norm, matrix_to_json, partial_trace_1, partial_trace_2
 from .states import DensityOperator, UnitaryGate
 
 __all__ = [
@@ -84,10 +84,6 @@ class AffineMapReal:
     def to_json(self):
         return {"linear": self.linear.tolist(), "offset": self.offset.tolist()}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(np.asarray(obj["linear"], dtype=float), np.asarray(obj["offset"], dtype=float))
-
 
 @dataclass
 class MembershipCheck:
@@ -119,7 +115,7 @@ class FixedPointSet:
     @cached_property
     def affine_pinv(self):
         """Pseudoinverse of ``linear - I`` at cutoff :data:`SV_TOL`."""
-        return _truncated_pinv(self.affine.linear - np.eye(self.affine.n), SV_TOL)[3]
+        return _truncated_pinv(self.affine.linear - np.eye(self.affine.n))[3]
 
     def state_at(self, coeffs):
         """State ``particular + sum_i coeffs[i] basis[i]``; raises if not PSD."""
@@ -141,18 +137,6 @@ class FixedPointSet:
             "residuals": self.residuals,
             "warnings": list(self.warnings),
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            dim2=int(obj["dim2"]),
-            particular=DensityOperator.from_json(obj["particular"]),
-            basis=[matrix_from_json(b) for b in obj["basis"]],
-            k=int(obj["k"]),
-            affine=AffineMapReal.from_json(obj["affine"]),
-            residuals=dict(obj.get("residuals", {})),
-            warnings=list(obj.get("warnings", [])),
-        )
 
 
 def _sandwich(u, rho, sigma_matrix):
@@ -193,10 +177,10 @@ def build_superoperator(u, rho):
     return AffineMapReal(np.ascontiguousarray(coords[1:].T), coords[0])
 
 
-def _truncated_pinv(a, sv_tol):
-    """SVD pieces of ``a`` plus its pseudoinverse with cutoff ``sv_tol``."""
+def _truncated_pinv(a):
+    """SVD pieces of ``a`` plus its pseudoinverse with cutoff :data:`SV_TOL`."""
     u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > sv_tol))
+    rank = int(np.sum(s > SV_TOL))
     if rank == 0:
         pinv = np.zeros_like(a.T)
     else:
@@ -211,7 +195,7 @@ def _canonical_sign(v, tol=1e-12):
     return v
 
 
-def fixed_point_set(u, rho, sv_tol=SV_TOL, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERATIONS):
+def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERATIONS):
     """Solve ``T(sigma) = sigma`` for the induced map of ``(u, rho)``.
 
     Returns a :class:`FixedPointSet`; raises :class:`SolverDiagnostic` when no
@@ -234,13 +218,13 @@ def fixed_point_set(u, rho, sv_tol=SV_TOL, residual_tol=RESIDUAL_TOL, max_iterat
 
     a = aff.linear - np.eye(n)
     c = aff.offset
-    s, vt, rank, a_pinv = _truncated_pinv(a, sv_tol)
+    s, vt, rank, a_pinv = _truncated_pinv(a)
     k = n - rank
 
-    gray = s[(s > sv_tol / 10) & (s < sv_tol * 10)]
+    gray = s[(s > SV_TOL / 10) & (s < SV_TOL * 10)]
     if gray.size:
         warnings.append(
-            f"singular values {gray.tolist()} lie within a decade of the cutoff {sv_tol}"
+            f"singular values {gray.tolist()} lie within a decade of the cutoff {SV_TOL}"
         )
 
     null_basis = [_canonical_sign(vt[rank + i]) for i in range(k)]

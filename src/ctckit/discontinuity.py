@@ -17,6 +17,10 @@ Verdicts, ordered by strength:
 * ``physical`` - the emitted state jumps too.
 
 The verdict is monotone in the path set: adding paths can only upgrade it.
+
+Every probe point, center or direction, goes through ``_solve``, the one
+place where solving, selection and emission are chained; ``_probe`` builds
+every :class:`ProbeResult`, for :func:`probe` and :func:`classify` alike.
 """
 
 import hashlib
@@ -27,7 +31,7 @@ import numpy as np
 
 from .deutsch import SolverDiagnostic, evolve_out, fixed_point_set, membership
 from .reference import mixed_first_qubit, mixed_second_qubit, reference_center
-from .selection import SelectionRule, select
+from .selection import select
 from .states import DensityOperator, trace_distance
 
 __all__ = [
@@ -44,7 +48,6 @@ __all__ = [
     "probe",
     "classify",
     "generate_probe_families",
-    "generate_probe_paths",
     "witness_csv_rows",
 ]
 
@@ -144,23 +147,44 @@ class ProbeResult:
 
 def probe(u, path, rule=None):
     """Solve the fixed-point problem along both directions of a path."""
-    rule = rule or SelectionRule()
-    center_fps = fixed_point_set(u, path.center)
-    center_sel = select(center_fps, rule)
-    center_rho_hat = evolve_out(u, path.center, center_sel.sigma)
+    return _probe(u, *_as_family(path), rule, {})
+
+
+def _as_family(path):
+    """``(family, eps_a, eps_b)`` that replays a materialized path's states."""
+    a, b = ({float(e): state for e, state in pairs}
+            for pairs in (path.direction_a, path.direction_b))
+    return PathFamily(path.center, a.__getitem__, b.__getitem__, path.label), list(a), list(b)
+
+
+def _solve(u, state, rule):
+    """``(fixed-point set, selection, emitted state)`` for one input state."""
+    fps = fixed_point_set(u, state)
+    sel = select(fps, rule)
+    return fps, sel, evolve_out(u, state, sel.sigma)
+
+
+def _probe(u, fam, eps_a, eps_b, rule, solved):
+    """A :class:`ProbeResult` for a family on per-direction eps grids.
+
+    ``solved`` maps the center state and ``(direction, eps)`` to their solves,
+    so paths that share a center or a direction solve it once.  It holds its
+    keys, so no key can be reused by another object.
+    """
+    if fam.center not in solved:
+        solved[fam.center] = _solve(u, fam.center, rule)
     records = []
-    for name, pairs in (("a", path.direction_a), ("b", path.direction_b)):
-        for eps, state in pairs:
-            try:
-                fps = fixed_point_set(u, state)
-                sel = select(fps, rule)
-                rho_hat = evolve_out(u, state, sel.sigma)
-                records.append(
-                    ProbeRecord(name, float(eps), fps.k, sel.sigma, sel.entropy, rho_hat)
-                )
-            except SolverDiagnostic as exc:
-                records.append(ProbeRecord(name, float(eps), error=str(exc)))
-    return ProbeResult(path.label, center_fps, center_sel, center_rho_hat, records)
+    for name, direction, grid in (("a", fam.family_a, eps_a), ("b", fam.family_b, eps_b)):
+        for eps in grid:
+            key = (direction, eps)
+            if key not in solved:
+                try:
+                    fps, sel, rho_hat = _solve(u, direction(eps), rule)
+                    solved[key] = (fps.k, sel.sigma, sel.entropy, rho_hat, None)
+                except SolverDiagnostic as exc:
+                    solved[key] = (None, None, None, None, str(exc))
+            records.append(ProbeRecord(name, eps, *solved[key]))
+    return ProbeResult(fam.label, *solved[fam.center], records)
 
 
 def _haar_pure(dim, rng):
@@ -246,11 +270,6 @@ def generate_probe_families(u, strategy, seed=0, count=4):
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def generate_probe_paths(u, strategy, epsilons=DEFAULT_EPSILONS, seed=0, count=4):
-    """Materialized probe paths (see :func:`generate_probe_families`)."""
-    return [f.materialize(epsilons) for f in generate_probe_families(u, strategy, seed, count)]
-
-
 @dataclass
 class GateClassification:
     verdict: str
@@ -278,7 +297,7 @@ def _analyze_path(result, jump_tol, limit_tol):
     where both directions pinned a unique fixed state cleanly; at least two
     such points are required before trusting its finest entry as a limit.
     """
-    rows = []
+    rows, tail = [], []
     for eps, ra, rb in result.pairs():
         row = {
             "epsilon": eps,
@@ -289,15 +308,12 @@ def _analyze_path(result, jump_tol, limit_tol):
             "entropy_a": ra.entropy,
             "entropy_b": rb.entropy,
         }
-        if ra.error is None and rb.error is None:
+        both_solved = ra.error is None and rb.error is None
+        if both_solved:
             row["sigma_jump_running"] = trace_distance(ra.sigma, rb.sigma)
             row["rho_hat_jump_running"] = trace_distance(ra.rho_hat, rb.rho_hat)
         rows.append(row)
-
-    tail = []
-    for eps, ra, rb in result.pairs():
-        clean = ra.error is None and rb.error is None and ra.k == 0 and rb.k == 0
-        if clean:
+        if both_solved and ra.k == 0 and rb.k == 0:
             tail.append((eps, ra, rb))
         else:
             tail = []
@@ -346,39 +362,6 @@ def _analyze_path(result, jump_tol, limit_tol):
     }
 
 
-def _solve_cached(u, family, eps, rule, cache):
-    """Fixed-point solve for ``family(eps)``, shared across a gate's paths."""
-    key = (id(family), float(eps))
-    if key not in cache:
-        state = family(eps)
-        try:
-            fps = fixed_point_set(u, state)
-            sel = select(fps, rule)
-            rho_hat = evolve_out(u, state, sel.sigma)
-            cache[key] = (fps.k, sel.sigma, sel.entropy, rho_hat, None)
-        except SolverDiagnostic as exc:
-            cache[key] = (None, None, None, None, str(exc))
-    return cache[key]
-
-
-def _probe_family(u, fam, eps_list, rule, cache, center_cache):
-    """A :class:`ProbeResult` for a family, reusing cached direction solves."""
-    ckey = id(fam.center)
-    if ckey not in center_cache:
-        center_fps = fixed_point_set(u, fam.center)
-        center_sel = select(center_fps, rule)
-        center_cache[ckey] = (
-            center_fps, center_sel, evolve_out(u, fam.center, center_sel.sigma)
-        )
-    center_fps, center_sel, center_rho_hat = center_cache[ckey]
-    records = []
-    for name, family in (("a", fam.family_a), ("b", fam.family_b)):
-        for eps in sorted({float(e) for e in eps_list}, reverse=True):
-            k, sigma, entropy, rho_hat, error = _solve_cached(u, family, eps, rule, cache)
-            records.append(ProbeRecord(name, eps, k, sigma, entropy, rho_hat, error))
-    return ProbeResult(fam.label, center_fps, center_sel, center_rho_hat, records)
-
-
 def classify(
     u,
     strategy="vertex_pairs",
@@ -397,29 +380,28 @@ def classify(
     paths whose measured jump lands within a factor of two of ``jump_tol``.
     Explicit ``paths`` are used as given, without refinement.
     """
-    rule = rule or SelectionRule()
     base_eps = sorted({float(e) for e in epsilons}, reverse=True)
     if len(base_eps) < 2:
         raise ValueError("need at least two eps values to take a directional limit")
 
     analyses = []
     refinements_used = 0
+    solved = {}
     if paths is None:
-        cache, center_cache = {}, {}
         for fam in generate_probe_families(u, strategy, seed=seed):
             eps = list(base_eps)
-            result = _probe_family(u, fam, eps, rule, cache, center_cache)
+            result = _probe(u, fam, eps, eps, rule, solved)
             analysis = _analyze_path(result, jump_tol, limit_membership_tol)
             while analysis["near_threshold"] and refinements_used < max_refinements:
                 eps.append(min(eps) / 10.0)
                 refinements_used += 1
-                result = _probe_family(u, fam, eps, rule, cache, center_cache)
+                result = _probe(u, fam, eps, eps, rule, solved)
                 analysis = _analyze_path(result, jump_tol, limit_membership_tol)
             analyses.append(analysis)
         strategy_name = strategy
     else:
         for path in paths:
-            result = probe(u, path, rule)
+            result = _probe(u, *_as_family(path), rule, solved)
             analyses.append(_analyze_path(result, jump_tol, limit_membership_tol))
         strategy_name = "user_paths"
 

@@ -279,13 +279,13 @@ def select(fps, rule=None):
     return _constant_index(fps, rule)
 
 
-def ctc_channel(u, rho, rule=None, **solver_kwargs):
+def ctc_channel(u, rho, rule=None):
     """End-to-end induced evolution: solve, select, and emit.
 
     Returns ``(rho_hat, selection)`` where ``rho_hat`` is the state of the
     first factor after interacting with the selected fixed state.
     """
-    fps = fixed_point_set(u, rho, **solver_kwargs)
+    fps = fixed_point_set(u, rho)
     sel = select(fps, rule)
     return evolve_out(u, rho, sel.sigma), sel
 

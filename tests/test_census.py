@@ -181,6 +181,21 @@ class TestResume:
         with pytest.raises(CensusFileError, match="line 1"):
             summarize(cfg.out_path)
 
+    @pytest.mark.parametrize("final", [False, True])
+    def test_resume_rejects_unknown_verdict_and_keeps_the_line(self, tmp_path, final):
+        cfg = CensusConfig(4, 2, mode="sample", sample_size=3, seed=5,
+                           out_path=str(tmp_path / "v.jsonl"))
+        run_census(cfg)
+        lines = open(cfg.out_path).read().splitlines()[:-1]  # one gate left to classify
+        i = len(lines) - 1 if final else 1
+        lines[i] = json.dumps(dict(json.loads(lines[i]), verdict="sideways"), sort_keys=True)
+        text = "\n".join(lines) + "\n"
+        open(cfg.out_path, "w").write(text)
+        with pytest.raises(CensusFileError, match=f"line {i + 1}: unknown verdict"):
+            run_census(cfg, resume=True)
+        # Rejected before any gate is classified: the file is as it was.
+        assert open(cfg.out_path).read() == text
+
     def test_resume_rejects_corrupt_middle_line(self, tmp_path):
         cfg = CensusConfig(4, 2, mode="sample", sample_size=3, seed=5,
                            out_path=str(tmp_path / "m.jsonl"))

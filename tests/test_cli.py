@@ -114,6 +114,19 @@ class TestSelect:
         assert z == pytest.approx(2 * 0.3 / np.sqrt(2), abs=1e-9)
 
 
+def test_selection_non_convergence_exits_3(capsys, tmp_path):
+    scen = write_json(tmp_path / "n.json", {
+        "gate": ref_gate_obj(),
+        "rho": {"product": [qubit_matrix([1, 0]), qubit_matrix([1, 0])]},
+        "rule": {"kind": "min_entropy", "max_iters": 1},
+    })
+    code, out, _ = run(capsys, "select", "--scenario", scen)
+    assert code == 3 and json.loads(out)["converged"] is False
+    code, out, err = run(capsys, "evolve", "--scenario", scen)
+    assert code == 3 and json.loads(out)["selection"]["converged"] is False
+    assert "selection did not converge" in err
+
+
 class TestInputErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "fixed-points", "--scenario", "/no/such/file.json")

@@ -1,15 +1,11 @@
 """Self-consistency solver: superoperator construction, fixed-point sets,
 membership checks, and agreement with a slow iterate-and-average oracle."""
 
-import json
-
 import numpy as np
 import pytest
 
 from ctckit.basis import hermitian_basis
 from ctckit.deutsch import (
-    AffineMapReal,
-    FixedPointSet,
     build_superoperator,
     deutsch_map,
     evolve_out,
@@ -185,20 +181,3 @@ def test_dim_mismatch_raises():
     fps = fixed_point_set(reference_gate(), reference_center())
     with pytest.raises(ValueError):
         membership(fps, DensityOperator.maximally_mixed(3))
-
-
-def test_affine_map_json_round_trip():
-    rng = np.random.default_rng(2)
-    aff = AffineMapReal(rng.normal(size=(3, 3)), rng.normal(size=3))
-    back = AffineMapReal.from_json(json.loads(json.dumps(aff.to_json())))
-    np.testing.assert_allclose(back.linear, aff.linear, atol=0)
-    np.testing.assert_allclose(back.offset, aff.offset, atol=0)
-
-
-def test_fixed_point_set_json_round_trip():
-    fps = fixed_point_set(reference_gate(), reference_center())
-    back = FixedPointSet.from_json(json.loads(json.dumps(fps.to_json())))
-    assert back.k == fps.k
-    np.testing.assert_allclose(back.particular.matrix, fps.particular.matrix, atol=1e-15)
-    np.testing.assert_allclose(back.basis[0], fps.basis[0], atol=1e-15)
-    assert membership(back, back.particular).ok

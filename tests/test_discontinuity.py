@@ -18,7 +18,6 @@ from ctckit.discontinuity import (
     ProbePath,
     classify,
     generate_probe_families,
-    generate_probe_paths,
     probe,
     witness_csv_rows,
 )
@@ -80,6 +79,7 @@ def test_family_materialize_sorts_and_dedupes():
         label="f",
     )
     path = fam.materialize([0.01, 0.2, 0.2, 0.1])
+    assert isinstance(path, ProbePath)
     assert [e for e, _ in path.direction_a] == [0.2, 0.1, 0.01]
 
 
@@ -167,11 +167,6 @@ class TestGenerateFamilies:
         with pytest.raises(ValueError):
             generate_probe_families(reference_gate(), "exhaustive")
 
-    def test_generate_paths_materializes(self):
-        paths = generate_probe_paths(reference_gate(), "paper_example", epsilons=(0.2, 0.1))
-        assert isinstance(paths[0], ProbePath)
-        assert [e for e, _ in paths[0].direction_a] == [0.2, 0.1]
-
 
 class TestClassify:
     def test_reference_gate_is_physical(self):
@@ -190,6 +185,22 @@ class TestClassify:
         u = UnitaryGate.from_permutation(2, 2, (0, 2, 1, 3))
         cls = classify(u, strategy="vertex_pairs")
         assert cls.verdict == "continuous_witnessed_none"
+
+    @pytest.mark.parametrize("gate", [reference_gate(), UnitaryGate.identity(3, 3)],
+                             ids=["4x2", "3x3"])
+    def test_each_center_and_direction_point_is_solved_once(self, gate, monkeypatch):
+        # Paths of a vertex share its center and its 2(d1 - 1) directions.
+        solve = discontinuity.fixed_point_set
+        calls = []
+
+        def counted(u, rho):
+            calls.append(rho)
+            return solve(u, rho)
+
+        monkeypatch.setattr(discontinuity, "fixed_point_set", counted)
+        classify(gate, "vertex_pairs", max_refinements=0)
+        d1 = gate.dim1
+        assert len(calls) == d1 * (1 + 2 * (d1 - 1) * len(DEFAULT_EPSILONS))
 
     def test_explicit_paths_mode(self):
         cls = classify(reference_gate(), paths=[paper_path()])
