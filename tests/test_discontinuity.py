@@ -167,6 +167,12 @@ class TestGenerateFamilies:
         with pytest.raises(ValueError):
             generate_probe_families(reference_gate(), "exhaustive")
 
+    def test_generate_paths_materializes(self):
+        fams = generate_probe_families(reference_gate(), "paper_example")
+        paths = [f.materialize((0.2, 0.1)) for f in fams]
+        assert isinstance(paths[0], ProbePath)
+        assert [e for e, _ in paths[0].direction_a] == [0.2, 0.1]
+
 
 class TestClassify:
     def test_reference_gate_is_physical(self):
