@@ -21,7 +21,7 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CAP = 40_320  # 8!
+_RUN_FIELDS = ("workers", "out_path", "exhaustive_cap")  # where and how, not what
 
 
 class CensusFileError(Exception):
@@ -79,40 +80,23 @@ class CensusConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         self.epsilons = tuple(float(e) for e in self.epsilons)
+        if len(set(self.epsilons)) < 2 or not min(self.epsilons) > 0:
+            raise ValueError("epsilons must hold at least two distinct positive values")
 
     def semantics(self):
         """The fields that determine census content (not where/how it runs)."""
-        return {
-            "dim1": self.dim1,
-            "dim2": self.dim2,
-            "mode": self.mode,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "epsilons": list(self.epsilons),
-            "jump_tol": self.jump_tol,
-            "max_refinements": self.max_refinements,
-        }
+        return {k: v for k, v in asdict(self).items() if k not in _RUN_FIELDS}
 
     def config_hash(self):
         blob = json.dumps(self.semantics(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def to_json(self):
-        obj = self.semantics()
-        obj.update(
-            workers=self.workers,
-            out_path=self.out_path,
-            exhaustive_cap=self.exhaustive_cap,
-        )
-        return obj
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):
-        kwargs = dict(obj)
-        if "epsilons" in kwargs:
-            kwargs["epsilons"] = tuple(kwargs["epsilons"])
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 @dataclass
@@ -125,14 +109,7 @@ class CensusRecord:
     witness_digest: str
 
     def to_json(self):
-        return {
-            "permutation": list(self.permutation),
-            "verdict": self.verdict,
-            "sigma_jump": self.sigma_jump,
-            "rho_hat_jump": self.rho_hat_jump,
-            "wall_time": self.wall_time,
-            "witness_digest": self.witness_digest,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):
@@ -155,28 +132,18 @@ class CensusSummary:
     counts: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "total": self.total,
-            "fraction_physical": self.fraction_physical,
-            "fraction_ephemeral_or_physical": self.fraction_ephemeral_or_physical,
-            "fraction_continuous_witnessed_none": self.fraction_continuous_witnessed_none,
-            "counts": dict(self.counts),
-        }
+        return asdict(self)
 
 
-def _permutation_tuples(dim1, dim2, mode, sample_size, seed, cap):
-    d = dim1 * dim2
-    total = math.factorial(d)
-    if mode == "exhaustive":
-        if total > cap:
-            raise ValueError(f"exhaustive enumeration of {total} gates exceeds cap {cap}")
+def _permutation_tuples(config):
+    """Permutations a validated config enumerates, lexicographic or sampled."""
+    d = config.dim1 * config.dim2
+    if config.mode == "exhaustive":
         return list(itertools.permutations(range(d)))
-    if sample_size > total:
-        raise ValueError(f"cannot sample {sample_size} distinct gates from {total}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     seen = set()
     out = []
-    while len(out) < sample_size:
+    while len(out) < config.sample_size:
         p = tuple(int(i) for i in rng.permutation(d))
         if p not in seen:
             seen.add(p)
@@ -184,25 +151,23 @@ def _permutation_tuples(dim1, dim2, mode, sample_size, seed, cap):
     return out
 
 
-def enumerate_permutation_gates(
-    dim1, dim2, mode="exhaustive", sample_size=0, seed=0, cap=EXHAUSTIVE_CAP
-):
+def enumerate_permutation_gates(dim1, dim2, mode="exhaustive", sample_size=0, seed=0):
     """Yield permutation gates, lexicographic or seeded distinct sample."""
-    for p in _permutation_tuples(dim1, dim2, mode, sample_size, seed, cap):
+    config = CensusConfig(dim1, dim2, mode=mode, sample_size=sample_size, seed=seed)
+    for p in _permutation_tuples(config):
         yield UnitaryGate.from_permutation(dim1, dim2, p)
 
 
-def _classify_one(args):
-    perm, cfg = args
-    gate = UnitaryGate.from_permutation(cfg["dim1"], cfg["dim2"], perm)
+def _classify_one(perm, config):
+    gate = UnitaryGate.from_permutation(config.dim1, config.dim2, perm)
     t0 = time.perf_counter()
     cls = classify(
         gate,
-        strategy=cfg["strategy"],
-        epsilons=cfg["epsilons"],
-        jump_tol=cfg["jump_tol"],
-        seed=cfg["seed"],
-        max_refinements=cfg["max_refinements"],
+        strategy=config.strategy,
+        epsilons=config.epsilons,
+        jump_tol=config.jump_tol,
+        seed=config.seed,
+        max_refinements=config.max_refinements,
     )
     wall = time.perf_counter() - t0
     return CensusRecord(
@@ -259,10 +224,7 @@ def run_census(config, resume=False):
     gates without a record yet.  Rerunning a finished census is a no-op.
     """
     path = config.out_path
-    perms = _permutation_tuples(
-        config.dim1, config.dim2, config.mode, config.sample_size, config.seed,
-        config.exhaustive_cap,
-    )
+    perms = _permutation_tuples(config)
 
     records = {}
     if os.path.exists(path) and os.path.getsize(path) > 0:
@@ -285,16 +247,7 @@ def run_census(config, resume=False):
             fh.write(json.dumps(header, sort_keys=True) + "\n")
 
     todo = [p for p in perms if p not in records]
-    cfg = {
-        "dim1": config.dim1,
-        "dim2": config.dim2,
-        "strategy": config.strategy,
-        "epsilons": config.epsilons,
-        "jump_tol": config.jump_tol,
-        "seed": config.seed,
-        "max_refinements": config.max_refinements,
-    }
-    args = [(p, cfg) for p in todo]
+    configs = itertools.repeat(config)
 
     with open(path, "a", encoding="utf-8") as fh:
         def append(new_records):
@@ -306,9 +259,9 @@ def run_census(config, resume=False):
         if config.workers > 1 and todo:
             from concurrent.futures import ProcessPoolExecutor  # serial runs skip it
             with ProcessPoolExecutor(max_workers=config.workers) as pool:
-                append(pool.map(_classify_one, args))
+                append(pool.map(_classify_one, todo, configs))
         else:
-            append(map(_classify_one, args))
+            append(map(_classify_one, todo, configs))
 
     return _summary(records.values())
 

@@ -8,6 +8,7 @@ The ``CTCKIT_LOG`` environment variable sets the log level.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -22,9 +23,9 @@ from .discontinuity import (
     DEFAULT_EPSILONS,
     JUMP_TOL,
     STRATEGIES,
+    _probe,
     classify,
     generate_probe_families,
-    probe,
     witness_csv_rows,
 )
 from .reference import reference_center, reference_gate
@@ -34,13 +35,11 @@ from .linalg import matrix_to_json
 
 log = logging.getLogger("ctckit")
 
+# ``--rule`` names; a scenario's rule block may also give the kind itself.
 _RULE_NAMES = {
     "max-entropy": "max_entropy",
-    "max_entropy": "max_entropy",
     "min-entropy": "min_entropy",
-    "min_entropy": "min_entropy",
     "constant": "constant_index",
-    "constant_index": "constant_index",
 }
 
 
@@ -84,19 +83,18 @@ def parse_rho(obj):
 
 
 def parse_rule(obj, cli_name=None):
-    """Rule from scenario JSON, overridden by a ``--rule`` flag name."""
-    obj = dict(obj or {})
-    name = cli_name or obj.pop("kind", "max_entropy")
-    kind = _RULE_NAMES.get(str(name))
-    if kind is None:
-        raise CLIInputError(f"unknown selection rule {name!r}")
+    """Rule from a scenario's rule block; a ``--rule`` flag name overrides its kind."""
     try:
-        return SelectionRule(kind=kind, **obj)
+        obj = dict(obj or {})
+        scenario_kind = obj.pop("kind", "max_entropy")
+        name = cli_name or scenario_kind
+        return SelectionRule(kind=_RULE_NAMES.get(name, name), **obj)
     except (TypeError, ValueError) as exc:
-        raise CLIInputError(f"bad rule options: {exc}") from exc
+        raise CLIInputError(f"bad rule: {exc}") from exc
 
 
-def parse_scenario(path, cli_rule=None):
+def parse_scenario(path):
+    """``(gate, rho, rule block)`` of a scenario file; the block is not parsed."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or "gate" not in obj or "rho" not in obj:
         raise CLIInputError(f"{path}: scenario must contain 'gate' and 'rho'")
@@ -106,8 +104,7 @@ def parse_scenario(path, cli_rule=None):
         raise CLIInputError(
             f"{path}: rho dim {rho.dim} does not match gate dim1 {gate.dim1}"
         )
-    rule = parse_rule(obj.get("rule"), cli_rule)
-    return gate, rho, rule
+    return gate, rho, obj.get("rule")
 
 
 def _parse_epsilons(text):
@@ -148,20 +145,20 @@ def _gate_from_args(args):
     if getattr(args, "gate", None):
         return parse_gate(_load_json(args.gate))
     if getattr(args, "scenario", None):
-        gate, _, _ = parse_scenario(args.scenario, getattr(args, "rule", None))
-        return gate
+        return parse_scenario(args.scenario)[0]
     raise CLIInputError("provide --gate, --scenario, or --paper-example")
 
 
 def cmd_fixed_points(args):
-    gate, rho, _ = parse_scenario(args.scenario, args.rule)
+    gate, rho, _ = parse_scenario(args.scenario)
     fps = fixed_point_set(gate, rho)
     _emit(fps.to_json(), args.out)
     return 0
 
 
 def cmd_select(args):
-    gate, rho, rule = parse_scenario(args.scenario, args.rule)
+    gate, rho, block = parse_scenario(args.scenario)
+    rule = parse_rule(block, args.rule)
     fps = fixed_point_set(gate, rho)
     sel = select(fps, rule)
     report = sel.to_json()
@@ -171,7 +168,8 @@ def cmd_select(args):
 
 
 def cmd_evolve(args):
-    gate, rho, rule = parse_scenario(args.scenario, args.rule)
+    gate, rho, block = parse_scenario(args.scenario)
+    rule = parse_rule(block, args.rule)
     rho_hat, sel = ctc_channel(gate, rho, rule)
     report = {
         "sigma": sel.sigma.to_json(),
@@ -194,10 +192,11 @@ def cmd_probe(args):
     gate = _gate_from_args(args)
     rule = parse_rule(None, args.rule)
     strategy = "paper_example" if args.paper_example else args.strategy
-    epsilons = _parse_epsilons(args.epsilons)
+    epsilons = sorted(set(_parse_epsilons(args.epsilons)), reverse=True)
     rows = [["path", "direction", "epsilon", "k", "entropy", "sigma", "rho_hat"]]
+    solved = {}  # paths that share a center or a direction solve it once
     for fam in generate_probe_families(gate, strategy, seed=args.seed):
-        result = probe(gate, fam.materialize(epsilons), rule)
+        result = _probe(gate, fam, epsilons, epsilons, rule, solved)
         rows.append([
             fam.label, "center", 0.0, result.center_fps.k,
             result.center_selection.entropy,
@@ -245,26 +244,21 @@ def cmd_classify(args):
 
 def cmd_census(args):
     obj = _load_json(args.config)
+    overrides = {"workers": args.workers, "out_path": args.out}
     try:
-        config = CensusConfig.from_json(obj)
+        config = dataclasses.replace(
+            CensusConfig.from_json(obj),
+            **{k: v for k, v in overrides.items() if v is not None},
+        )
     except (TypeError, ValueError) as exc:
         raise CLIInputError(f"bad census config: {exc}") from exc
-    if args.workers is not None:
-        config.workers = args.workers
-    if args.out is not None:
-        config.out_path = args.out
     log.info("census of %d x %d gates -> %s", config.dim1, config.dim2, config.out_path)
     summary = run_census(config, resume=args.resume)
     print(json.dumps(summary.to_json(), indent=2, sort_keys=True))
     if args.summary_csv:
-        s = summary.to_json()
-        rows = [
-            ["total", "fraction_physical", "fraction_ephemeral_or_physical",
-             "fraction_continuous_witnessed_none"],
-            [s["total"], s["fraction_physical"], s["fraction_ephemeral_or_physical"],
-             s["fraction_continuous_witnessed_none"]],
-        ]
-        _write_csv(rows, args.summary_csv)
+        fractions = summary.to_json()
+        del fractions["counts"]
+        _write_csv([list(fractions), list(fractions.values())], args.summary_csv)
     return 0
 
 
@@ -272,7 +266,7 @@ def cmd_bloch_slice(args):
     if args.paper_example:
         gate, rho = reference_gate(), reference_center()
     elif args.scenario:
-        gate, rho, _ = parse_scenario(args.scenario, None)
+        gate, rho, _ = parse_scenario(args.scenario)
     else:
         raise CLIInputError("provide --scenario or --paper-example")
     if gate.dim2 != 2:
@@ -305,7 +299,6 @@ def build_parser():
 
     def add_scenario(p):
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--rule", choices=["max-entropy", "min-entropy", "constant"])
         p.add_argument("--out", help="also write the JSON report to this path")
 
     p = sub.add_parser("fixed-points", help="solve the self-consistency condition")
@@ -314,10 +307,12 @@ def build_parser():
 
     p = sub.add_parser("select", help="apply a selection rule to the fixed-point set")
     add_scenario(p)
+    p.add_argument("--rule", choices=_RULE_NAMES)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("evolve", help="full induced evolution: solve, select, emit")
     add_scenario(p)
+    p.add_argument("--rule", choices=_RULE_NAMES)
     p.set_defaults(func=cmd_evolve)
 
     def add_probe_flags(p):
@@ -329,7 +324,7 @@ def build_parser():
         p.add_argument("--strategy", choices=STRATEGIES, default="vertex_pairs")
         p.add_argument("--epsilons", help="comma-separated decreasing grid")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--rule", choices=["max-entropy", "min-entropy", "constant"])
+        p.add_argument("--rule", choices=_RULE_NAMES)
 
     p = sub.add_parser("probe", help="per-epsilon records along probe paths (CSV)")
     add_probe_flags(p)

@@ -239,22 +239,22 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
         td = 0.5 * hermitian_trace_norm(b2.from_traceless(aff.apply(x)) - m)
         return lo, td
 
-    best_x, best_key = None, None
+    best = None  # (key, x, lo, td) of the best candidate so far
 
     def consider(x):
-        """Track the best candidate; return it if within inner tolerance."""
-        nonlocal best_x, best_key
+        """Track the best candidate; ``(x, lo, td)`` if within inner tolerance."""
+        nonlocal best
         lo, td = assess(x)
         key = (max(0.0, -lo), td)
-        if best_key is None or key < best_key:
-            best_x, best_key = x, key
+        if best is None or key < best[0]:
+            best = key, x, lo, td
         if lo >= -_EIG_SLACK and td <= _EARLY_RESIDUAL:
-            return x
+            return x, lo, td
         return None
 
     iterations = 0
-    x0 = consider(refine(np.zeros(n)))
-    if x0 is None:
+    accepted = consider(refine(np.zeros(n)))
+    if accepted is None:
         # Iterate from the maximally mixed state; the running mean of the
         # orbit converges to a fixed state, and refinement removes the
         # remaining error transverse to the solution subspace.
@@ -265,18 +265,15 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
             x = linear @ x + offset
             mean += (x - mean) / i
             if i % _CHECK_EVERY == 0 or i == max_iterations:
-                x0 = consider(refine(mean))
-                if x0 is None:
-                    x0 = consider(mean.copy())
-                if x0 is not None:
+                accepted = consider(refine(mean))
+                if accepted is None:
+                    accepted = consider(mean.copy())
+                if accepted is not None:
                     iterations = i
                     break
-        else:
+        if accepted is None:
             iterations = max_iterations
-        if x0 is None:
-            iterations = max_iterations
-            x0 = best_x
-            lo, td = assess(x0)
+            _, x0, lo, td = best
             if lo < -1e-10 or td > residual_tol:
                 raise SolverDiagnostic(
                     f"no fixed-point candidate within tolerance after {iterations} "
@@ -286,8 +283,9 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
                 f"slow convergence: accepted candidate with residual {td:.3e} "
                 f"after {iterations} iterations"
             )
+            accepted = x0, lo, td
 
-    lo, td = assess(x0)
+    x0, lo, td = accepted
     if td > residual_tol:
         raise SolverDiagnostic(f"fixed-point residual {td:.3e} exceeds {residual_tol}")
     try:

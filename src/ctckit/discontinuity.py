@@ -20,7 +20,8 @@ The verdict is monotone in the path set: adding paths can only upgrade it.
 
 Every probe point, center or direction, goes through ``_solve``, the one
 place where solving, selection and emission are chained; ``_probe`` builds
-every :class:`ProbeResult`, for :func:`probe` and :func:`classify` alike.
+every :class:`ProbeResult`, for :func:`probe`, :func:`classify` and the
+``probe`` command alike.
 """
 
 import hashlib
@@ -40,6 +41,8 @@ __all__ = [
     "LIMIT_MEMBERSHIP_TOL",
     "VERDICTS",
     "STRATEGIES",
+    "RANDOM_PATHS",
+    "ROW_COLUMNS",
     "ProbePath",
     "PathFamily",
     "ProbeRecord",
@@ -56,6 +59,16 @@ JUMP_TOL = 0.1
 LIMIT_MEMBERSHIP_TOL = 0.05
 VERDICTS = ("continuous_witnessed_none", "ephemeral", "physical")
 STRATEGIES = ("paper_example", "vertex_pairs", "random_seeded")
+RANDOM_PATHS = 4
+ROW_COLUMNS = (
+    "epsilon",
+    "k_a",
+    "k_b",
+    "sigma_jump_running",
+    "rho_hat_jump_running",
+    "entropy_a",
+    "entropy_b",
+)
 
 
 @dataclass
@@ -196,7 +209,7 @@ def _mix_toward(center, other, eps):
     return DensityOperator((1.0 - eps) * center.matrix + eps * other.matrix)
 
 
-def generate_probe_families(u, strategy, seed=0, count=4):
+def generate_probe_families(u, strategy, seed=0):
     """Probe-path families for a gate, by strategy.
 
     ``paper_example``
@@ -211,8 +224,8 @@ def generate_probe_families(u, strategy, seed=0, count=4):
         Directions are shared between the paths of a vertex, so
         :func:`classify` solves each only once.
     ``random_seeded``
-        ``count`` seeded paths with Haar-random pure centers, each mixed
-        toward two independent random pure states.
+        :data:`RANDOM_PATHS` seeded paths with Haar-random pure centers,
+        each mixed toward two independent random pure states.
     """
     if strategy == "paper_example":
         if (u.dim1, u.dim2) != (4, 2):
@@ -259,7 +272,7 @@ def generate_probe_families(u, strategy, seed=0, count=4):
     if strategy == "random_seeded":
         rng = np.random.default_rng(seed)
         families = []
-        for i in range(count):
+        for i in range(RANDOM_PATHS):
             center = DensityOperator.pure(_haar_pure(u.dim1, rng))
             other_a = DensityOperator.pure(_haar_pure(u.dim1, rng))
             other_b = DensityOperator.pure(_haar_pure(u.dim1, rng))
@@ -290,7 +303,7 @@ class GateClassification:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _analyze_path(result, jump_tol, limit_tol):
+def _analyze_path(result, jump_tol):
     """Per-path verdict from the qualifying tail of the probe grid.
 
     The qualifying tail is the longest run of consecutive fine grid points
@@ -299,15 +312,7 @@ def _analyze_path(result, jump_tol, limit_tol):
     """
     rows, tail = [], []
     for eps, ra, rb in result.pairs():
-        row = {
-            "epsilon": eps,
-            "k_a": ra.k,
-            "k_b": rb.k,
-            "sigma_jump_running": None,
-            "rho_hat_jump_running": None,
-            "entropy_a": ra.entropy,
-            "entropy_b": rb.entropy,
-        }
+        row = dict(zip(ROW_COLUMNS, (eps, ra.k, rb.k, None, None, ra.entropy, rb.entropy)))
         both_solved = ra.error is None and rb.error is None
         if both_solved:
             row["sigma_jump_running"] = trace_distance(ra.sigma, rb.sigma)
@@ -329,8 +334,8 @@ def _analyze_path(result, jump_tol, limit_tol):
         _, ra, rb = tail[-1]
         sigma_jump = trace_distance(ra.sigma, rb.sigma)
         rho_hat_jump = trace_distance(ra.rho_hat, rb.rho_hat)
-        member_a = membership(result.center_fps, ra.sigma, tol=limit_tol)
-        member_b = membership(result.center_fps, rb.sigma, tol=limit_tol)
+        member_a = membership(result.center_fps, ra.sigma, tol=LIMIT_MEMBERSHIP_TOL)
+        member_b = membership(result.center_fps, rb.sigma, tol=LIMIT_MEMBERSHIP_TOL)
         limits_in_set = [member_a.ok, member_b.ok]
         near_threshold = (
             jump_tol / 2 < sigma_jump < 2 * jump_tol
@@ -368,7 +373,6 @@ def classify(
     paths=None,
     epsilons=DEFAULT_EPSILONS,
     jump_tol=JUMP_TOL,
-    limit_membership_tol=LIMIT_MEMBERSHIP_TOL,
     rule=None,
     seed=0,
     max_refinements=2,
@@ -391,18 +395,18 @@ def classify(
         for fam in generate_probe_families(u, strategy, seed=seed):
             eps = list(base_eps)
             result = _probe(u, fam, eps, eps, rule, solved)
-            analysis = _analyze_path(result, jump_tol, limit_membership_tol)
+            analysis = _analyze_path(result, jump_tol)
             while analysis["near_threshold"] and refinements_used < max_refinements:
                 eps.append(min(eps) / 10.0)
                 refinements_used += 1
                 result = _probe(u, fam, eps, eps, rule, solved)
-                analysis = _analyze_path(result, jump_tol, limit_membership_tol)
+                analysis = _analyze_path(result, jump_tol)
             analyses.append(analysis)
         strategy_name = strategy
     else:
         for path in paths:
             result = _probe(u, *_as_family(path), rule, solved)
-            analyses.append(_analyze_path(result, jump_tol, limit_membership_tol))
+            analyses.append(_analyze_path(result, jump_tol))
         strategy_name = "user_paths"
 
     rank = {v: i for i, v in enumerate(VERDICTS)}
@@ -410,7 +414,7 @@ def classify(
     witness = {
         "strategy": strategy_name,
         "jump_tol": jump_tol,
-        "limit_membership_tol": limit_membership_tol,
+        "limit_membership_tol": LIMIT_MEMBERSHIP_TOL,
         "epsilons": base_eps,
         "refinements_used": refinements_used,
         "best_path": best["label"],
@@ -429,16 +433,7 @@ def witness_csv_rows(classification):
     best_label = classification.witness["best_path"]
     paths = classification.witness["paths"]
     best = next((p for p in paths if p["label"] == best_label), paths[0])
-    header = [
-        "epsilon",
-        "k_a",
-        "k_b",
-        "sigma_jump_running",
-        "rho_hat_jump_running",
-        "entropy_a",
-        "entropy_b",
-    ]
-    out = [header]
+    out = [list(ROW_COLUMNS)]
     for row in best["rows"]:
-        out.append([row[h] if row[h] is not None else "" for h in header])
+        out.append([row[h] if row[h] is not None else "" for h in ROW_COLUMNS])
     return out

@@ -45,26 +45,20 @@ _EVAL_FLOOR = 1e-14
 _FEAS_EIG = -1e-12
 _IMPROVE_EPS = 1e-13
 _MIN_STEP = 1e-16
+_STEP_INIT = 1.0
+_BACKTRACK_FACTOR = 0.5
+_GRAD_TOL = 1e-10
 
 
 @dataclass
 class SelectionRule:
     kind: str = "max_entropy"
     coordinates: tuple = ()
-    step_init: float = 1.0
-    backtrack_factor: float = 0.5
-    grad_tol: float = 1e-10
     max_iters: int = 10_000
 
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown selection rule {self.kind!r}; expected one of {RULE_KINDS}")
-        if not self.step_init > 0:
-            raise ValueError("step_init must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         self.coordinates = tuple(float(c) for c in self.coordinates)
@@ -185,7 +179,7 @@ def _optimize(fps, rule, sense, start=None):
         g = sense * _gradient(evals, evecs, stacked)
         grad_norm = float(np.linalg.norm(g))
 
-        if grad_norm <= rule.grad_tol:
+        if grad_norm <= _GRAD_TOL:
             if sense > 0:
                 converged = True
                 break
@@ -214,7 +208,7 @@ def _optimize(fps, rule, sense, start=None):
                     accepted = True
 
         if not accepted:
-            step = rule.step_init
+            step = _STEP_INIT
             while step > _MIN_STEP:
                 cand = t + step * g
                 _, ev, evc = _state_info(particular, stacked, cand)
@@ -225,7 +219,7 @@ def _optimize(fps, rule, sense, start=None):
                         t, evals, evecs, entropy = cand, ev, evc, new_entropy
                         accepted = True
                         break
-                step *= rule.backtrack_factor
+                step *= _BACKTRACK_FACTOR
 
         if not accepted:
             if sense < 0:
@@ -254,10 +248,10 @@ def max_entropy_state(fps, rule=None, start=None):
     return _optimize(fps, rule, +1.0, start=start)
 
 
-def min_entropy_state(fps, rule=None, start=None):
+def min_entropy_state(fps, rule=None):
     """A deterministic entropy minimizer (in general one of several)."""
     rule = rule or SelectionRule("min_entropy")
-    return _optimize(fps, rule, -1.0, start=start)
+    return _optimize(fps, rule, -1.0)
 
 
 def _constant_index(fps, rule):
@@ -290,7 +284,7 @@ def ctc_channel(u, rho, rule=None):
     return evolve_out(u, rho, sel.sigma), sel
 
 
-def sample_feasible(fps, rng, scale=1.0):
+def sample_feasible(fps, rng):
     """Random feasible coefficient vector, roughly uniform over the set.
 
     Draws a direction, finds the feasibility boundary along it, then places
@@ -306,5 +300,5 @@ def sample_feasible(fps, rng, scale=1.0):
         return np.zeros(fps.k)
     d /= norm
     s = _boundary_distance(particular, stacked, np.zeros(fps.k), d)
-    radius = scale * s * rng.uniform() ** (1.0 / fps.k)
+    radius = s * rng.uniform() ** (1.0 / fps.k)
     return radius * d

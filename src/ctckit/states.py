@@ -2,7 +2,9 @@
 
 Validation tolerances are deliberately strict and uniform across the package:
 Hermiticity and unit trace to 1e-12, positive semidefiniteness to -1e-10 on
-the smallest eigenvalue.
+the smallest eigenvalue.  The Hermiticity and unitarity checks are written so
+that a NaN fails them, which rejects every non-finite entry before the other
+checks run.
 """
 
 from dataclasses import dataclass
@@ -41,8 +43,8 @@ class DensityOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if np.max(np.abs(m - dagger(m))) > HERM_TOL:
-            raise ValueError("density matrix is not Hermitian to 1e-12")
+        if not np.max(np.abs(m - dagger(m))) <= HERM_TOL:
+            raise ValueError("density matrix has non-finite entries or is not Hermitian to 1e-12")
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-12")
@@ -112,8 +114,8 @@ class UnitaryGate:
             raise ValueError("factor dimensions must be positive")
         if m.shape != (d, d):
             raise ValueError(f"gate shape {m.shape} incompatible with dims ({dim1}, {dim2})")
-        if np.max(np.abs(m @ dagger(m) - np.eye(d))) > UNITARY_TOL:
-            raise ValueError("gate is not unitary to 1e-12")
+        if not np.max(np.abs(m @ dagger(m) - np.eye(d))) <= UNITARY_TOL:
+            raise ValueError("gate has non-finite entries or is not unitary to 1e-12")
         if permutation is not None:
             p = [int(j) for j in permutation]
             if sorted(p) != list(range(d)):

@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             CensusConfig(2, 1, mode="sample", sample_size=3)  # only 2 gates exist
 
+    @pytest.mark.parametrize("epsilons", [(0.1,), (0.1, 0.1), (0.1, 0.0), (0.1, -0.05)])
+    def test_rejects_bad_epsilons_before_writing(self, tmp_path, epsilons):
+        with pytest.raises(ValueError, match="epsilons"):
+            run_census(small_config(tmp_path, epsilons=epsilons))
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_hash_ignores_execution_fields(self):
         a = CensusConfig(4, 2, mode="sample", sample_size=10)
         b = CensusConfig(4, 2, mode="sample", sample_size=10, workers=8,

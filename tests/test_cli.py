@@ -91,6 +91,17 @@ class TestEvolve:
         report = json.loads(out)
         assert report["rho_hat"]["re"] == pytest.approx([0.7, 0.2, 0.2, 0.3], abs=1e-9)
 
+    def test_rule_flag_overrides_the_scenario_kind(self, capsys, tmp_path):
+        scen = write_json(tmp_path / "k.json", {
+            "gate": {"dim1": 2, "dim2": 2, "perm": [0, 1, 2, 3]},
+            "rho": qubit_matrix([1, 0]),
+            "rule": {"kind": "max-entropy"},
+        })
+        for command in ("select", "evolve"):
+            code, out, _ = run(capsys, command, "--scenario", scen, "--rule", "min-entropy")
+            assert code == 0
+            assert json.loads(out)["entropy"] < 1e-7
+
     def test_rule_flag_overrides(self, capsys, tmp_path):
         code, out, _ = run(capsys, "evolve", "--scenario", scenario_identity(tmp_path),
                            "--rule", "min-entropy")
@@ -154,6 +165,23 @@ class TestInputErrors:
         code, _, err = run(capsys, "select", "--scenario", scen)
         assert code == 2 and "unknown selection rule" in err
 
+    def test_rule_block_is_ignored_where_no_rule_applies(self, capsys, tmp_path):
+        scen = write_json(tmp_path / "r.json", {
+            "gate": {"dim1": 2, "dim2": 2, "perm": [0, 1, 2, 3]},
+            "rho": qubit_matrix([1, 0]),
+            "rule": {"kind": "loudest"},
+        })
+        assert run(capsys, "fixed-points", "--scenario", scen)[0] == 0
+        assert run(capsys, "bloch-slice", "--scenario", scen, "--resolution", "3")[0] == 0
+
+    def test_nan_rho(self, capsys, tmp_path):
+        scen = write_json(tmp_path / "nan.json", {
+            "gate": {"dim1": 2, "dim2": 2, "perm": [0, 1, 2, 3]},
+            "rho": qubit_matrix([float("nan"), float("nan")]),
+        })
+        code, _, err = run(capsys, "fixed-points", "--scenario", scen)
+        assert code == 2 and "bad rho" in err
+
     def test_non_unitary_gate(self, capsys, tmp_path):
         scen = write_json(tmp_path / "g.json", {
             "gate": {"dim1": 2, "dim2": 1, "perm": [0, 0]},
@@ -192,6 +220,25 @@ class TestProbeCommand:
         code, out, _ = run(capsys, "probe", "--paper-example", "--epsilons", "0.2,0.1")
         assert code == 0
         assert out.splitlines()[0].startswith("path,direction,epsilon")
+
+
+    def test_each_probe_point_is_solved_once(self, tmp_path, capsys, monkeypatch):
+        from ctckit import discontinuity
+
+        calls = []
+        original = discontinuity.fixed_point_set
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(discontinuity, "fixed_point_set", counted)
+        gate = write_json(tmp_path / "g.json", ref_gate_obj())
+        code, _, _ = run(capsys, "probe", "--gate", gate, "--strategy", "vertex_pairs",
+                         "--out", str(tmp_path / "p.csv"))
+        assert code == 0
+        # 4 vertices: one center plus 6 directions on 5 grid points each
+        assert len(calls) == 4 * (1 + 6 * 5)
 
 
 class TestClassifyCommand:
@@ -242,6 +289,16 @@ class TestCensusCommand:
         code, _, err = run(capsys, "census", "--config", cfg)
         assert code == 2 and "resume" in err
         assert run(capsys, "census", "--config", cfg, "--resume")[0] == 0
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_an_input_error(self, tmp_path, capsys, workers):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "dim1": 2, "dim2": 1, "mode": "exhaustive",
+            "out_path": str(tmp_path / "rec.jsonl"),
+        })
+        code, _, err = run(capsys, "census", "--config", cfg, "--workers", workers)
+        assert code == 2 and "workers" in err
+        assert not (tmp_path / "rec.jsonl").exists()
 
     def test_out_override(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {

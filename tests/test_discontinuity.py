@@ -157,9 +157,9 @@ class TestGenerateFamilies:
         assert all(f.label.startswith("vertex") for f in fams)
 
     def test_random_seeded_is_deterministic(self):
-        a = generate_probe_families(reference_gate(), "random_seeded", seed=5, count=3)
-        b = generate_probe_families(reference_gate(), "random_seeded", seed=5, count=3)
-        assert len(a) == 3
+        a = generate_probe_families(reference_gate(), "random_seeded", seed=5)
+        b = generate_probe_families(reference_gate(), "random_seeded", seed=5)
+        assert len(a) == 4
         for fa, fb in zip(a, b):
             assert trace_distance(fa.center.matrix, fb.center.matrix) < 1e-15
 

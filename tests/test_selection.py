@@ -47,9 +47,7 @@ class TestSelectionRule:
 
     def test_rejects_bad_optimizer_settings(self):
         with pytest.raises(ValueError):
-            SelectionRule(step_init=-1.0)
-        with pytest.raises(ValueError):
-            SelectionRule(backtrack_factor=1.5)
+            SelectionRule(max_iters=0)
 
 
 class TestMaxEntropy:

@@ -62,6 +62,13 @@ class TestDensityOperator:
         assert joint.dim == 4
         np.testing.assert_allclose(np.diag(joint.matrix).real, [0.25, 0, 0.75, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator(np.diag([bad, bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOperator(np.array([[0.5, bad], [bad, 0.5]]))
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(1)
         rho = DensityOperator(random_density(rng, 3))
@@ -73,6 +80,13 @@ class TestUnitaryGate:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             UnitaryGate(np.ones((2, 2)), 1, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            UnitaryGate(np.full((4, 4), bad), 2, 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            UnitaryGate(np.diag([1.0, 1.0, 1.0, bad]), 2, 2)
 
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
