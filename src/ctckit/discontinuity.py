@@ -319,7 +319,7 @@ def _analyze_path(result, jump_tol):
             row["rho_hat_jump_running"] = trace_distance(ra.rho_hat, rb.rho_hat)
         rows.append(row)
         if both_solved and ra.k == 0 and rb.k == 0:
-            tail.append((eps, ra, rb))
+            tail.append((row, ra, rb))
         else:
             tail = []
 
@@ -331,9 +331,9 @@ def _analyze_path(result, jump_tol):
     near_threshold = False
 
     if len(tail) >= 2:
-        _, ra, rb = tail[-1]
-        sigma_jump = trace_distance(ra.sigma, rb.sigma)
-        rho_hat_jump = trace_distance(ra.rho_hat, rb.rho_hat)
+        row, ra, rb = tail[-1]
+        sigma_jump = row["sigma_jump_running"]
+        rho_hat_jump = row["rho_hat_jump_running"]
         member_a = membership(result.center_fps, ra.sigma, tol=LIMIT_MEMBERSHIP_TOL)
         member_b = membership(result.center_fps, rb.sigma, tol=LIMIT_MEMBERSHIP_TOL)
         limits_in_set = [member_a.ok, member_b.ok]

@@ -8,25 +8,26 @@ implementation is deterministic but the state it lands on is one minimizer
 among possibly many.  ``constant_index`` pins fixed coefficients over the
 degeneracy directions without optimizing.
 
-Both entropy rules run gradient iteration over the coefficient vector ``t``
-of ``sigma(t) = particular + sum_i t_i basis[i]``, with backtracking until
-the iterate stays PSD.  The entropy gradient in these coordinates is
-``dS/dt_i = -Tr(basis[i] ln sigma)``, evaluated with eigenvalues floored at
-1e-14.  The minimizer adds a deterministic kick: when the gradient vanishes
-(as it does at the maximally mixed state) it snaps to the feasibility
-boundary along the lexicographically smallest coordinate direction that
-lowers the entropy.  ``gradient_norm`` reports the unconstrained gradient at
-the final iterate, so boundary solutions may legitimately report large
-values together with ``converged=True``.
+Both entropy rules iterate over the coefficient vector ``t`` of
+``sigma(t) = particular + sum_i t_i basis[i]``, along the entropy gradient
+``dS/dt_i = -Tr(basis[i] ln sigma)`` with eigenvalues floored at 1e-14.  The
+maximizer backtracks each step until the iterate stays PSD and the entropy
+rises.  The minimizer moves only to the feasibility boundary: it snaps along
+the descent direction, or, when that fails or the gradient vanishes (as at
+the maximally mixed state), kicks along the lexicographically smallest
+coordinate direction that lowers the entropy.  ``gradient_norm`` reports the
+unconstrained gradient at the final iterate, so boundary solutions may
+legitimately report large values together with ``converged=True``.
 """
 
 from dataclasses import dataclass
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
 from .deutsch import fixed_point_set, evolve_out
-from .states import DensityOperator, von_neumann_entropy
+from .states import DensityOperator, _spectrum_entropy, von_neumann_entropy
 
 __all__ = [
     "RULE_KINDS",
@@ -82,15 +83,13 @@ class SelectionResult:
         }
 
 
-def _entropy_of(evals):
-    lam = np.clip(evals, 0.0, 1.0)
-    nz = lam[lam > 0.0]
-    return float(-np.sum(nz * np.log(nz))) + 0.0
+class _Point(NamedTuple):
+    """A coefficient vector with the spectrum and entropy of its state."""
 
-
-def _spectral(m):
-    evals, evecs = np.linalg.eigh(m)
-    return evals.real, evecs
+    t: np.ndarray
+    evals: np.ndarray
+    evecs: np.ndarray
+    entropy: float
 
 
 def _gradient(evals, evecs, stacked):
@@ -124,10 +123,11 @@ def _boundary_distance(particular, stacked, t, d):
     return lo
 
 
-def _state_info(particular, stacked, t):
-    m = particular + np.tensordot(t, stacked, axes=1)
-    evals, evecs = _spectral(m)
-    return m, evals, evecs
+def _axis_directions(k):
+    """Axis directions in lexicographic order: -e_0 .. -e_{k-1}, then +e_{k-1} .. +e_0."""
+    eye = np.eye(k)
+    # ``0.0 - eye`` keeps its zeros at +0.0, where ``-eye`` would give -0.0.
+    return np.concatenate((0.0 - eye, eye[::-1]))
 
 
 def _optimize(fps, rule, sense, start=None):
@@ -139,35 +139,44 @@ def _optimize(fps, rule, sense, start=None):
         )
     particular = fps.particular.matrix
     stacked = np.stack(fps.basis)
+    kicks = _axis_directions(k) if sense < 0 else ()
+
+    def point(t, require_feasible=False):
+        evals, evecs = np.linalg.eigh(particular + np.tensordot(t, stacked, axes=1))
+        if require_feasible and float(np.min(evals)) < _FEAS_EIG:
+            return None
+        return _Point(t, evals, evecs, _spectrum_entropy(evals))
+
+    def boundary_point(t, d):
+        s = _boundary_distance(particular, stacked, t, d)
+        return point(t + s * d) if s > 1e-12 else None
+
+    def move(cur, g, grad_norm):
+        if sense < 0:
+            # Entropy is concave, so the descent line's boundary point is its lowest.
+            cand = boundary_point(cur.t, g / grad_norm)
+            return cand if cand is not None and cand.entropy < cur.entropy else None
+        step = _STEP_INIT
+        while step > _MIN_STEP:
+            cand = point(cur.t + step * g, require_feasible=True)
+            if cand is not None and cand.entropy > cur.entropy:
+                return cand
+            step *= _BACKTRACK_FACTOR
+        return None
+
+    def kick(cur):
+        for d in kicks:
+            cand = boundary_point(cur.t, d)
+            if cand is not None and cand.entropy < cur.entropy - _IMPROVE_EPS:
+                return cand
+        return None
 
     t = np.zeros(k) if start is None else np.asarray(start, dtype=float).copy()
     if t.shape != (k,):
         raise ValueError(f"start must have {k} coefficients, got {t.shape}")
-    _, evals, evecs = _state_info(particular, stacked, t)
-    if float(np.min(evals)) < _FEAS_EIG:
+    cur = point(t, require_feasible=True)
+    if cur is None:
         raise ValueError("start coefficients give a non-PSD state")
-    entropy = _entropy_of(evals)
-
-    def kick_directions():
-        dirs = []
-        for i in range(k):
-            for sign in (-1.0, 1.0):
-                d = np.zeros(k)
-                d[i] = sign
-                dirs.append(d)
-        return sorted(dirs, key=tuple)
-
-    def try_kick(t, entropy):
-        """Boundary snap along the first axis direction that lowers entropy."""
-        for d in kick_directions():
-            s = _boundary_distance(particular, stacked, t, d)
-            if s <= 1e-12:
-                continue
-            cand = t + s * d
-            _, ev, _ = _state_info(particular, stacked, cand)
-            if _entropy_of(ev) < entropy - _IMPROVE_EPS:
-                return cand
-        return None
 
     converged = False
     iterations = 0
@@ -176,70 +185,25 @@ def _optimize(fps, rule, sense, start=None):
 
     while iterations < rule.max_iters:
         iterations += 1
-        g = sense * _gradient(evals, evecs, stacked)
+        g = sense * _gradient(cur.evals, cur.evecs, stacked)
         grad_norm = float(np.linalg.norm(g))
-
-        if grad_norm <= _GRAD_TOL:
-            if sense > 0:
+        nxt = None if grad_norm <= _GRAD_TOL else move(cur, g, grad_norm)
+        if nxt is None:
+            nxt = kick(cur)
+            if nxt is None:
                 converged = True
                 break
-            kicked = try_kick(t, entropy)
-            if kicked is None:
-                converged = True
-                break
-            t = kicked
-            _, evals, evecs = _state_info(particular, stacked, t)
-            entropy = _entropy_of(evals)
+            cur = nxt
             recent.clear()
             continue
-
-        accepted = False
-        if sense < 0:
-            # A concave objective is minimized on the boundary, so try the
-            # full snap along the descent direction before backtracking.
-            d = g / grad_norm
-            s = _boundary_distance(particular, stacked, t, d)
-            if s > 1e-12:
-                cand = t + s * d
-                _, ev, evc = _state_info(particular, stacked, cand)
-                if sense * _entropy_of(ev) > sense * entropy:
-                    recent.append(abs(_entropy_of(ev) - entropy))
-                    t, evals, evecs, entropy = cand, ev, evc, _entropy_of(ev)
-                    accepted = True
-
-        if not accepted:
-            step = _STEP_INIT
-            while step > _MIN_STEP:
-                cand = t + step * g
-                _, ev, evc = _state_info(particular, stacked, cand)
-                if float(np.min(ev)) >= _FEAS_EIG:
-                    new_entropy = _entropy_of(ev)
-                    if sense * new_entropy > sense * entropy:
-                        recent.append(abs(new_entropy - entropy))
-                        t, evals, evecs, entropy = cand, ev, evc, new_entropy
-                        accepted = True
-                        break
-                step *= _BACKTRACK_FACTOR
-
-        if not accepted:
-            if sense < 0:
-                kicked = try_kick(t, entropy)
-                if kicked is not None:
-                    t = kicked
-                    _, evals, evecs = _state_info(particular, stacked, t)
-                    entropy = _entropy_of(evals)
-                    recent.clear()
-                    continue
-            # No feasible improving step remains along the gradient.
-            converged = True
-            break
-
+        recent.append(abs(nxt.entropy - cur.entropy))
+        cur = nxt
         if len(recent) == recent.maxlen and max(recent) < _IMPROVE_EPS:
             converged = True
             break
 
-    sigma = DensityOperator(particular + np.tensordot(t, stacked, axes=1))
-    return SelectionResult(sigma, entropy, iterations, converged, grad_norm)
+    sigma = DensityOperator(particular + np.tensordot(cur.t, stacked, axes=1))
+    return SelectionResult(sigma, cur.entropy, iterations, converged, grad_norm)
 
 
 def max_entropy_state(fps, rule=None, start=None):

@@ -4,7 +4,8 @@ Validation tolerances are deliberately strict and uniform across the package:
 Hermiticity and unit trace to 1e-12, positive semidefiniteness to -1e-10 on
 the smallest eigenvalue.  The Hermiticity and unitarity checks are written so
 that a NaN fails them, which rejects every non-finite entry before the other
-checks run.
+checks run; the NaN that an infinite entry produces raises no floating-point
+warning.
 """
 
 from dataclasses import dataclass
@@ -43,7 +44,9 @@ class DensityOperator:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if not np.max(np.abs(m - dagger(m))) <= HERM_TOL:
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+            hermitian = np.max(np.abs(m - dagger(m))) <= HERM_TOL
+        if not hermitian:
             raise ValueError("density matrix has non-finite entries or is not Hermitian to 1e-12")
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
@@ -114,7 +117,9 @@ class UnitaryGate:
             raise ValueError("factor dimensions must be positive")
         if m.shape != (d, d):
             raise ValueError(f"gate shape {m.shape} incompatible with dims ({dim1}, {dim2})")
-        if not np.max(np.abs(m @ dagger(m) - np.eye(d))) <= UNITARY_TOL:
+        with np.errstate(invalid="ignore"):
+            unitary = np.max(np.abs(m @ dagger(m) - np.eye(d))) <= UNITARY_TOL
+        if not unitary:
             raise ValueError("gate has non-finite entries or is not unitary to 1e-12")
         if permutation is not None:
             p = [int(j) for j in permutation]
@@ -181,12 +186,17 @@ class BlochVector:
         return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
 
 
+def _spectrum_entropy(evals):
+    """Entropy -sum(p ln p) in nats of a spectrum clipped to [0, 1]."""
+    p = np.clip(evals, 0.0, 1.0)
+    nz = p[p > 0.0]
+    return float(-np.sum(nz * np.log(nz))) + 0.0
+
+
 def von_neumann_entropy(state):
     """Entropy -Tr(rho ln rho) in nats; eigenvalues are clipped to [0, 1]."""
     m = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
-    evals = np.clip(np.linalg.eigvalsh(m).real, 0.0, 1.0)
-    nz = evals[evals > 0.0]
-    return float(-np.sum(nz * np.log(nz))) + 0.0
+    return _spectrum_entropy(np.linalg.eigvalsh(m))
 
 
 def trace_distance(a, b):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ctckit.cli import main
+from ctckit.deutsch import SolverDiagnostic
 
 
 def write_json(path, obj):
@@ -136,6 +137,17 @@ def test_selection_non_convergence_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "evolve", "--scenario", scen)
     assert code == 3 and json.loads(out)["selection"]["converged"] is False
     assert "selection did not converge" in err
+
+
+@pytest.mark.parametrize("command", ["fixed-points", "select"])
+def test_solver_diagnostic_exits_3(capsys, tmp_path, monkeypatch, command):
+    def diagnose(u, rho):
+        raise SolverDiagnostic("injected")
+
+    monkeypatch.setattr("ctckit.cli.fixed_point_set", diagnose)
+    code, _, err = run(capsys, command, "--scenario", scenario_a(tmp_path))
+    assert code == 3
+    assert "numerical diagnostic: injected" in err
 
 
 class TestInputErrors:

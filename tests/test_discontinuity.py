@@ -208,6 +208,19 @@ class TestClassify:
         d1 = gate.dim1
         assert len(calls) == d1 * (1 + 2 * (d1 - 1) * len(DEFAULT_EPSILONS))
 
+    @pytest.mark.parametrize("refinements", [0, 1, 2])
+    def test_near_threshold_path_refines_its_grid(self, refinements):
+        # At jump_tol=0.3 the reference gate's jumps of about 0.5 lie within a
+        # factor of two of the threshold, so each refinement adds finest / 10.
+        cls = classify(reference_gate(), strategy="paper_example", jump_tol=0.3,
+                       max_refinements=refinements)
+        (path,) = cls.witness["paths"]
+        grid = list(DEFAULT_EPSILONS) + [1e-4, 1e-5][:refinements]
+        assert [row["epsilon"] for row in path["rows"]] == pytest.approx(grid)
+        assert cls.witness["refinements_used"] == refinements
+        assert cls.witness["epsilons"] == list(DEFAULT_EPSILONS)
+        assert cls.verdict == "physical"
+
     def test_explicit_paths_mode(self):
         cls = classify(reference_gate(), paths=[paper_path()])
         assert cls.verdict == "physical"

@@ -106,6 +106,36 @@ class TestMinEntropy:
         np.testing.assert_allclose(np.sort(evals), [0.0, 1.0], atol=1e-8)
 
 
+# Degenerate (k = 1) sets on which the optimizer takes every branch but the
+# minimizer's stop at zero gradient.  A: the maximizer accepts 8 backtracking
+# steps; the minimizer snaps.  B: the maximizer stops at zero gradient; the
+# minimizer kicks at zero gradient, then again after a failed snap.  C: the
+# maximizer stops on its five-step window; the minimizer snaps.
+BRANCH_SETS = {
+    "A": ((2, 3), (3, 5, 2, 0, 4, 1), DensityOperator.diagonal([0.9, 0.1])),
+    "B": ((2, 3), (4, 5, 3, 0, 2, 1), DensityOperator.diagonal([0.9, 0.1])),
+    "C": ((3, 3), (3, 8, 0, 4, 1, 2, 7, 6, 5), DensityOperator.pure([0, 0.1, np.sqrt(0.99)])),
+}
+
+
+@pytest.mark.parametrize("name,kind,entropy,iterations", [
+    ("A", "max_entropy", 0.8688407743803273, 9),
+    ("A", "min_entropy", 0.0, 2),
+    ("B", "max_entropy", np.log(3), 1),
+    ("B", "min_entropy", 0.0, 3),
+    ("C", "max_entropy", 1.0986038713545372, 9),
+    ("C", "min_entropy", 0.0, 2),
+])
+def test_optimizer_branches_keep_their_results(name, kind, entropy, iterations):
+    dims, perm, rho = BRANCH_SETS[name]
+    fps = fixed_point_set(UnitaryGate.from_permutation(*dims, perm), rho)
+    assert fps.k == 1
+    sel = select(fps, SelectionRule(kind))
+    assert sel.entropy == pytest.approx(entropy, abs=1e-12)
+    assert sel.iterations == iterations
+    assert sel.converged
+
+
 class TestConstantIndex:
     def test_coordinates_pick_a_member(self):
         fps = center_fps()
