@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .discontinuity import DEFAULT_EPSILONS, JUMP_TOL, VERDICTS, classify
+from .discontinuity import DEFAULT_EPSILONS, JUMP_TOL, VERDICTS, _epsilon_grid, classify
 from .states import UnitaryGate
 
 __all__ = [
@@ -80,8 +80,7 @@ class CensusConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         self.epsilons = tuple(float(e) for e in self.epsilons)
-        if len(set(self.epsilons)) < 2 or not min(self.epsilons) > 0:
-            raise ValueError("epsilons must hold at least two distinct positive values")
+        _epsilon_grid(self.epsilons)
 
     def semantics(self):
         """The fields that determine census content (not where/how it runs)."""

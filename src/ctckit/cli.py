@@ -23,6 +23,7 @@ from .discontinuity import (
     DEFAULT_EPSILONS,
     JUMP_TOL,
     STRATEGIES,
+    _epsilon_grid,
     _probe,
     classify,
     generate_probe_families,
@@ -109,14 +110,11 @@ def parse_scenario(path):
 
 def _parse_epsilons(text):
     if text is None:
-        return DEFAULT_EPSILONS
+        return _epsilon_grid(DEFAULT_EPSILONS)
     try:
-        eps = tuple(float(t) for t in text.split(",") if t.strip())
+        return _epsilon_grid(float(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
         raise CLIInputError(f"bad --epsilons list: {exc}") from exc
-    if not eps or any(e <= 0 for e in eps):
-        raise CLIInputError("--epsilons must be positive numbers")
-    return eps
 
 
 def _emit(report, out_path=None):
@@ -192,11 +190,11 @@ def cmd_probe(args):
     gate = _gate_from_args(args)
     rule = parse_rule(None, args.rule)
     strategy = "paper_example" if args.paper_example else args.strategy
-    epsilons = sorted(set(_parse_epsilons(args.epsilons)), reverse=True)
+    epsilons = _parse_epsilons(args.epsilons)
     rows = [["path", "direction", "epsilon", "k", "entropy", "sigma", "rho_hat"]]
-    solved = {}  # paths that share a center or a direction solve it once
-    for fam in generate_probe_families(gate, strategy, seed=args.seed):
-        result = _probe(gate, fam, epsilons, epsilons, rule, solved)
+    jobs = [(fam, epsilons, epsilons)
+            for fam in generate_probe_families(gate, strategy, seed=args.seed)]
+    for (fam, _, _), result in zip(jobs, _probe(gate, jobs, rule, {})):
         rows.append([
             fam.label, "center", 0.0, result.center_fps.k,
             result.center_selection.entropy,

@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .basis import hermitian_basis
-from .linalg import conjugate, hermitian_trace_norm, matrix_to_json, partial_trace_1, partial_trace_2
+from .linalg import (
+    conjugate, hermitian_trace_norm, matrix_to_json, partial_trace_1, partial_trace_2)
 from .states import DensityOperator, UnitaryGate
 
 __all__ = [
@@ -139,20 +140,28 @@ class FixedPointSet:
         }
 
 
-def _sandwich(u, rho, sigma_matrix):
-    return conjugate(u.matrix, np.kron(rho.matrix, sigma_matrix), permutation=u.permutation)
+def _interact(u, rhos, sigmas):
+    """Joint states ``U (rho (x) sigma) U^dagger`` of input stacks; a stack of
+    one pairs with every input.  The broadcast product is ``np.kron``'s."""
+    joint = rhos[:, :, None, :, None] * sigmas[:, None, :, None, :]
+    joint = joint.reshape(-1, u.dim, u.dim)
+    return conjugate(u.matrix, joint, permutation=u.permutation)
+
+
+def _emit(u, rhos, sigmas):
+    """First-factor states ``(N, d1, d1)`` after each ``rho`` meets its ``sigma``."""
+    return partial_trace_2(_interact(u, rhos, sigmas), u.dim1, u.dim2)
 
 
 def deutsch_map(u, rho, sigma):
     """One pass of the second factor through the interaction."""
-    w = _sandwich(u, rho, sigma.matrix)
-    return DensityOperator(partial_trace_1(w, u.dim1, u.dim2))
+    w = _interact(u, rho.matrix[None], sigma.matrix[None])
+    return DensityOperator(partial_trace_1(w, u.dim1, u.dim2)[0])
 
 
 def evolve_out(u, rho, sigma):
     """State of the first factor after interacting with ancilla ``sigma``."""
-    w = _sandwich(u, rho, sigma.matrix)
-    return DensityOperator(partial_trace_2(w, u.dim1, u.dim2))
+    return DensityOperator(_emit(u, rho.matrix[None], sigma.matrix[None])[0])
 
 
 def build_superoperator(u, rho):
@@ -164,15 +173,10 @@ def build_superoperator(u, rho):
     """
     if rho.dim != u.dim1:
         raise ValueError(f"system dim {rho.dim} does not match gate dim1 {u.dim1}")
-    d1, d2 = u.dim1, u.dim2
+    d2 = u.dim2
     b2 = hermitian_basis(d2)
     inputs = np.concatenate([np.eye(d2, dtype=complex)[None] / d2, b2.traceless])
-    # All images at once, with the float operations of imaging one at a time:
-    # the broadcast product is np.kron's, the rest act matrix by matrix.
-    joint = (rho.matrix[None, :, None, :, None] * inputs[:, None, :, None, :]).reshape(
-        len(inputs), d1 * d2, d1 * d2)
-    w = conjugate(u.matrix, joint, permutation=u.permutation)
-    images = np.einsum("naiaj->nij", w.reshape(len(inputs), d1, d2, d1, d2))
+    images = partial_trace_1(_interact(u, rho.matrix[None], inputs), u.dim1, d2)
     coords = b2.traceless_coords(images)
     return AffineMapReal(np.ascontiguousarray(coords[1:].T), coords[0])
 

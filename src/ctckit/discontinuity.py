@@ -18,10 +18,10 @@ Verdicts, ordered by strength:
 
 The verdict is monotone in the path set: adding paths can only upgrade it.
 
-Every probe point, center or direction, goes through ``_solve``, the one
-place where solving, selection and emission are chained; ``_probe`` builds
-every :class:`ProbeResult`, for :func:`probe`, :func:`classify` and the
-``probe`` command alike.
+``_probe`` builds every :class:`ProbeResult`, for :func:`probe`,
+:func:`classify` and the ``probe`` command alike: it solves each probe point
+on its own and emits all their states as one stack.  :func:`classify` takes
+the running jumps of all its rows from one batched trace distance each.
 """
 
 import hashlib
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .deutsch import SolverDiagnostic, evolve_out, fixed_point_set, membership
+from .deutsch import SolverDiagnostic, _emit, fixed_point_set, membership
 from .reference import mixed_first_qubit, mixed_second_qubit, reference_center
 from .selection import select
 from .states import DensityOperator, trace_distance
@@ -160,7 +160,7 @@ class ProbeResult:
 
 def probe(u, path, rule=None):
     """Solve the fixed-point problem along both directions of a path."""
-    return _probe(u, *_as_family(path), rule, {})
+    return _probe(u, [_as_family(path)], rule, {})[0]
 
 
 def _as_family(path):
@@ -170,34 +170,53 @@ def _as_family(path):
     return PathFamily(path.center, a.__getitem__, b.__getitem__, path.label), list(a), list(b)
 
 
-def _solve(u, state, rule):
-    """``(fixed-point set, selection, emitted state)`` for one input state."""
-    fps = fixed_point_set(u, state)
-    sel = select(fps, rule)
-    return fps, sel, evolve_out(u, state, sel.sigma)
+def _epsilon_grid(epsilons):
+    """Distinct ``epsilons`` coarse to fine; a strategy grid needs two in (0, 1]."""
+    eps = sorted({float(e) for e in epsilons}, reverse=True)
+    if len(eps) < 2 or not all(0.0 < e <= 1.0 for e in eps):
+        raise ValueError(f"epsilons must hold at least two distinct values in (0, 1], got {eps}")
+    return eps
 
 
-def _probe(u, fam, eps_a, eps_b, rule, solved):
-    """A :class:`ProbeResult` for a family on per-direction eps grids.
+def _probe(u, jobs, rule, solved):
+    """One :class:`ProbeResult` per ``(family, eps_a, eps_b)`` job.
 
-    ``solved`` maps the center state and ``(direction, eps)`` to their solves,
-    so paths that share a center or a direction solve it once.  It holds its
-    keys, so no key can be reused by another object.
+    Each new point is solved and selected on its own, then all are emitted
+    as one stack.  A :class:`SolverDiagnostic` is recorded on a direction
+    point and raised from a center.  ``solved`` maps the center state and
+    ``(direction, eps)`` to outcomes, so a shared point is solved once; it
+    holds its keys, so no key can be reused by another object.
     """
-    if fam.center not in solved:
-        solved[fam.center] = _solve(u, fam.center, rule)
-    records = []
-    for name, direction, grid in (("a", fam.family_a, eps_a), ("b", fam.family_b, eps_b)):
-        for eps in grid:
-            key = (direction, eps)
-            if key not in solved:
-                try:
-                    fps, sel, rho_hat = _solve(u, direction(eps), rule)
-                    solved[key] = (fps.k, sel.sigma, sel.entropy, rho_hat, None)
-                except SolverDiagnostic as exc:
-                    solved[key] = (None, None, None, None, str(exc))
-            records.append(ProbeRecord(name, eps, *solved[key]))
-    return ProbeResult(fam.label, *solved[fam.center], records)
+    fresh, tables = [], []  # (key, state, fps, selection) of each new point
+    for fam, eps_a, eps_b in jobs:
+        table = [(name, direction, eps) for name, direction, grid in
+                 (("a", fam.family_a, eps_a), ("b", fam.family_b, eps_b)) for eps in grid]
+        tables.append(table)
+        for key in [fam.center] + [(direction, eps) for _, direction, eps in table]:
+            if key in solved:
+                continue
+            state = key if key is fam.center else key[0](key[1])
+            try:
+                fps = fixed_point_set(u, state)
+                fresh.append((key, state, fps, select(fps, rule)))
+                solved[key] = None  # claimed; filled in after the emission
+            except SolverDiagnostic as exc:
+                if key is fam.center:
+                    raise
+                solved[key] = (None, None, None, None, str(exc))
+    if fresh:
+        rhos = np.stack([state.matrix for _, state, _, _ in fresh])
+        sigmas = np.stack([sel.sigma.matrix for _, _, _, sel in fresh])
+        for (key, state, fps, sel), rho_hat in zip(
+                fresh, DensityOperator.from_stack(_emit(u, rhos, sigmas))):
+            # A center is keyed by its own state.
+            solved[key] = ((fps, sel, rho_hat) if key is state
+                           else (fps.k, sel.sigma, sel.entropy, rho_hat, None))
+    return [
+        ProbeResult(fam.label, *solved[fam.center], [
+            ProbeRecord(name, eps, *solved[direction, eps]) for name, direction, eps in table])
+        for (fam, _, _), table in zip(jobs, tables)
+    ]
 
 
 def _haar_pure(dim, rng):
@@ -303,68 +322,86 @@ class GateClassification:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _analyze_path(result, jump_tol):
-    """Per-path verdict from the qualifying tail of the probe grid.
+def _analyze(jobs, results, jump_tol, limits):
+    """Per-path verdicts from the qualifying tail of each probe grid.
 
     The qualifying tail is the longest run of consecutive fine grid points
     where both directions pinned a unique fixed state cleanly; at least two
     such points are required before trusting its finest entry as a limit.
+    The running jumps of all rows come from one batched trace distance each.
+    ``limits`` maps ``(center, sigma)`` to whether the limit ``sigma`` lies in
+    the center's fixed-point set, so each limit is tested once.
     """
-    rows, tail = [], []
-    for eps, ra, rb in result.pairs():
-        row = dict(zip(ROW_COLUMNS, (eps, ra.k, rb.k, None, None, ra.entropy, rb.entropy)))
-        both_solved = ra.error is None and rb.error is None
-        if both_solved:
-            row["sigma_jump_running"] = trace_distance(ra.sigma, rb.sigma)
-            row["rho_hat_jump_running"] = trace_distance(ra.rho_hat, rb.rho_hat)
-        rows.append(row)
-        if both_solved and ra.k == 0 and rb.k == 0:
-            tail.append((row, ra, rb))
-        else:
-            tail = []
+    tables = [result.pairs() for result in results]
+    clean = [(ra, rb) for pairs in tables for _, ra, rb in pairs
+             if ra.error is None and rb.error is None]
+    jumps = iter(())
+    if clean:
+        jumps = zip(*(
+            trace_distance(np.stack([getattr(ra, attr).matrix for ra, _ in clean]),
+                           np.stack([getattr(rb, attr).matrix for _, rb in clean])).tolist()
+            for attr in ("sigma", "rho_hat")
+        ))
 
-    notes = []
-    verdict = "continuous_witnessed_none"
-    sigma_jump = max((r["sigma_jump_running"] or 0.0 for r in rows), default=0.0)
-    rho_hat_jump = 0.0
-    limits_in_set = None
-    near_threshold = False
+    analyses = []
+    for (fam, _, _), result, pairs in zip(jobs, results, tables):
+        rows, tail = [], []
+        for eps, ra, rb in pairs:
+            row = dict(zip(ROW_COLUMNS, (eps, ra.k, rb.k, None, None, ra.entropy, rb.entropy)))
+            both_solved = ra.error is None and rb.error is None
+            if both_solved:
+                row["sigma_jump_running"], row["rho_hat_jump_running"] = next(jumps)
+            rows.append(row)
+            if both_solved and ra.k == 0 and rb.k == 0:
+                tail.append((row, ra, rb))
+            else:
+                tail = []
 
-    if len(tail) >= 2:
-        row, ra, rb = tail[-1]
-        sigma_jump = row["sigma_jump_running"]
-        rho_hat_jump = row["rho_hat_jump_running"]
-        member_a = membership(result.center_fps, ra.sigma, tol=LIMIT_MEMBERSHIP_TOL)
-        member_b = membership(result.center_fps, rb.sigma, tol=LIMIT_MEMBERSHIP_TOL)
-        limits_in_set = [member_a.ok, member_b.ok]
-        near_threshold = (
-            jump_tol / 2 < sigma_jump < 2 * jump_tol
-            or jump_tol / 2 < rho_hat_jump < 2 * jump_tol
-        )
-        if sigma_jump > jump_tol and member_a.ok and member_b.ok:
-            verdict = "ephemeral"
-            if rho_hat_jump > jump_tol:
-                verdict = "physical"
-        elif sigma_jump > jump_tol:
-            notes.append(
-                "directional limits differ but do not both lie in the "
-                "center fixed-point set; not counted as a witness"
+        notes = []
+        verdict = "continuous_witnessed_none"
+        sigma_jump = max((r["sigma_jump_running"] or 0.0 for r in rows), default=0.0)
+        rho_hat_jump = 0.0
+        limits_in_set = None
+        near_threshold = False
+
+        if len(tail) >= 2:
+            row, ra, rb = tail[-1]
+            sigma_jump = row["sigma_jump_running"]
+            rho_hat_jump = row["rho_hat_jump_running"]
+            for r in (ra, rb):
+                if (fam.center, r.sigma) not in limits:
+                    check = membership(result.center_fps, r.sigma, tol=LIMIT_MEMBERSHIP_TOL)
+                    limits[fam.center, r.sigma] = check.ok
+            limits_in_set = [limits[fam.center, ra.sigma], limits[fam.center, rb.sigma]]
+            near_threshold = (
+                jump_tol / 2 < sigma_jump < 2 * jump_tol
+                or jump_tol / 2 < rho_hat_jump < 2 * jump_tol
             )
-    else:
-        notes.append("no qualifying tail: directions did not both pin unique fixed states")
+            if sigma_jump > jump_tol and all(limits_in_set):
+                verdict = "ephemeral"
+                if rho_hat_jump > jump_tol:
+                    verdict = "physical"
+            elif sigma_jump > jump_tol:
+                notes.append(
+                    "directional limits differ but do not both lie in the "
+                    "center fixed-point set; not counted as a witness"
+                )
+        else:
+            notes.append("no qualifying tail: directions did not both pin unique fixed states")
 
-    return {
-        "label": result.label,
-        "verdict": verdict,
-        "sigma_jump": sigma_jump,
-        "rho_hat_jump": rho_hat_jump,
-        "center_k": result.center_fps.k,
-        "tail_length": len(tail),
-        "limits_in_set": limits_in_set,
-        "near_threshold": near_threshold,
-        "notes": notes,
-        "rows": rows,
-    }
+        analyses.append({
+            "label": result.label,
+            "verdict": verdict,
+            "sigma_jump": sigma_jump,
+            "rho_hat_jump": rho_hat_jump,
+            "center_k": result.center_fps.k,
+            "tail_length": len(tail),
+            "limits_in_set": limits_in_set,
+            "near_threshold": near_threshold,
+            "notes": notes,
+            "rows": rows,
+        })
+    return analyses
 
 
 def classify(
@@ -380,34 +417,33 @@ def classify(
     """Classify a gate by probing for discontinuities of the induced map.
 
     With a ``strategy`` the paths are generated as families and the grid is
-    refined (next eps = finest / 10) up to ``max_refinements`` times on
-    paths whose measured jump lands within a factor of two of ``jump_tol``.
-    Explicit ``paths`` are used as given, without refinement.
+    refined (next eps = finest / 10) up to ``max_refinements`` times per gate,
+    in path order, on paths whose measured jump lands within a factor of two
+    of ``jump_tol``.  Explicit ``paths`` are used as given, without refinement.
     """
-    base_eps = sorted({float(e) for e in epsilons}, reverse=True)
-    if len(base_eps) < 2:
-        raise ValueError("need at least two eps values to take a directional limit")
-
-    analyses = []
-    refinements_used = 0
-    solved = {}
+    base_eps = _epsilon_grid(epsilons)
     if paths is None:
-        for fam in generate_probe_families(u, strategy, seed=seed):
-            eps = list(base_eps)
-            result = _probe(u, fam, eps, eps, rule, solved)
-            analysis = _analyze_path(result, jump_tol)
-            while analysis["near_threshold"] and refinements_used < max_refinements:
-                eps.append(min(eps) / 10.0)
-                refinements_used += 1
-                result = _probe(u, fam, eps, eps, rule, solved)
-                analysis = _analyze_path(result, jump_tol)
-            analyses.append(analysis)
+        families = generate_probe_families(u, strategy, seed=seed)
+        jobs = [(fam, base_eps, base_eps) for fam in families]
         strategy_name = strategy
+    elif not paths:
+        raise ValueError("paths must hold at least one probe path")
     else:
-        for path in paths:
-            result = _probe(u, *_as_family(path), rule, solved)
-            analyses.append(_analyze_path(result, jump_tol))
+        jobs = [_as_family(path) for path in paths]
         strategy_name = "user_paths"
+
+    solved, limits = {}, {}
+    analyses = _analyze(jobs, _probe(u, jobs, rule, solved), jump_tol, limits)
+    refinements_used = 0
+    if paths is None:
+        # No base grid holds a refined eps, so refining after every path is
+        # analysed gives the analyses of refining each path in turn.
+        for i, (fam, eps, _) in enumerate(jobs):
+            while analyses[i]["near_threshold"] and refinements_used < max_refinements:
+                eps = eps + [min(eps) / 10.0]
+                refinements_used += 1
+                job = [(fam, eps, eps)]
+                analyses[i], = _analyze(job, _probe(u, job, rule, solved), jump_tol, limits)
 
     rank = {v: i for i, v in enumerate(VERDICTS)}
     best = max(analyses, key=lambda a: (rank[a["verdict"]], a["rho_hat_jump"], a["sigma_jump"]))

@@ -24,21 +24,19 @@ def dagger(m):
 
 def _as_quad(m, dim1, dim2):
     m = np.asarray(m)
-    if m.shape != (dim1 * dim2, dim1 * dim2):
-        raise ValueError(
-            f"matrix shape {m.shape} incompatible with dims ({dim1}, {dim2})"
-        )
-    return m.reshape(dim1, dim2, dim1, dim2)
+    if m.shape[-2:] != (dim1 * dim2, dim1 * dim2):
+        raise ValueError(f"matrix shape {m.shape} incompatible with dims ({dim1}, {dim2})")
+    return m.reshape(m.shape[:-2] + (dim1, dim2, dim1, dim2))
 
 
 def partial_trace_1(m, dim1, dim2):
-    """Trace out the first factor of a ``(dim1*dim2) x (dim1*dim2)`` matrix."""
-    return np.einsum("aiaj->ij", _as_quad(m, dim1, dim2))
+    """Trace out the first factor of a ``(dim1*dim2) x (dim1*dim2)`` matrix or stack."""
+    return np.einsum("...aiaj->...ij", _as_quad(m, dim1, dim2))
 
 
 def partial_trace_2(m, dim1, dim2):
-    """Trace out the second factor of a ``(dim1*dim2) x (dim1*dim2)`` matrix."""
-    return np.einsum("iaja->ij", _as_quad(m, dim1, dim2))
+    """Trace out the second factor of a ``(dim1*dim2) x (dim1*dim2)`` matrix or stack."""
+    return np.einsum("...iaja->...ij", _as_quad(m, dim1, dim2))
 
 
 def conjugate(u, m, permutation=None):
@@ -55,8 +53,10 @@ def conjugate(u, m, permutation=None):
 
 
 def hermitian_trace_norm(m):
-    """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix, or
+    the array of norms of a stack ``(..., n, n)``."""
+    norms = np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def matrix_to_json(m):

@@ -37,26 +37,44 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _validated(m, ndim):
+    """Read-only ``0.5 (m + m^dagger)`` of a density matrix (``ndim`` 2) or of
+    a stack of them (``ndim`` 3), after the checks a density matrix passes."""
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density matrix must be square, got shape {m.shape[ndim - 2:]}")
+    mh = m.swapaxes(-1, -2).conj()
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+        hermitian = np.max(np.abs(m - mh)) <= HERM_TOL
+    if not hermitian:
+        raise ValueError("density matrix has non-finite entries or is not Hermitian to 1e-12")
+    tr = m.trace(axis1=-2, axis2=-1)
+    off = abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        tr = np.ravel(tr)[np.argmax(off)]
+        raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-12")
+    m = 0.5 * (m + mh)
+    lo = float(np.min(np.linalg.eigvalsh(m)))
+    if lo < -PSD_TOL:
+        raise ValueError(f"density matrix has eigenvalue {lo} below -1e-10")
+    m.setflags(write=False)
+    return m
+
+
 class DensityOperator:
     """A validated density matrix (Hermitian, PSD, unit trace)."""
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
-            hermitian = np.max(np.abs(m - dagger(m))) <= HERM_TOL
-        if not hermitian:
-            raise ValueError("density matrix has non-finite entries or is not Hermitian to 1e-12")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-12")
-        m = 0.5 * (m + dagger(m))
-        lo = float(np.min(np.linalg.eigvalsh(m)))
-        if lo < -PSD_TOL:
-            raise ValueError(f"density matrix has eigenvalue {lo} below -1e-10")
-        self.matrix = m
-        self.matrix.setflags(write=False)
+        self.matrix = _validated(np.asarray(matrix, dtype=complex), 2)
+
+    @classmethod
+    def from_stack(cls, matrices):
+        """Density operators of a stack ``(N, n, n)``, validated as one stack."""
+        states = []
+        for m in _validated(np.asarray(matrices, dtype=complex), 3):
+            state = cls.__new__(cls)
+            state.matrix = m
+            states.append(state)
+        return states
 
     @property
     def dim(self):
@@ -200,7 +218,7 @@ def von_neumann_entropy(state):
 
 
 def trace_distance(a, b):
-    """Half the trace norm of the difference, in [0, 1]."""
+    """Half the trace norm of the difference, in [0, 1]; stacks give arrays."""
     ma = a.matrix if isinstance(a, DensityOperator) else np.asarray(a)
     mb = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
     return 0.5 * hermitian_trace_norm(ma - mb)

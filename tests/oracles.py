@@ -1,14 +1,30 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way — explicit
-index sums and plain power iteration — so that agreement with the fast
-einsum/affine implementations is meaningful evidence, not a tautology.
+index sums, plain power iteration, one matrix or one path at a time — so
+that agreement with the fast einsum/affine/stacked implementations is
+meaningful evidence, not a tautology.
 """
 
 import numpy as np
 
+from ctckit import discontinuity
 from ctckit.basis import hermitian_basis
-from ctckit.linalg import dagger, partial_trace_1
+from ctckit.deutsch import SolverDiagnostic, membership
+from ctckit.discontinuity import (
+    DEFAULT_EPSILONS,
+    JUMP_TOL,
+    LIMIT_MEMBERSHIP_TOL,
+    ROW_COLUMNS,
+    VERDICTS,
+    GateClassification,
+    ProbeRecord,
+    ProbeResult,
+    generate_probe_families,
+)
+from ctckit.linalg import conjugate, dagger, partial_trace_1, partial_trace_2
+from ctckit.selection import select
+from ctckit.states import DensityOperator
 
 
 def partial_trace_1_loops(m, dim1, dim2):
@@ -148,3 +164,145 @@ def build_superoperator_loop(u, rho):
     for j, bj in enumerate(b2.traceless):
         linear[:, j] = image_coords(bj)
     return linear, offset
+
+
+# The per-path loop that ``discontinuity.classify`` replaced.  Every probe
+# point is solved, selected and emitted on its own, with the joint state
+# built by ``np.kron``; every running jump is one trace distance and every
+# limit is tested for membership once per path.  ``fixed_point_set`` is
+# looked up on ``discontinuity`` at call time, so a patched solver reaches
+# this loop too.
+
+
+def _sandwich_kron(u, rho, sigma):
+    return conjugate(u.matrix, np.kron(rho.matrix, sigma.matrix), permutation=u.permutation)
+
+
+def deutsch_map_kron(u, rho, sigma):
+    """``deutsch_map`` with the joint state built by ``np.kron``."""
+    return DensityOperator(partial_trace_1(_sandwich_kron(u, rho, sigma), u.dim1, u.dim2))
+
+
+def evolve_out_kron(u, rho, sigma):
+    """``evolve_out`` with the joint state built by ``np.kron``."""
+    return DensityOperator(partial_trace_2(_sandwich_kron(u, rho, sigma), u.dim1, u.dim2))
+
+
+def _probe_loop(u, fam, eps_a, eps_b, rule, solved):
+    def solve(state):
+        fps = discontinuity.fixed_point_set(u, state)
+        sel = select(fps, rule)
+        return fps, sel, evolve_out_kron(u, state, sel.sigma)
+
+    if fam.center not in solved:
+        solved[fam.center] = solve(fam.center)
+    records = []
+    for name, direction, grid in (("a", fam.family_a, eps_a), ("b", fam.family_b, eps_b)):
+        for eps in grid:
+            key = (direction, eps)
+            if key not in solved:
+                try:
+                    fps, sel, rho_hat = solve(direction(eps))
+                    solved[key] = (fps.k, sel.sigma, sel.entropy, rho_hat, None)
+                except SolverDiagnostic as exc:
+                    solved[key] = (None, None, None, None, str(exc))
+            records.append(ProbeRecord(name, eps, *solved[key]))
+    return ProbeResult(fam.label, *solved[fam.center], records)
+
+
+def _analyze_path_loop(result, jump_tol):
+    rows, tail = [], []
+    for eps, ra, rb in result.pairs():
+        row = dict(zip(ROW_COLUMNS, (eps, ra.k, rb.k, None, None, ra.entropy, rb.entropy)))
+        both_solved = ra.error is None and rb.error is None
+        if both_solved:
+            row["sigma_jump_running"] = float(
+                trace_distance_direct(ra.sigma.matrix, rb.sigma.matrix))
+            row["rho_hat_jump_running"] = float(
+                trace_distance_direct(ra.rho_hat.matrix, rb.rho_hat.matrix))
+        rows.append(row)
+        if both_solved and ra.k == 0 and rb.k == 0:
+            tail.append((row, ra, rb))
+        else:
+            tail = []
+
+    notes = []
+    verdict = "continuous_witnessed_none"
+    sigma_jump = max((r["sigma_jump_running"] or 0.0 for r in rows), default=0.0)
+    rho_hat_jump = 0.0
+    limits_in_set = None
+    near_threshold = False
+    if len(tail) >= 2:
+        row, ra, rb = tail[-1]
+        sigma_jump = row["sigma_jump_running"]
+        rho_hat_jump = row["rho_hat_jump_running"]
+        member_a = membership(result.center_fps, ra.sigma, tol=LIMIT_MEMBERSHIP_TOL)
+        member_b = membership(result.center_fps, rb.sigma, tol=LIMIT_MEMBERSHIP_TOL)
+        limits_in_set = [member_a.ok, member_b.ok]
+        near_threshold = (
+            jump_tol / 2 < sigma_jump < 2 * jump_tol
+            or jump_tol / 2 < rho_hat_jump < 2 * jump_tol
+        )
+        if sigma_jump > jump_tol and member_a.ok and member_b.ok:
+            verdict = "ephemeral"
+            if rho_hat_jump > jump_tol:
+                verdict = "physical"
+        elif sigma_jump > jump_tol:
+            notes.append(
+                "directional limits differ but do not both lie in the "
+                "center fixed-point set; not counted as a witness"
+            )
+    else:
+        notes.append("no qualifying tail: directions did not both pin unique fixed states")
+    return {
+        "label": result.label,
+        "verdict": verdict,
+        "sigma_jump": sigma_jump,
+        "rho_hat_jump": rho_hat_jump,
+        "center_k": result.center_fps.k,
+        "tail_length": len(tail),
+        "limits_in_set": limits_in_set,
+        "near_threshold": near_threshold,
+        "notes": notes,
+        "rows": rows,
+    }
+
+
+def classify_loop(u, strategy="vertex_pairs", paths=None, epsilons=DEFAULT_EPSILONS,
+                  jump_tol=JUMP_TOL, rule=None, seed=0, max_refinements=2):
+    """``discontinuity.classify`` one path at a time, refining each in turn."""
+    base_eps = sorted({float(e) for e in epsilons}, reverse=True)
+    analyses = []
+    refinements_used = 0
+    solved = {}
+    if paths is None:
+        for fam in generate_probe_families(u, strategy, seed=seed):
+            eps = list(base_eps)
+            analysis = _analyze_path_loop(_probe_loop(u, fam, eps, eps, rule, solved), jump_tol)
+            while analysis["near_threshold"] and refinements_used < max_refinements:
+                eps.append(min(eps) / 10.0)
+                refinements_used += 1
+                analysis = _analyze_path_loop(_probe_loop(u, fam, eps, eps, rule, solved), jump_tol)
+            analyses.append(analysis)
+        strategy_name = strategy
+    else:
+        for path in paths:
+            result = _probe_loop(u, *discontinuity._as_family(path), rule, solved)
+            analyses.append(_analyze_path_loop(result, jump_tol))
+        strategy_name = "user_paths"
+    rank = {v: i for i, v in enumerate(VERDICTS)}
+    best = max(analyses, key=lambda a: (rank[a["verdict"]], a["rho_hat_jump"], a["sigma_jump"]))
+    return GateClassification(
+        verdict=best["verdict"],
+        sigma_jump=best["sigma_jump"],
+        rho_hat_jump=best["rho_hat_jump"],
+        witness={
+            "strategy": strategy_name,
+            "jump_tol": jump_tol,
+            "limit_membership_tol": LIMIT_MEMBERSHIP_TOL,
+            "epsilons": base_eps,
+            "refinements_used": refinements_used,
+            "best_path": best["label"],
+            "paths": analyses,
+        },
+    )

@@ -8,19 +8,33 @@ and jumps.  These tests therefore compare with ``np.array_equal`` and exact
 float equality, never ``allclose``: the batched charts, the batched
 superoperator and every output of ``fixed_point_set`` must equal what the
 loop versions in ``oracles`` produce, on seeded permutation and Haar-random
-dense gates.
+dense gates.  The same holds one level up: the stacked emission equals the
+``np.kron`` formula, and ``classify`` gives the witness digest of the
+per-path loop it replaced.
 """
 
 import numpy as np
 import pytest
 
-from ctckit import deutsch
+from ctckit import deutsch, discontinuity
 from ctckit.basis import HermitianBasis, hermitian_basis
-from ctckit.deutsch import AffineMapReal, build_superoperator, fixed_point_set
+from ctckit.deutsch import (
+    AffineMapReal,
+    SolverDiagnostic,
+    build_superoperator,
+    deutsch_map,
+    evolve_out,
+    fixed_point_set,
+)
+from ctckit.discontinuity import DEFAULT_EPSILONS, classify, generate_probe_families
+from ctckit.reference import reference_gate
 from ctckit.states import DensityOperator, UnitaryGate
 
 from oracles import (
     build_superoperator_loop,
+    classify_loop,
+    deutsch_map_kron,
+    evolve_out_kron,
     from_traceless_loop,
     gell_mann_loop,
     random_density,
@@ -127,3 +141,69 @@ def test_fixed_point_set_matches_loop_core(dim1, dim2, monkeypatch):
     assert any(f.k > 0 for f in news)
     if (dim1, dim2) == (3, 3):
         assert news[-1].residuals["iterations"] > 0
+
+
+@pytest.mark.parametrize("dim1,dim2", DIMS)
+def test_emission_matches_kron(dim1, dim2):
+    rng = np.random.default_rng(7 * dim1 + dim2)
+    for gate, rho in _cases(dim1, dim2):
+        sigma = DensityOperator(random_density(rng, dim2))
+        assert np.array_equal(evolve_out(gate, rho, sigma).matrix,
+                              evolve_out_kron(gate, rho, sigma).matrix)
+        assert np.array_equal(deutsch_map(gate, rho, sigma).matrix,
+                              deutsch_map_kron(gate, rho, sigma).matrix)
+
+
+# (3, 3) gates of the census pool: a physical one, and one with a direction
+# point whose solve raises SolverDiagnostic.
+GATE_3X3 = (7, 0, 1, 2, 4, 6, 3, 8, 5)
+GATE_3X3_DIAGNOSTIC = (6, 3, 4, 8, 1, 7, 0, 2, 5)
+
+# (gate, classify keyword arguments) pairs for the witness-digest comparison.
+CLASSIFY_CASES = {
+    "reference_vertex_pairs": (reference_gate, {}),
+    **{f"near_threshold_refine{r}": (
+        reference_gate, dict(strategy="paper_example", jump_tol=0.3, max_refinements=r))
+       for r in (0, 1, 2)},
+    # The first path takes all three refinements; its directions are shared
+    # with paths whose base grids must not see the refined points.
+    "vertex_pairs_refined": (reference_gate, dict(jump_tol=0.3, max_refinements=3)),
+    "random_seeded": (reference_gate, dict(strategy="random_seeded", seed=3)),
+    "user_paths": (reference_gate, dict(paths=[
+        fam.materialize(DEFAULT_EPSILONS)
+        for fam in generate_probe_families(reference_gate(), "vertex_pairs")[::7]])),
+    "3x3_vertex_pairs": (lambda: UnitaryGate.from_permutation(3, 3, GATE_3X3),
+                         dict(max_refinements=1)),
+    "3x3_diagnostic": (lambda: UnitaryGate.from_permutation(3, 3, GATE_3X3_DIAGNOSTIC),
+                       dict(max_refinements=1)),
+}
+
+
+@pytest.mark.parametrize("case", list(CLASSIFY_CASES))
+def test_classify_matches_the_per_path_loop(case):
+    make_gate, kwargs = CLASSIFY_CASES[case]
+    new = classify(make_gate(), **kwargs)
+    ref = classify_loop(make_gate(), **kwargs)
+    assert new.to_json() == ref.to_json()
+    assert new.witness_digest() == ref.witness_digest()
+
+
+def test_classify_matches_the_loop_with_a_failing_direction_point(monkeypatch):
+    # vertex0's mixing direction toward |1> fails at its finest eps, in each
+    # of the five paths that share it.
+    target = np.diag([0.999, 0.001, 0.0, 0.0]).astype(complex)
+    solve = discontinuity.fixed_point_set
+    failed = []
+
+    def fake(u, rho, **kwargs):
+        if np.allclose(rho.matrix, target, rtol=0.0, atol=1e-15):
+            failed.append(1)
+            raise SolverDiagnostic("injected failure")
+        return solve(u, rho, **kwargs)
+
+    monkeypatch.setattr(discontinuity, "fixed_point_set", fake)
+    new = classify(reference_gate())
+    ref = classify_loop(reference_gate())
+    assert len(failed) == 2  # once per side
+    assert sum(p["tail_length"] == 0 for p in new.witness["paths"]) == 5
+    assert new.witness_digest() == ref.witness_digest()

@@ -49,7 +49,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             CensusConfig(2, 1, mode="sample", sample_size=3)  # only 2 gates exist
 
-    @pytest.mark.parametrize("epsilons", [(0.1,), (0.1, 0.1), (0.1, 0.0), (0.1, -0.05)])
+    @pytest.mark.parametrize(
+        "epsilons", [(0.1,), (0.1, 0.1), (0.1, 0.0), (0.1, -0.05), (2.0, 0.1), (1.5, 1.2)])
     def test_rejects_bad_epsilons_before_writing(self, tmp_path, epsilons):
         with pytest.raises(ValueError, match="epsilons"):
             run_census(small_config(tmp_path, epsilons=epsilons))

@@ -207,6 +207,13 @@ class TestInputErrors:
                            "--epsilons", "0.2,zero")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["classify", "probe"])
+    @pytest.mark.parametrize("epsilons", ["2,0.1", "0.1", "0.1,0.1"])
+    def test_epsilons_outside_a_strategy_grid(self, capsys, command, epsilons):
+        code, out, err = run(capsys, command, "--paper-example", "--epsilons", epsilons)
+        assert code == 2 and out == ""
+        assert "at least two distinct values in (0, 1]" in err
+
     def test_probe_requires_a_gate_source(self, capsys):
         code, _, err = run(capsys, "probe")
         assert code == 2 and "provide" in err

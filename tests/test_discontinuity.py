@@ -208,6 +208,21 @@ class TestClassify:
         d1 = gate.dim1
         assert len(calls) == d1 * (1 + 2 * (d1 - 1) * len(DEFAULT_EPSILONS))
 
+    def test_each_limit_is_tested_for_membership_once(self, monkeypatch):
+        # 60 paths test 2 limits each; they share 4 vertices x 6 directions.
+        check = discontinuity.membership
+        calls = []
+
+        def counted(fps, sigma, **kwargs):
+            calls.append(sigma)
+            return check(fps, sigma, **kwargs)
+
+        monkeypatch.setattr(discontinuity, "membership", counted)
+        cls = classify(reference_gate(), "vertex_pairs", max_refinements=0)
+        assert sum(p["limits_in_set"] is not None for p in cls.witness["paths"]) == 60
+        assert len(calls) == 4 * 6
+        assert len({id(s) for s in calls}) == len(calls)
+
     @pytest.mark.parametrize("refinements", [0, 1, 2])
     def test_near_threshold_path_refines_its_grid(self, refinements):
         # At jump_tol=0.3 the reference gate's jumps of about 0.5 lie within a
@@ -244,6 +259,15 @@ class TestClassify:
     def test_needs_two_epsilons(self):
         with pytest.raises(ValueError):
             classify(reference_gate(), strategy="paper_example", epsilons=(0.1,))
+
+    @pytest.mark.parametrize("epsilons", [(2.0, 0.1), (0.1, 0.0), (1.5, 1.2)])
+    def test_rejects_epsilons_outside_the_unit_interval(self, epsilons):
+        with pytest.raises(ValueError, match=r"in \(0, 1\]"):
+            classify(reference_gate(), strategy="paper_example", epsilons=epsilons)
+
+    def test_rejects_an_empty_path_list(self):
+        with pytest.raises(ValueError, match="at least one probe path"):
+            classify(reference_gate(), paths=[])
 
     def test_to_json_shape(self):
         obj = classify(reference_gate(), strategy="paper_example").to_json()

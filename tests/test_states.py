@@ -76,6 +76,44 @@ class TestDensityOperator:
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-15)
 
 
+class TestFromStack:
+    """A stack is validated as one, with the constructor's checks and texts."""
+
+    def test_matrices_equal_the_constructor(self):
+        rng = np.random.default_rng(2)
+        stack = np.stack([random_density(rng, 3) for _ in range(4)])
+        states = DensityOperator.from_stack(stack)
+        assert len(states) == 4
+        for m, state in zip(stack, states):
+            assert np.array_equal(state.matrix, DensityOperator(m).matrix)
+            with pytest.raises(ValueError):
+                state.matrix[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0.5, 0.5], [0.0, 0.5]]),
+        np.diag([np.nan, np.nan]),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+        np.eye(2),
+        np.diag([1.5, -0.5]),
+    ], ids=["non_hermitian", "nan", "inf", "trace", "negative_eigenvalue"])
+    def test_one_bad_matrix_fails_the_stack(self, bad):
+        # Runs under the suite's error::RuntimeWarning filter, so inf must
+        # fail without a floating-point warning.
+        good = np.diag([0.25, 0.75])
+        with pytest.raises(ValueError) as single:
+            DensityOperator(bad)
+        with pytest.raises(ValueError) as stacked:
+            DensityOperator.from_stack(np.stack([good, bad, good]))
+        assert str(stacked.value) == str(single.value)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError) as single:
+            DensityOperator(np.zeros((2, 3)))
+        with pytest.raises(ValueError) as stacked:
+            DensityOperator.from_stack(np.zeros((2, 2, 3)))
+        assert str(stacked.value) == str(single.value)
+
+
 class TestUnitaryGate:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
