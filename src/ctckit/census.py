@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .discontinuity import DEFAULT_EPSILONS, JUMP_TOL, VERDICTS, _epsilon_grid, classify
+from .discontinuity import DEFAULT_EPSILONS, JUMP_TOL, VERDICTS, classify
+from .discontinuity import _check_refinement, _check_strategy, _epsilon_grid
 from .states import UnitaryGate
 
 __all__ = [
@@ -81,6 +82,8 @@ class CensusConfig:
             raise ValueError("workers must be at least 1")
         self.epsilons = tuple(float(e) for e in self.epsilons)
         _epsilon_grid(self.epsilons)
+        _check_refinement(self.jump_tol, self.max_refinements)
+        _check_strategy(self.strategy, self.dim1, self.dim2)
 
     def semantics(self):
         """The fields that determine census content (not where/how it runs)."""
@@ -152,7 +155,9 @@ def _permutation_tuples(config):
 
 def enumerate_permutation_gates(dim1, dim2, mode="exhaustive", sample_size=0, seed=0):
     """Yield permutation gates, lexicographic or seeded distinct sample."""
-    config = CensusConfig(dim1, dim2, mode=mode, sample_size=sample_size, seed=seed)
+    # The gates do not depend on the strategy; random_seeded is defined on all dims.
+    config = CensusConfig(dim1, dim2, mode=mode, sample_size=sample_size, seed=seed,
+                          strategy="random_seeded")
     for p in _permutation_tuples(config):
         yield UnitaryGate.from_permutation(dim1, dim2, p)
 

@@ -192,9 +192,8 @@ def cmd_probe(args):
     strategy = "paper_example" if args.paper_example else args.strategy
     epsilons = _parse_epsilons(args.epsilons)
     rows = [["path", "direction", "epsilon", "k", "entropy", "sigma", "rho_hat"]]
-    jobs = [(fam, epsilons, epsilons)
-            for fam in generate_probe_families(gate, strategy, seed=args.seed)]
-    for (fam, _, _), result in zip(jobs, _probe(gate, jobs, rule, {})):
+    jobs = [(fam, epsilons) for fam in generate_probe_families(gate, strategy, seed=args.seed)]
+    for (fam, _), result in zip(jobs, _probe(gate, jobs, rule, {})):
         rows.append([
             fam.label, "center", 0.0, result.center_fps.k,
             result.center_selection.entropy,

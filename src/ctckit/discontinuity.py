@@ -2,12 +2,13 @@
 
 The induced map ``rho -> rho_hat`` is nonlinear: because it routes through a
 self-consistent ancilla state, it can jump at inputs where the fixed-point
-set is degenerate.  A :class:`ProbePath` witnesses this by approaching a
-center state along two families and comparing the limits: if both directions
-pin unique fixed states on the fine end of the grid, both limits lie in the
-(multi-valued) fixed-point set at the center, and they differ by more than
-``jump_tol`` in trace distance, the ancilla state jumps.  If the emitted
-system state jumps as well, the discontinuity is observable downstream.
+set is degenerate.  A :class:`PathFamily` witnesses this by approaching a
+center state along two directions on one grid of ``eps`` and comparing the
+limits: if both directions pin unique fixed states on the fine end of the
+grid, both limits lie in the (multi-valued) fixed-point set at the center,
+and they differ by more than ``jump_tol`` in trace distance, the ancilla
+state jumps.  If the emitted system state jumps as well, the discontinuity
+is observable downstream.
 
 Verdicts, ordered by strength:
 
@@ -43,7 +44,6 @@ __all__ = [
     "STRATEGIES",
     "RANDOM_PATHS",
     "ROW_COLUMNS",
-    "ProbePath",
     "PathFamily",
     "ProbeRecord",
     "ProbeResult",
@@ -72,56 +72,18 @@ ROW_COLUMNS = (
 
 
 @dataclass
-class ProbePath:
-    """Two families of states approaching a common center.
-
-    ``direction_a`` and ``direction_b`` are lists of ``(eps, state)`` pairs
-    with strictly decreasing positive ``eps`` and trace distance to the
-    center nonincreasing along the grid.
-    """
-
-    center: DensityOperator
-    direction_a: list
-    direction_b: list
-    label: str = ""
-
-    def __post_init__(self):
-        for name, pairs in (("direction_a", self.direction_a), ("direction_b", self.direction_b)):
-            if not pairs:
-                raise ValueError(f"{name} must contain at least one (eps, state) pair")
-            eps = [float(e) for e, _ in pairs]
-            if any(e <= 0 for e in eps):
-                raise ValueError(f"{name} has a non-positive eps")
-            if any(b >= a for a, b in zip(eps, eps[1:])):
-                raise ValueError(f"{name} eps grid must be strictly decreasing")
-            dists = [trace_distance(s, self.center) for _, s in pairs]
-            if any(b > a + 1e-12 for a, b in zip(dists, dists[1:])):
-                raise ValueError(
-                    f"{name} must approach the center monotonically in trace distance"
-                )
-
-
-@dataclass
 class PathFamily:
-    """Generative form of a probe path: callables ``eps -> state``.
+    """Two families of states ``eps -> state`` approaching a common center.
 
-    Unlike a materialized :class:`ProbePath` a family can be re-evaluated on
-    a refined grid, which :func:`classify` uses near the jump threshold.
+    A family is probed on a grid of ``eps``, the same for both directions,
+    and can be re-evaluated on a refined grid, which :func:`classify` uses
+    near the jump threshold.
     """
 
     center: DensityOperator
     family_a: object
     family_b: object
     label: str = ""
-
-    def materialize(self, epsilons):
-        eps = sorted({float(e) for e in epsilons}, reverse=True)
-        return ProbePath(
-            center=self.center,
-            direction_a=[(e, self.family_a(e)) for e in eps],
-            direction_b=[(e, self.family_b(e)) for e in eps],
-            label=self.label,
-        )
 
 
 @dataclass
@@ -139,6 +101,8 @@ class ProbeRecord:
 
 @dataclass
 class ProbeResult:
+    """A family's center outcome and its records: direction a on the grid, then b."""
+
     label: str
     center_fps: object
     center_selection: object
@@ -147,39 +111,52 @@ class ProbeResult:
 
     def pairs(self):
         """Per-eps ``(eps, record_a, record_b)`` rows, coarse to fine."""
-        by_eps = {}
-        for r in self.records:
-            by_eps.setdefault(r.epsilon, {})[r.direction] = r
-        rows = []
-        for eps in sorted(by_eps, reverse=True):
-            d = by_eps[eps]
-            if "a" in d and "b" in d:
-                rows.append((eps, d["a"], d["b"]))
-        return rows
+        half = len(self.records) // 2
+        return [(ra.epsilon, ra, rb) for ra, rb in zip(self.records[:half], self.records[half:])]
 
 
-def probe(u, path, rule=None):
-    """Solve the fixed-point problem along both directions of a path."""
-    return _probe(u, [_as_family(path)], rule, {})[0]
-
-
-def _as_family(path):
-    """``(family, eps_a, eps_b)`` that replays a materialized path's states."""
-    a, b = ({float(e): state for e, state in pairs}
-            for pairs in (path.direction_a, path.direction_b))
-    return PathFamily(path.center, a.__getitem__, b.__getitem__, path.label), list(a), list(b)
+def probe(u, family, epsilons, rule=None):
+    """Solve the fixed-point problem along both directions of a family."""
+    eps = _epsilon_grid(epsilons)
+    _check_user_families([family], eps)
+    return _probe(u, [(family, eps)], rule, {})[0]
 
 
 def _epsilon_grid(epsilons):
-    """Distinct ``epsilons`` coarse to fine; a strategy grid needs two in (0, 1]."""
+    """Distinct ``epsilons`` coarse to fine; a probe grid needs two in (0, 1]."""
     eps = sorted({float(e) for e in epsilons}, reverse=True)
     if len(eps) < 2 or not all(0.0 < e <= 1.0 for e in eps):
         raise ValueError(f"epsilons must hold at least two distinct values in (0, 1], got {eps}")
     return eps
 
 
+def _check_refinement(jump_tol, max_refinements):
+    """Raise unless ``jump_tol`` is finite and positive and ``max_refinements`` a count."""
+    if not 0.0 < float(jump_tol) < float("inf"):
+        raise ValueError(f"jump_tol must be a finite positive number, got {jump_tol}")
+    if max_refinements < 0 or max_refinements != int(max_refinements):
+        raise ValueError(f"max_refinements must be a non-negative integer, got {max_refinements}")
+
+
+def _check_user_families(families, eps):
+    """Raise unless given ``families`` exist, have distinct labels and approach their centers."""
+    if not families:
+        raise ValueError("families must hold at least one path family")
+    labels = [fam.label for fam in families]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"family labels must be distinct; {label!r} repeats")
+    for fam in families:
+        for name, direction in (("direction_a", fam.family_a), ("direction_b", fam.family_b)):
+            dists = [trace_distance(direction(e), fam.center) for e in eps]
+            if any(b > a + 1e-12 for a, b in zip(dists, dists[1:])):
+                raise ValueError(
+                    f"{name} must approach the center monotonically in trace distance"
+                )
+
+
 def _probe(u, jobs, rule, solved):
-    """One :class:`ProbeResult` per ``(family, eps_a, eps_b)`` job.
+    """One :class:`ProbeResult` per ``(family, eps)`` job.
 
     Each new point is solved and selected on its own, then all are emitted
     as one stack.  A :class:`SolverDiagnostic` is recorded on a direction
@@ -188,9 +165,9 @@ def _probe(u, jobs, rule, solved):
     holds its keys, so no key can be reused by another object.
     """
     fresh, tables = [], []  # (key, state, fps, selection) of each new point
-    for fam, eps_a, eps_b in jobs:
-        table = [(name, direction, eps) for name, direction, grid in
-                 (("a", fam.family_a, eps_a), ("b", fam.family_b, eps_b)) for eps in grid]
+    for fam, grid in jobs:
+        table = [(name, direction, eps) for name, direction in
+                 (("a", fam.family_a), ("b", fam.family_b)) for eps in grid]
         tables.append(table)
         for key in [fam.center] + [(direction, eps) for _, direction, eps in table]:
             if key in solved:
@@ -215,7 +192,7 @@ def _probe(u, jobs, rule, solved):
     return [
         ProbeResult(fam.label, *solved[fam.center], [
             ProbeRecord(name, eps, *solved[direction, eps]) for name, direction, eps in table])
-        for (fam, _, _), table in zip(jobs, tables)
+        for (fam, _), table in zip(jobs, tables)
     ]
 
 
@@ -226,6 +203,16 @@ def _haar_pure(dim, rng):
 
 def _mix_toward(center, other, eps):
     return DensityOperator((1.0 - eps) * center.matrix + eps * other.matrix)
+
+
+def _check_strategy(strategy, dim1, dim2):
+    """Raise unless ``strategy`` builds at least one family on dims ``(dim1, dim2)``."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy == "paper_example" and (dim1, dim2) != (4, 2):
+        raise ValueError("paper_example paths are defined for dims (4, 2) only")
+    if strategy == "vertex_pairs" and dim1 < 2:
+        raise ValueError(f"vertex_pairs paths need dim1 >= 2, got {dim1}")
 
 
 def generate_probe_families(u, strategy, seed=0):
@@ -246,9 +233,8 @@ def generate_probe_families(u, strategy, seed=0):
         :data:`RANDOM_PATHS` seeded paths with Haar-random pure centers,
         each mixed toward two independent random pure states.
     """
+    _check_strategy(strategy, u.dim1, u.dim2)
     if strategy == "paper_example":
-        if (u.dim1, u.dim2) != (4, 2):
-            raise ValueError("paper_example paths are defined for dims (4, 2) only")
         return [
             PathFamily(
                 center=reference_center(),
@@ -288,18 +274,16 @@ def generate_probe_families(u, strategy, seed=0):
                         PathFamily(center, fam_a, fam_b, label=f"vertex{v}:{name_a}|{name_b}")
                     )
         return families
-    if strategy == "random_seeded":
-        rng = np.random.default_rng(seed)
-        families = []
-        for i in range(RANDOM_PATHS):
-            center = DensityOperator.pure(_haar_pure(u.dim1, rng))
-            other_a = DensityOperator.pure(_haar_pure(u.dim1, rng))
-            other_b = DensityOperator.pure(_haar_pure(u.dim1, rng))
-            fam_a = lambda e, c=center, o=other_a: _mix_toward(c, o, e)
-            fam_b = lambda e, c=center, o=other_b: _mix_toward(c, o, e)
-            families.append(PathFamily(center, fam_a, fam_b, label=f"random{i}"))
-        return families
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    rng = np.random.default_rng(seed)
+    families = []
+    for i in range(RANDOM_PATHS):
+        center = DensityOperator.pure(_haar_pure(u.dim1, rng))
+        other_a = DensityOperator.pure(_haar_pure(u.dim1, rng))
+        other_b = DensityOperator.pure(_haar_pure(u.dim1, rng))
+        fam_a = lambda e, c=center, o=other_a: _mix_toward(c, o, e)
+        fam_b = lambda e, c=center, o=other_b: _mix_toward(c, o, e)
+        families.append(PathFamily(center, fam_a, fam_b, label=f"random{i}"))
+    return families
 
 
 @dataclass
@@ -344,7 +328,7 @@ def _analyze(jobs, results, jump_tol, limits):
         ))
 
     analyses = []
-    for (fam, _, _), result, pairs in zip(jobs, results, tables):
+    for (fam, _), result, pairs in zip(jobs, results, tables):
         rows, tail = [], []
         for eps, ra, rb in pairs:
             row = dict(zip(ROW_COLUMNS, (eps, ra.k, rb.k, None, None, ra.entropy, rb.entropy)))
@@ -407,7 +391,7 @@ def _analyze(jobs, results, jump_tol, limits):
 def classify(
     u,
     strategy="vertex_pairs",
-    paths=None,
+    families=None,
     epsilons=DEFAULT_EPSILONS,
     jump_tol=JUMP_TOL,
     rule=None,
@@ -416,39 +400,37 @@ def classify(
 ):
     """Classify a gate by probing for discontinuities of the induced map.
 
-    With a ``strategy`` the paths are generated as families and the grid is
-    refined (next eps = finest / 10) up to ``max_refinements`` times per gate,
-    in path order, on paths whose measured jump lands within a factor of two
-    of ``jump_tol``.  Explicit ``paths`` are used as given, without refinement.
+    The families are generated by ``strategy``, or given as ``families``
+    (witness strategy ``"user_paths"``).  Each is probed on ``epsilons`` and
+    refined (next eps = finest / 10) up to ``max_refinements`` times per
+    gate, in family order, while its measured jump lies within a factor of
+    two of ``jump_tol``.
     """
     base_eps = _epsilon_grid(epsilons)
-    if paths is None:
+    _check_refinement(jump_tol, max_refinements)
+    if families is None:
         families = generate_probe_families(u, strategy, seed=seed)
-        jobs = [(fam, base_eps, base_eps) for fam in families]
-        strategy_name = strategy
-    elif not paths:
-        raise ValueError("paths must hold at least one probe path")
     else:
-        jobs = [_as_family(path) for path in paths]
-        strategy_name = "user_paths"
+        _check_user_families(families, base_eps)
+        strategy = "user_paths"
 
+    jobs = [(fam, base_eps) for fam in families]
     solved, limits = {}, {}
     analyses = _analyze(jobs, _probe(u, jobs, rule, solved), jump_tol, limits)
     refinements_used = 0
-    if paths is None:
-        # No base grid holds a refined eps, so refining after every path is
-        # analysed gives the analyses of refining each path in turn.
-        for i, (fam, eps, _) in enumerate(jobs):
-            while analyses[i]["near_threshold"] and refinements_used < max_refinements:
-                eps = eps + [min(eps) / 10.0]
-                refinements_used += 1
-                job = [(fam, eps, eps)]
-                analyses[i], = _analyze(job, _probe(u, job, rule, solved), jump_tol, limits)
+    # No base grid holds a refined eps, so refining after every family is
+    # analysed gives the analyses of refining each family in turn.
+    for i, (fam, eps) in enumerate(jobs):
+        while analyses[i]["near_threshold"] and refinements_used < max_refinements:
+            eps = eps + [min(eps) / 10.0]
+            refinements_used += 1
+            job = [(fam, eps)]
+            analyses[i], = _analyze(job, _probe(u, job, rule, solved), jump_tol, limits)
 
     rank = {v: i for i, v in enumerate(VERDICTS)}
     best = max(analyses, key=lambda a: (rank[a["verdict"]], a["rho_hat_jump"], a["sigma_jump"]))
     witness = {
-        "strategy": strategy_name,
+        "strategy": strategy,
         "jump_tol": jump_tol,
         "limit_membership_tol": LIMIT_MEMBERSHIP_TOL,
         "epsilons": base_eps,
@@ -467,8 +449,7 @@ def classify(
 def witness_csv_rows(classification):
     """Rows of the witness CSV for the path behind the verdict."""
     best_label = classification.witness["best_path"]
-    paths = classification.witness["paths"]
-    best = next((p for p in paths if p["label"] == best_label), paths[0])
+    best = next(p for p in classification.witness["paths"] if p["label"] == best_label)
     out = [list(ROW_COLUMNS)]
     for row in best["rows"]:
         out.append([row[h] if row[h] is not None else "" for h in ROW_COLUMNS])

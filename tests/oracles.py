@@ -188,7 +188,7 @@ def evolve_out_kron(u, rho, sigma):
     return DensityOperator(partial_trace_2(_sandwich_kron(u, rho, sigma), u.dim1, u.dim2))
 
 
-def _probe_loop(u, fam, eps_a, eps_b, rule, solved):
+def _probe_loop(u, fam, eps, rule, solved):
     def solve(state):
         fps = discontinuity.fixed_point_set(u, state)
         sel = select(fps, rule)
@@ -197,16 +197,16 @@ def _probe_loop(u, fam, eps_a, eps_b, rule, solved):
     if fam.center not in solved:
         solved[fam.center] = solve(fam.center)
     records = []
-    for name, direction, grid in (("a", fam.family_a, eps_a), ("b", fam.family_b, eps_b)):
-        for eps in grid:
-            key = (direction, eps)
+    for name, direction in (("a", fam.family_a), ("b", fam.family_b)):
+        for e in eps:
+            key = (direction, e)
             if key not in solved:
                 try:
-                    fps, sel, rho_hat = solve(direction(eps))
+                    fps, sel, rho_hat = solve(direction(e))
                     solved[key] = (fps.k, sel.sigma, sel.entropy, rho_hat, None)
                 except SolverDiagnostic as exc:
                     solved[key] = (None, None, None, None, str(exc))
-            records.append(ProbeRecord(name, eps, *solved[key]))
+            records.append(ProbeRecord(name, e, *solved[key]))
     return ProbeResult(fam.label, *solved[fam.center], records)
 
 
@@ -268,28 +268,24 @@ def _analyze_path_loop(result, jump_tol):
     }
 
 
-def classify_loop(u, strategy="vertex_pairs", paths=None, epsilons=DEFAULT_EPSILONS,
+def classify_loop(u, strategy="vertex_pairs", families=None, epsilons=DEFAULT_EPSILONS,
                   jump_tol=JUMP_TOL, rule=None, seed=0, max_refinements=2):
-    """``discontinuity.classify`` one path at a time, refining each in turn."""
+    """``discontinuity.classify`` one family at a time, refining each in turn."""
     base_eps = sorted({float(e) for e in epsilons}, reverse=True)
+    strategy_name = strategy if families is None else "user_paths"
+    if families is None:
+        families = generate_probe_families(u, strategy, seed=seed)
     analyses = []
     refinements_used = 0
     solved = {}
-    if paths is None:
-        for fam in generate_probe_families(u, strategy, seed=seed):
-            eps = list(base_eps)
-            analysis = _analyze_path_loop(_probe_loop(u, fam, eps, eps, rule, solved), jump_tol)
-            while analysis["near_threshold"] and refinements_used < max_refinements:
-                eps.append(min(eps) / 10.0)
-                refinements_used += 1
-                analysis = _analyze_path_loop(_probe_loop(u, fam, eps, eps, rule, solved), jump_tol)
-            analyses.append(analysis)
-        strategy_name = strategy
-    else:
-        for path in paths:
-            result = _probe_loop(u, *discontinuity._as_family(path), rule, solved)
-            analyses.append(_analyze_path_loop(result, jump_tol))
-        strategy_name = "user_paths"
+    for fam in families:
+        eps = list(base_eps)
+        analysis = _analyze_path_loop(_probe_loop(u, fam, eps, rule, solved), jump_tol)
+        while analysis["near_threshold"] and refinements_used < max_refinements:
+            eps.append(min(eps) / 10.0)
+            refinements_used += 1
+            analysis = _analyze_path_loop(_probe_loop(u, fam, eps, rule, solved), jump_tol)
+        analyses.append(analysis)
     rank = {v: i for i, v in enumerate(VERDICTS)}
     best = max(analyses, key=lambda a: (rank[a["verdict"]], a["rho_hat_jump"], a["sigma_jump"]))
     return GateClassification(

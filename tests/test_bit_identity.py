@@ -26,7 +26,7 @@ from ctckit.deutsch import (
     evolve_out,
     fixed_point_set,
 )
-from ctckit.discontinuity import DEFAULT_EPSILONS, classify, generate_probe_families
+from ctckit.discontinuity import classify, generate_probe_families
 from ctckit.reference import reference_gate
 from ctckit.states import DensityOperator, UnitaryGate
 
@@ -169,9 +169,10 @@ CLASSIFY_CASES = {
     # with paths whose base grids must not see the refined points.
     "vertex_pairs_refined": (reference_gate, dict(jump_tol=0.3, max_refinements=3)),
     "random_seeded": (reference_gate, dict(strategy="random_seeded", seed=3)),
-    "user_paths": (reference_gate, dict(paths=[
-        fam.materialize(DEFAULT_EPSILONS)
-        for fam in generate_probe_families(reference_gate(), "vertex_pairs")[::7]])),
+    # User families are refined like generated ones.
+    "user_paths": (reference_gate, dict(
+        families=generate_probe_families(reference_gate(), "vertex_pairs")[::7],
+        jump_tol=0.3, max_refinements=2)),
     "3x3_vertex_pairs": (lambda: UnitaryGate.from_permutation(3, 3, GATE_3X3),
                          dict(max_refinements=1)),
     "3x3_diagnostic": (lambda: UnitaryGate.from_permutation(3, 3, GATE_3X3_DIAGNOSTIC),

@@ -56,6 +56,22 @@ class TestConfig:
             run_census(small_config(tmp_path, epsilons=epsilons))
         assert not (tmp_path / "c.jsonl").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        dict(strategy="exhaustive"),
+        dict(strategy="paper_example"),  # defined on dims (4, 2) only
+        dict(dim1=1, dim2=2),  # vertex_pairs needs two vertices
+        dict(jump_tol=0.0),
+        dict(jump_tol=-1.0),
+        dict(jump_tol=float("nan")),
+        dict(jump_tol=float("inf")),
+        dict(max_refinements=-1),
+    ], ids=["unknown-strategy", "paper-example-off-dims", "vertex-pairs-dim1", "jump-tol-0",
+            "jump-tol-negative", "jump-tol-nan", "jump-tol-inf", "max-refinements-negative"])
+    def test_rejects_unusable_settings_before_writing(self, tmp_path, overrides):
+        with pytest.raises(ValueError):
+            run_census(small_config(tmp_path, **overrides))
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_hash_ignores_execution_fields(self):
         a = CensusConfig(4, 2, mode="sample", sample_size=10)
         b = CensusConfig(4, 2, mode="sample", sample_size=10, workers=8,

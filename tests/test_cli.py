@@ -214,6 +214,21 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert "at least two distinct values in (0, 1]" in err
 
+    @pytest.mark.parametrize("jump_tol", ["0", "-1", "nan", "inf"])
+    def test_bad_jump_tol(self, capsys, jump_tol):
+        code, out, err = run(capsys, "classify", "--paper-example", "--jump-tol", jump_tol)
+        assert code == 2 and out == ""
+        assert "jump_tol must be a finite positive number" in err
+
+    def test_census_strategy_off_its_dims_writes_nothing(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "dim1": 2, "dim2": 1, "mode": "exhaustive", "strategy": "paper_example",
+            "out_path": str(tmp_path / "rec.jsonl"),
+        })
+        code, _, err = run(capsys, "census", "--config", cfg)
+        assert code == 2 and "paper_example" in err
+        assert not (tmp_path / "rec.jsonl").exists()
+
     def test_probe_requires_a_gate_source(self, capsys):
         code, _, err = run(capsys, "probe")
         assert code == 2 and "provide" in err

@@ -15,7 +15,6 @@ from ctckit.deutsch import SolverDiagnostic
 from ctckit.discontinuity import (
     DEFAULT_EPSILONS,
     PathFamily,
-    ProbePath,
     classify,
     generate_probe_families,
     probe,
@@ -28,64 +27,19 @@ from ctckit.reference import (
     reference_gate,
 )
 from ctckit.selection import SelectionRule
-from ctckit.states import DensityOperator, UnitaryGate, trace_distance
+from ctckit.states import UnitaryGate, trace_distance
 
 
-def paper_path(epsilons=(0.2, 0.1, 0.05, 0.01)):
-    return ProbePath(
-        center=reference_center(),
-        direction_a=[(e, mixed_second_qubit(e)) for e in epsilons],
-        direction_b=[(e, mixed_first_qubit(e)) for e in epsilons],
-        label="golden",
-    )
+def paper_family():
+    return PathFamily(reference_center(), mixed_second_qubit, mixed_first_qubit, "golden")
 
 
-class TestProbePath:
-    def test_rejects_increasing_eps(self):
-        with pytest.raises(ValueError):
-            ProbePath(
-                center=reference_center(),
-                direction_a=[(0.1, mixed_second_qubit(0.1)), (0.2, mixed_second_qubit(0.2))],
-                direction_b=[(0.1, mixed_first_qubit(0.1))],
-            )
-
-    def test_rejects_non_positive_eps(self):
-        with pytest.raises(ValueError):
-            ProbePath(
-                center=reference_center(),
-                direction_a=[(0.0, DensityOperator.maximally_mixed(4))],
-                direction_b=[(0.1, mixed_first_qubit(0.1))],
-            )
-
-    def test_rejects_paths_that_wander_from_center(self):
-        # distance to center must not increase as eps shrinks
-        with pytest.raises(ValueError):
-            ProbePath(
-                center=reference_center(),
-                direction_a=[(0.2, mixed_second_qubit(0.1)), (0.1, mixed_second_qubit(0.3))],
-                direction_b=[(0.1, mixed_first_qubit(0.1))],
-            )
-
-    def test_rejects_empty_direction(self):
-        with pytest.raises(ValueError):
-            ProbePath(center=reference_center(), direction_a=[], direction_b=[])
-
-
-def test_family_materialize_sorts_and_dedupes():
-    fam = PathFamily(
-        center=reference_center(),
-        family_a=mixed_second_qubit,
-        family_b=mixed_first_qubit,
-        label="f",
-    )
-    path = fam.materialize([0.01, 0.2, 0.2, 0.1])
-    assert isinstance(path, ProbePath)
-    assert [e for e, _ in path.direction_a] == [0.2, 0.1, 0.01]
+PAPER_EPSILONS = (0.2, 0.1, 0.05, 0.01)
 
 
 class TestProbe:
     def test_golden_path_records(self):
-        result = probe(reference_gate(), paper_path())
+        result = probe(reference_gate(), paper_family(), PAPER_EPSILONS)
         assert result.center_fps.k == 1
         rows = result.pairs()
         assert len(rows) == 4
@@ -97,9 +51,48 @@ class TestProbe:
             assert rb.entropy == pytest.approx(0.0, abs=1e-9)
 
     def test_records_cover_both_directions_per_eps(self):
-        result = probe(reference_gate(), paper_path((0.3, 0.2)))
+        result = probe(reference_gate(), paper_family(), (0.3, 0.2))
         assert len(result.records) == 4
         assert {r.direction for r in result.records} == {"a", "b"}
+
+    def test_grid_is_sorted_and_deduplicated(self):
+        result = probe(reference_gate(), paper_family(), [0.01, 0.2, 0.2, 0.1])
+        assert [(r.direction, r.epsilon) for r in result.records] == [
+            ("a", 0.2), ("a", 0.1), ("a", 0.01), ("b", 0.2), ("b", 0.1), ("b", 0.01)]
+        assert [eps for eps, _, _ in result.pairs()] == [0.2, 0.1, 0.01]
+
+    def test_rejects_non_positive_eps(self):
+        for epsilons in [(0.1, 0.0), (0.2, -0.1)]:
+            with pytest.raises(ValueError, match=r"at least two distinct values in \(0, 1\]"):
+                probe(reference_gate(), paper_family(), epsilons)
+
+
+class TestUserFamilies:
+    """Families a caller passes in are checked before any solve."""
+
+    def test_rejects_paths_that_wander_from_center(self):
+        # distance to center must not increase as eps shrinks
+        wander = PathFamily(reference_center(), lambda e: mixed_second_qubit(0.3 - e),
+                            mixed_first_qubit)
+        for run in (lambda: probe(reference_gate(), wander, (0.2, 0.1)),
+                    lambda: classify(reference_gate(), families=[wander], epsilons=(0.2, 0.1))):
+            with pytest.raises(ValueError, match="direction_a must approach the center "
+                                                 "monotonically in trace distance"):
+                run()
+
+    def test_rejects_duplicate_labels(self):
+        # The witness CSV finds its path by label, so two "" labels would be ambiguous.
+        families = [PathFamily(reference_center(), mixed_first_qubit, mixed_first_qubit),
+                    PathFamily(reference_center(), mixed_second_qubit, mixed_first_qubit)]
+        with pytest.raises(ValueError, match="family labels must be distinct; '' repeats"):
+            classify(reference_gate(), families=families)
+
+    def test_distinct_labels_give_the_witness_csv_of_the_best_path(self):
+        families = [PathFamily(reference_center(), mixed_first_qubit, mixed_first_qubit, "flat"),
+                    paper_family()]
+        cls = classify(reference_gate(), families=families)
+        assert (cls.verdict, cls.witness["best_path"]) == ("physical", "golden")
+        assert witness_csv_rows(cls)[-1][3] == pytest.approx(cls.sigma_jump)
 
 
 def failing_at(target):
@@ -118,20 +111,19 @@ class TestSolverDiagnostic:
     """A failing solve is recorded on its probe point, not raised or dropped."""
 
     def test_probe_record_carries_the_error(self, monkeypatch):
-        path = paper_path()
-        finest_eps, finest_state = path.direction_a[-1]
-        monkeypatch.setattr(discontinuity, "fixed_point_set", failing_at(finest_state.matrix))
-        result = probe(reference_gate(), path)
+        finest_eps = PAPER_EPSILONS[-1]
+        monkeypatch.setattr(discontinuity, "fixed_point_set",
+                            failing_at(mixed_second_qubit(finest_eps).matrix))
+        result = probe(reference_gate(), paper_family(), PAPER_EPSILONS)
         failed = [r for r in result.records if r.error is not None]
         assert [(r.direction, r.epsilon) for r in failed] == [("a", finest_eps)]
         assert failed[0].error == "injected failure"
         assert failed[0].k is None and failed[0].sigma is None
 
     def test_failing_finest_point_leaves_no_clean_tail(self, monkeypatch):
-        path = paper_path()
         monkeypatch.setattr(discontinuity, "fixed_point_set",
-                            failing_at(path.direction_a[-1][1].matrix))
-        c = classify(reference_gate(), paths=[path])
+                            failing_at(mixed_second_qubit(PAPER_EPSILONS[-1]).matrix))
+        c = classify(reference_gate(), families=[paper_family()], epsilons=PAPER_EPSILONS)
         (analysis,) = c.witness["paths"]
         assert analysis["tail_length"] == 0
         assert analysis["rows"][-1]["sigma_jump_running"] is None
@@ -167,11 +159,9 @@ class TestGenerateFamilies:
         with pytest.raises(ValueError):
             generate_probe_families(reference_gate(), "exhaustive")
 
-    def test_generate_paths_materializes(self):
-        fams = generate_probe_families(reference_gate(), "paper_example")
-        paths = [f.materialize((0.2, 0.1)) for f in fams]
-        assert isinstance(paths[0], ProbePath)
-        assert [e for e, _ in paths[0].direction_a] == [0.2, 0.1]
+    def test_vertex_pairs_need_two_vertices(self):
+        with pytest.raises(ValueError, match="vertex_pairs paths need dim1 >= 2"):
+            classify(UnitaryGate.from_permutation(1, 2, (1, 0)), "vertex_pairs")
 
 
 class TestClassify:
@@ -237,10 +227,15 @@ class TestClassify:
         assert cls.verdict == "physical"
 
     def test_explicit_paths_mode(self):
-        cls = classify(reference_gate(), paths=[paper_path()])
+        # User families are refined like generated ones near the threshold.
+        cls = classify(reference_gate(), families=[paper_family()], epsilons=PAPER_EPSILONS,
+                       jump_tol=0.3, max_refinements=1)
         assert cls.verdict == "physical"
         assert cls.witness["strategy"] == "user_paths"
-        assert cls.witness["refinements_used"] == 0
+        assert cls.witness["refinements_used"] == 1
+        (path,) = cls.witness["paths"]
+        assert [row["epsilon"] for row in path["rows"]] == pytest.approx(
+            list(PAPER_EPSILONS) + [1e-3])
 
     def test_verdict_independent_of_selection_rule_on_pinned_paths(self):
         for kind in ("max_entropy", "min_entropy"):
@@ -266,8 +261,18 @@ class TestClassify:
             classify(reference_gate(), strategy="paper_example", epsilons=epsilons)
 
     def test_rejects_an_empty_path_list(self):
-        with pytest.raises(ValueError, match="at least one probe path"):
-            classify(reference_gate(), paths=[])
+        with pytest.raises(ValueError, match="at least one path family"):
+            classify(reference_gate(), families=[])
+
+    @pytest.mark.parametrize("jump_tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_bad_jump_tol(self, jump_tol):
+        with pytest.raises(ValueError, match="jump_tol must be a finite positive number"):
+            classify(reference_gate(), strategy="paper_example", jump_tol=jump_tol)
+
+    @pytest.mark.parametrize("max_refinements", [-1, 1.5])
+    def test_rejects_a_bad_refinement_budget(self, max_refinements):
+        with pytest.raises(ValueError, match="max_refinements must be a non-negative integer"):
+            classify(reference_gate(), strategy="paper_example", max_refinements=max_refinements)
 
     def test_to_json_shape(self):
         obj = classify(reference_gate(), strategy="paper_example").to_json()
