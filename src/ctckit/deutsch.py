@@ -9,21 +9,24 @@ the interaction.  The induced map on the second factor,
 is affine in ``sigma``, so in traceless Hermitian coordinates it is a real
 affine map ``x -> M x + c``.  Its fixed states form a non-empty compact convex
 set: a particular solution plus the span of the null space of ``M - I``,
-intersected with the PSD cone.  The solver finds the particular solution by
-Cesaro-averaged iteration refined by a least-squares projection onto the
-affine solution subspace; for the common case of a trivial null space the
-refinement alone is exact and no iteration occurs.
+intersected with the PSD cone.  The solver factors ``M - I`` by one SVD,
+whose pseudoinverse refines candidates by a least-squares projection onto the
+affine solution subspace and serves :func:`membership` too.  Candidates come
+in one order: the refined origin (exact for the common trivial null space),
+then at every 64th step of Cesaro-averaged iteration the refined and the raw
+running mean.  The first within the inner tolerances is the particular
+solution, kept with the spectrum its check computed; failing that, the best
+by (negativity, residual) is accepted with a warning or raises.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .basis import hermitian_basis
 from .linalg import (
     conjugate, hermitian_trace_norm, matrix_to_json, partial_trace_1, partial_trace_2)
-from .states import DensityOperator, UnitaryGate
+from .states import DensityOperator, _validated
 
 __all__ = [
     "SV_TOL",
@@ -110,13 +113,9 @@ class FixedPointSet:
     basis: list
     k: int
     affine: AffineMapReal
+    affine_pinv: np.ndarray  # pseudoinverse of ``linear - I`` at cutoff SV_TOL
     residuals: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
-
-    @cached_property
-    def affine_pinv(self):
-        """Pseudoinverse of ``linear - I`` at cutoff :data:`SV_TOL`."""
-        return _truncated_pinv(self.affine.linear - np.eye(self.affine.n))[3]
 
     def state_at(self, coeffs):
         """State ``particular + sum_i coeffs[i] basis[i]``; raises if not PSD."""
@@ -185,10 +184,7 @@ def _truncated_pinv(a):
     """SVD pieces of ``a`` plus its pseudoinverse with cutoff :data:`SV_TOL`."""
     u, s, vt = np.linalg.svd(a)
     rank = int(np.sum(s > SV_TOL))
-    if rank == 0:
-        pinv = np.zeros_like(a.T)
-    else:
-        pinv = vt[:rank].T @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T
+    pinv = vt[:rank].T @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T  # zeros at rank 0
     return s, vt, rank, pinv
 
 
@@ -197,6 +193,12 @@ def _canonical_sign(v, tol=1e-12):
         if abs(vi) > tol:
             return v if vi > 0 else -v
     return v
+
+
+def _map_residual(aff, b2, x, m):
+    """Trace distance that one application of the map moves ``m``, whose
+    traceless coordinates are ``x``."""
+    return 0.5 * hermitian_trace_norm(b2.from_traceless(aff.apply(x)) - m)
 
 
 def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERATIONS):
@@ -212,14 +214,6 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
     n = b2.n_traceless
     warnings = []
 
-    if n == 0:
-        particular = DensityOperator(np.eye(1, dtype=complex))
-        return FixedPointSet(
-            dim2=1, particular=particular, basis=[], k=0, affine=aff,
-            residuals={"map_trace_distance": 0.0, "affine_norm": 0.0, "iterations": 0},
-            warnings=warnings,
-        )
-
     a = aff.linear - np.eye(n)
     c = aff.offset
     s, vt, rank, a_pinv = _truncated_pinv(a)
@@ -231,69 +225,53 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
             f"singular values {gray.tolist()} lie within a decade of the cutoff {SV_TOL}"
         )
 
-    null_basis = [_canonical_sign(vt[rank + i]) for i in range(k)]
-    basis_mats = [b2.from_traceless(v, trace=0.0) for v in null_basis]
+    basis_mats = [b2.from_traceless(_canonical_sign(v), trace=0.0) for v in vt[rank:]]
 
     def refine(y):
         return y - a_pinv @ (a @ y + c)
 
-    def assess(x):
-        m = b2.from_traceless(x)
-        lo = float(np.min(np.linalg.eigvalsh(m)))
-        td = 0.5 * hermitian_trace_norm(b2.from_traceless(aff.apply(x)) - m)
-        return lo, td
-
-    best = None  # (key, x, lo, td) of the best candidate so far
-
-    def consider(x):
-        """Track the best candidate; ``(x, lo, td)`` if within inner tolerance."""
-        nonlocal best
-        lo, td = assess(x)
-        key = (max(0.0, -lo), td)
-        if best is None or key < best[0]:
-            best = key, x, lo, td
-        if lo >= -_EIG_SLACK and td <= _EARLY_RESIDUAL:
-            return x, lo, td
-        return None
-
-    iterations = 0
-    accepted = consider(refine(np.zeros(n)))
-    if accepted is None:
-        # Iterate from the maximally mixed state; the running mean of the
-        # orbit converges to a fixed state, and refinement removes the
-        # remaining error transverse to the solution subspace.
-        linear, offset = aff.linear, aff.offset
+    def candidates():
+        """``(iterations, x)`` in order.  The running mean of the orbit of the
+        maximally mixed state converges to a fixed state, and refinement
+        removes the remaining error transverse to the solution subspace."""
+        yield 0, refine(np.zeros(n))
         x = np.zeros(n)
         mean = np.zeros(n)
         for i in range(1, max_iterations + 1):
-            x = linear @ x + offset
+            x = aff.linear @ x + c
             mean += (x - mean) / i
             if i % _CHECK_EVERY == 0 or i == max_iterations:
-                accepted = consider(refine(mean))
-                if accepted is None:
-                    accepted = consider(mean.copy())
-                if accepted is not None:
-                    iterations = i
-                    break
-        if accepted is None:
-            iterations = max_iterations
-            _, x0, lo, td = best
-            if lo < -1e-10 or td > residual_tol:
-                raise SolverDiagnostic(
-                    f"no fixed-point candidate within tolerance after {iterations} "
-                    f"iterations (min eigenvalue {lo:.3e}, residual {td:.3e})"
-                )
-            warnings.append(
-                f"slow convergence: accepted candidate with residual {td:.3e} "
-                f"after {iterations} iterations"
-            )
-            accepted = x0, lo, td
+                yield i, refine(mean)
+                yield i, mean.copy()
 
-    x0, lo, td = accepted
+    best = None  # (key, x, m, evals, lo, td) of the best candidate so far
+    for iterations, x in candidates():
+        m = b2.from_traceless(x)
+        evals = np.linalg.eigvalsh(m)
+        lo = float(np.min(evals))
+        td = _map_residual(aff, b2, x, m)
+        key = (max(0.0, -lo), td)
+        if best is None or key < best[0]:
+            best = key, x, m, evals, lo, td
+        if lo >= -_EIG_SLACK and td <= _EARLY_RESIDUAL:
+            break
+    else:
+        _, x, m, evals, lo, td = best
+        if lo < -1e-10 or td > residual_tol:
+            raise SolverDiagnostic(
+                f"no fixed-point candidate within tolerance after {iterations} "
+                f"iterations (min eigenvalue {lo:.3e}, residual {td:.3e})"
+            )
+        warnings.append(
+            f"slow convergence: accepted candidate with residual {td:.3e} "
+            f"after {iterations} iterations"
+        )
+
     if td > residual_tol:
         raise SolverDiagnostic(f"fixed-point residual {td:.3e} exceeds {residual_tol}")
     try:
-        particular = DensityOperator(b2.from_traceless(x0))
+        # ``m`` is exactly Hermitian, so ``evals`` is the spectrum of the stored state.
+        particular = DensityOperator._of(*_validated(m, 2, evals))
     except ValueError as exc:
         raise SolverDiagnostic(f"fixed-point candidate failed validation: {exc}") from exc
 
@@ -303,9 +281,10 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
         basis=basis_mats,
         k=k,
         affine=aff,
+        affine_pinv=a_pinv,
         residuals={
             "map_trace_distance": td,
-            "affine_norm": float(np.linalg.norm(a @ x0 + c)),
+            "affine_norm": float(np.linalg.norm(a @ x + c)),
             "min_eigenvalue": lo,
             "iterations": iterations,
         },
@@ -318,22 +297,17 @@ def membership(fps, sigma, tol=RESIDUAL_TOL):
 
     Both the distance from the affine solution subspace (in coordinate norm)
     and the trace distance moved by one application of the map must fall
-    below ``tol``.  The subspace distance uses the set's cached
-    pseudoinverse at :data:`SV_TOL`.
+    below ``tol``.  The subspace distance uses the pseudoinverse at
+    :data:`SV_TOL` that the solve computed.
     """
     if sigma.dim != fps.dim2:
         raise ValueError(f"state dim {sigma.dim} does not match set dim {fps.dim2}")
     b2 = hermitian_basis(fps.dim2)
-    n = b2.n_traceless
-    if n == 0:
-        return MembershipCheck(True, 0.0, 0.0, tol)
     aff = fps.affine
-    a = aff.linear - np.eye(n)
+    a = aff.linear - np.eye(aff.n)
     x = b2.traceless_coords(sigma.matrix)
     affine_residual = float(np.linalg.norm(fps.affine_pinv @ (a @ x + aff.offset)))
-    map_residual = 0.5 * hermitian_trace_norm(
-        b2.from_traceless(aff.apply(x)) - sigma.matrix
-    )
+    map_residual = _map_residual(aff, b2, x, sigma.matrix)
     return MembershipCheck(
         ok=(affine_residual <= tol and map_residual <= tol),
         affine_residual=affine_residual,

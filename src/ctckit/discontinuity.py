@@ -400,17 +400,20 @@ def classify(
 ):
     """Classify a gate by probing for discontinuities of the induced map.
 
-    The families are generated by ``strategy``, or given as ``families``
-    (witness strategy ``"user_paths"``).  Each is probed on ``epsilons`` and
-    refined (next eps = finest / 10) up to ``max_refinements`` times per
-    gate, in family order, while its measured jump lies within a factor of
-    two of ``jump_tol``.
+    The families are generated by ``strategy`` and ``seed``, or given as
+    ``families`` (witness strategy ``"user_paths"``; those two must then keep
+    their defaults).  Each is probed on ``epsilons`` and refined (next eps =
+    finest / 10) up to ``max_refinements`` times per gate, in family order,
+    while its measured jump lies within a factor of two of ``jump_tol``.
     """
     base_eps = _epsilon_grid(epsilons)
     _check_refinement(jump_tol, max_refinements)
     if families is None:
         families = generate_probe_families(u, strategy, seed=seed)
     else:
+        for name, value, default in (("strategy", strategy, "vertex_pairs"), ("seed", seed, 0)):
+            if value != default:
+                raise ValueError(f"{name}={value!r} applies only to generated families")
         _check_user_families(families, base_eps)
         strategy = "user_paths"
 

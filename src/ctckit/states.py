@@ -37,9 +37,10 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def _validated(m, ndim):
-    """Read-only ``0.5 (m + m^dagger)`` of a density matrix (``ndim`` 2) or of
-    a stack of them (``ndim`` 3), after the checks a density matrix passes."""
+def _validated(m, ndim, evals=None):
+    """Read-only ``0.5 (m + m^dagger)`` and ``eigvalsh`` spectrum of a density
+    matrix (``ndim`` 2) or stack (``ndim`` 3) that passes the checks; a known
+    spectrum ``evals`` of an exactly Hermitian ``m`` is checked, not recomputed."""
     if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {m.shape[ndim - 2:]}")
     mh = m.swapaxes(-1, -2).conj()
@@ -53,28 +54,35 @@ def _validated(m, ndim):
         tr = np.ravel(tr)[np.argmax(off)]
         raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-12")
     m = 0.5 * (m + mh)
-    lo = float(np.min(np.linalg.eigvalsh(m)))
+    if evals is None:
+        evals = np.linalg.eigvalsh(m)
+    lo = float(np.min(evals))
     if lo < -PSD_TOL:
         raise ValueError(f"density matrix has eigenvalue {lo} below -1e-10")
     m.setflags(write=False)
-    return m
+    evals.setflags(write=False)
+    return m, evals
 
 
 class DensityOperator:
-    """A validated density matrix (Hermitian, PSD, unit trace)."""
+    """A validated density matrix (Hermitian, PSD, unit trace), with the
+    ascending ``eigvalsh`` spectrum its validation computed as ``eigenvalues``."""
 
     def __init__(self, matrix):
-        self.matrix = _validated(np.asarray(matrix, dtype=complex), 2)
+        self.matrix, self.eigenvalues = _validated(np.asarray(matrix, dtype=complex), 2)
+
+    @classmethod
+    def _of(cls, matrix, eigenvalues):
+        """State of a matrix and spectrum that :func:`_validated` returned."""
+        state = cls.__new__(cls)
+        state.matrix, state.eigenvalues = matrix, eigenvalues
+        return state
 
     @classmethod
     def from_stack(cls, matrices):
         """Density operators of a stack ``(N, n, n)``, validated as one stack."""
-        states = []
-        for m in _validated(np.asarray(matrices, dtype=complex), 3):
-            state = cls.__new__(cls)
-            state.matrix = m
-            states.append(state)
-        return states
+        stack, spectra = _validated(np.asarray(matrices, dtype=complex), 3)
+        return [cls._of(m, e) for m, e in zip(stack, spectra)]
 
     @property
     def dim(self):
@@ -213,8 +221,8 @@ def _spectrum_entropy(evals):
 
 def von_neumann_entropy(state):
     """Entropy -Tr(rho ln rho) in nats; eigenvalues are clipped to [0, 1]."""
-    m = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
-    return _spectrum_entropy(np.linalg.eigvalsh(m))
+    evals = state.eigenvalues if isinstance(state, DensityOperator) else np.linalg.eigvalsh(state)
+    return _spectrum_entropy(evals)
 
 
 def trace_distance(a, b):

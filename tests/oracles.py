@@ -10,7 +10,7 @@ import numpy as np
 
 from ctckit import discontinuity
 from ctckit.basis import hermitian_basis
-from ctckit.deutsch import SolverDiagnostic, membership
+from ctckit.deutsch import FixedPointSet, SolverDiagnostic, build_superoperator, membership
 from ctckit.discontinuity import (
     DEFAULT_EPSILONS,
     JUMP_TOL,
@@ -22,7 +22,8 @@ from ctckit.discontinuity import (
     ProbeResult,
     generate_probe_families,
 )
-from ctckit.linalg import conjugate, dagger, partial_trace_1, partial_trace_2
+from ctckit.linalg import (
+    conjugate, dagger, hermitian_trace_norm, partial_trace_1, partial_trace_2)
 from ctckit.selection import select
 from ctckit.states import DensityOperator
 
@@ -164,6 +165,133 @@ def build_superoperator_loop(u, rho):
     for j, bj in enumerate(b2.traceless):
         linear[:, j] = image_coords(bj)
     return linear, offset
+
+
+# The fixed-point solver as it was before its candidates became one loop: a
+# ``consider`` closure tracks the best candidate through ``nonlocal`` state,
+# the accepted state is rebuilt and validated again, and the pseudoinverse
+# for membership comes from a second SVD.  Its constants are copied here, so
+# the reference stays put when the package's constants change.
+
+_SV_TOL = 1e-9
+_EIG_SLACK = 5e-13
+_EARLY_RESIDUAL = 1e-12
+_CHECK_EVERY = 64
+
+
+def _truncated_pinv_ref(a):
+    u, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(s > _SV_TOL))
+    if rank == 0:
+        pinv = np.zeros_like(a.T)
+    else:
+        pinv = vt[:rank].T @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T
+    return s, vt, rank, pinv
+
+
+def _canonical_sign_ref(v, tol=1e-12):
+    for vi in v:
+        if abs(vi) > tol:
+            return v if vi > 0 else -v
+    return v
+
+
+def fixed_point_set_ref(u, rho, residual_tol=1e-10, max_iterations=100_000):
+    """``deutsch.fixed_point_set`` before its rewrite, for ``dim2 >= 2``."""
+    aff = build_superoperator(u, rho)
+    d2 = u.dim2
+    b2 = hermitian_basis(d2)
+    n = b2.n_traceless
+    warnings = []
+
+    a = aff.linear - np.eye(n)
+    c = aff.offset
+    s, vt, rank, a_pinv = _truncated_pinv_ref(a)
+    k = n - rank
+
+    gray = s[(s > _SV_TOL / 10) & (s < _SV_TOL * 10)]
+    if gray.size:
+        warnings.append(
+            f"singular values {gray.tolist()} lie within a decade of the cutoff {_SV_TOL}"
+        )
+
+    null_basis = [_canonical_sign_ref(vt[rank + i]) for i in range(k)]
+    basis_mats = [b2.from_traceless(v, trace=0.0) for v in null_basis]
+
+    def refine(y):
+        return y - a_pinv @ (a @ y + c)
+
+    def assess(x):
+        m = b2.from_traceless(x)
+        lo = float(np.min(np.linalg.eigvalsh(m)))
+        td = 0.5 * hermitian_trace_norm(b2.from_traceless(aff.apply(x)) - m)
+        return lo, td
+
+    best = None
+
+    def consider(x):
+        nonlocal best
+        lo, td = assess(x)
+        key = (max(0.0, -lo), td)
+        if best is None or key < best[0]:
+            best = key, x, lo, td
+        if lo >= -_EIG_SLACK and td <= _EARLY_RESIDUAL:
+            return x, lo, td
+        return None
+
+    iterations = 0
+    accepted = consider(refine(np.zeros(n)))
+    if accepted is None:
+        linear, offset = aff.linear, aff.offset
+        x = np.zeros(n)
+        mean = np.zeros(n)
+        for i in range(1, max_iterations + 1):
+            x = linear @ x + offset
+            mean += (x - mean) / i
+            if i % _CHECK_EVERY == 0 or i == max_iterations:
+                accepted = consider(refine(mean))
+                if accepted is None:
+                    accepted = consider(mean.copy())
+                if accepted is not None:
+                    iterations = i
+                    break
+        if accepted is None:
+            iterations = max_iterations
+            _, x0, lo, td = best
+            if lo < -1e-10 or td > residual_tol:
+                raise SolverDiagnostic(
+                    f"no fixed-point candidate within tolerance after {iterations} "
+                    f"iterations (min eigenvalue {lo:.3e}, residual {td:.3e})"
+                )
+            warnings.append(
+                f"slow convergence: accepted candidate with residual {td:.3e} "
+                f"after {iterations} iterations"
+            )
+            accepted = x0, lo, td
+
+    x0, lo, td = accepted
+    if td > residual_tol:
+        raise SolverDiagnostic(f"fixed-point residual {td:.3e} exceeds {residual_tol}")
+    try:
+        particular = DensityOperator(b2.from_traceless(x0))
+    except ValueError as exc:
+        raise SolverDiagnostic(f"fixed-point candidate failed validation: {exc}") from exc
+
+    return FixedPointSet(
+        dim2=d2,
+        particular=particular,
+        basis=basis_mats,
+        k=k,
+        affine=aff,
+        affine_pinv=_truncated_pinv_ref(aff.linear - np.eye(aff.n))[3],
+        residuals={
+            "map_trace_distance": td,
+            "affine_norm": float(np.linalg.norm(a @ x0 + c)),
+            "min_eigenvalue": lo,
+            "iterations": iterations,
+        },
+        warnings=warnings,
+    )
 
 
 # The per-path loop that ``discontinuity.classify`` replaced.  Every probe

@@ -8,9 +8,12 @@ and jumps.  These tests therefore compare with ``np.array_equal`` and exact
 float equality, never ``allclose``: the batched charts, the batched
 superoperator and every output of ``fixed_point_set`` must equal what the
 loop versions in ``oracles`` produce, on seeded permutation and Haar-random
-dense gates.  The same holds one level up: the stacked emission equals the
-``np.kron`` formula, and ``classify`` gives the witness digest of the
-per-path loop it replaced.
+dense gates.  The solver also equals ``oracles.fixed_point_set_ref``, its
+form before its candidates became one loop, on the same inputs and on a
+(3, 3) solve that raises or, with a looser tolerance, accepts slowly.  The
+same holds one level up: the stacked emission equals the ``np.kron``
+formula, and ``classify`` gives the witness digest of the per-path loop it
+replaced.
 """
 
 import numpy as np
@@ -35,6 +38,7 @@ from oracles import (
     classify_loop,
     deutsch_map_kron,
     evolve_out_kron,
+    fixed_point_set_ref,
     from_traceless_loop,
     gell_mann_loop,
     random_density,
@@ -84,6 +88,7 @@ def _assert_same_fixed_point_set(new, ref):
         np.testing.assert_array_equal(b_new, b_ref)
     assert new.residuals == ref.residuals
     assert new.warnings == ref.warnings
+    np.testing.assert_array_equal(new.affine_pinv, ref.affine_pinv)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
@@ -141,6 +146,49 @@ def test_fixed_point_set_matches_loop_core(dim1, dim2, monkeypatch):
     assert any(f.k > 0 for f in news)
     if (dim1, dim2) == (3, 3):
         assert news[-1].residuals["iterations"] > 0
+
+
+# A (3, 3) direction point of the census pool whose solve raises after the
+# whole Cesaro loop; with a looser tolerance and fewer steps it is accepted
+# by the fallback instead.
+def _raising_input():
+    gate = UnitaryGate.from_permutation(3, 3, GATE_3X3_DIAGNOSTIC)
+    family = next(f for f in generate_probe_families(gate, "vertex_pairs")
+                  if f.label == "vertex2:mix0|sup0")
+    return gate, family.family_b(0.001)
+
+
+@pytest.mark.parametrize("dim1,dim2", DIMS)
+def test_fixed_point_set_matches_the_pre_rewrite_solver(dim1, dim2):
+    solves = [(fixed_point_set(gate, rho), fixed_point_set_ref(gate, rho))
+              for gate, rho in _cases(dim1, dim2)]
+    for new, ref in solves:
+        _assert_same_fixed_point_set(new, ref)
+        assert np.array_equal(new.particular.eigenvalues,
+                              np.linalg.eigvalsh(new.particular.matrix))
+    if (dim1, dim2) == (3, 3):
+        assert solves[-1][0].residuals["iterations"] == 64  # CESARO_GATE
+
+
+def test_raising_solve_matches_the_pre_rewrite_solver():
+    gate, rho = _raising_input()
+    with pytest.raises(SolverDiagnostic) as new:
+        fixed_point_set(gate, rho)
+    with pytest.raises(SolverDiagnostic) as ref:
+        fixed_point_set_ref(gate, rho)
+    assert str(new.value) == str(ref.value) == (
+        "no fixed-point candidate within tolerance after 100000 iterations "
+        "(min eigenvalue 6.355e-07, residual 6.473e-07)")
+
+
+def test_slow_convergence_acceptance_matches_the_pre_rewrite_solver():
+    gate, rho = _raising_input()
+    kwargs = dict(residual_tol=1e-3, max_iterations=64)
+    new = fixed_point_set(gate, rho, **kwargs)
+    _assert_same_fixed_point_set(new, fixed_point_set_ref(gate, rho, **kwargs))
+    assert new.residuals["iterations"] == 64
+    assert new.warnings == [
+        "slow convergence: accepted candidate with residual 1.649e-04 after 64 iterations"]
 
 
 @pytest.mark.parametrize("dim1,dim2", DIMS)

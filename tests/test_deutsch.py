@@ -181,3 +181,19 @@ def test_dim_mismatch_raises():
     fps = fixed_point_set(reference_gate(), reference_center())
     with pytest.raises(ValueError):
         membership(fps, DensityOperator.maximally_mixed(3))
+
+
+def test_trivial_loop_has_the_general_shape():
+    # dim2 = 1: the traceless charts are empty, and the general solve gives
+    # the one state [[1]] with the residual keys of any other set.
+    u = UnitaryGate.from_permutation(3, 1, (2, 0, 1))
+    rho = DensityOperator(random_density(np.random.default_rng(5), 3))
+    fps = fixed_point_set(u, rho)
+    assert fps.k == 0 and fps.basis == []
+    assert np.array_equal(fps.particular.matrix, np.eye(1))
+    assert fps.residuals == {"map_trace_distance": 0.0, "affine_norm": 0.0,
+                             "min_eigenvalue": 1.0, "iterations": 0}
+    general = fixed_point_set(reference_gate(), reference_center())
+    assert fps.residuals.keys() == general.residuals.keys()
+    check = membership(fps, DensityOperator(np.eye(1)))
+    assert (check.ok, check.affine_residual, check.map_residual) == (True, 0.0, 0.0)

@@ -87,6 +87,15 @@ class TestUserFamilies:
         with pytest.raises(ValueError, match="family labels must be distinct; '' repeats"):
             classify(reference_gate(), families=families)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(strategy="bogus"), "strategy"), (dict(strategy="random_seeded"), "strategy"),
+        (dict(seed=99), "seed"), (dict(strategy="paper_example", seed=1), "strategy")],
+        ids=["unknown_strategy", "other_strategy", "seed", "both"])
+    def test_rejects_generation_settings_with_given_families(self, kwargs, name):
+        # They would be dropped without a word: the families are not generated.
+        with pytest.raises(ValueError, match=f"^{name}=.* applies only to generated families$"):
+            classify(reference_gate(), families=[paper_family()], **kwargs)
+
     def test_distinct_labels_give_the_witness_csv_of_the_best_path(self):
         families = [PathFamily(reference_center(), mixed_first_qubit, mixed_first_qubit, "flat"),
                     paper_family()]
@@ -197,6 +206,21 @@ class TestClassify:
         classify(gate, "vertex_pairs", max_refinements=0)
         d1 = gate.dim1
         assert len(calls) == d1 * (1 + 2 * (d1 - 1) * len(DEFAULT_EPSILONS))
+
+    def test_eigvalsh_calls_of_one_classify(self, monkeypatch):
+        # A solve decomposes its accepted candidate and that candidate's map
+        # residual; a state keeps its spectrum, so neither its validation nor
+        # the entropy of a unique fixed state decomposes it again.
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(m, *args, **kwargs):
+            calls.append(m)
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        classify(reference_gate(), "vertex_pairs", max_refinements=0)
+        assert len(calls) == 413
 
     def test_each_limit_is_tested_for_membership_once(self, monkeypatch):
         # 60 paths test 2 limits each; they share 4 vertices x 6 directions.

@@ -114,6 +114,22 @@ class TestFromStack:
         assert str(stacked.value) == str(single.value)
 
 
+class TestEigenvalues:
+    """A state keeps the spectrum its validation computed, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_constructor_and_stack_keep_the_eigvalsh_spectrum(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        # Full-rank states, then a pure and the maximally mixed state.
+        stack = np.stack([random_density(rng, dim) for _ in range(4)]
+                         + [np.diag(np.eye(dim)[-1]), np.eye(dim) / dim]).astype(complex)
+        for state in [DensityOperator(m) for m in stack] + DensityOperator.from_stack(stack):
+            assert np.array_equal(state.eigenvalues, np.linalg.eigvalsh(state.matrix))
+            assert von_neumann_entropy(state) == von_neumann_entropy(state.matrix)
+            with pytest.raises(ValueError):
+                state.eigenvalues[0] = 1.0
+
+
 class TestUnitaryGate:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
