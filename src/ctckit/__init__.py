@@ -3,10 +3,8 @@
 from .states import (
     DensityOperator,
     UnitaryGate,
-    BlochVector,
     von_neumann_entropy,
     trace_distance,
-    to_bloch,
     from_bloch,
 )
 from .basis import HermitianBasis, hermitian_basis
@@ -52,7 +50,6 @@ from .census import (
     CensusRecord,
     CensusSummary,
     CensusFileError,
-    enumerate_permutation_gates,
     run_census,
     summarize,
 )
@@ -62,10 +59,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityOperator",
     "UnitaryGate",
-    "BlochVector",
     "von_neumann_entropy",
     "trace_distance",
-    "to_bloch",
     "from_bloch",
     "HermitianBasis",
     "hermitian_basis",
@@ -102,7 +97,6 @@ __all__ = [
     "CensusRecord",
     "CensusSummary",
     "CensusFileError",
-    "enumerate_permutation_gates",
     "run_census",
     "summarize",
     "__version__",

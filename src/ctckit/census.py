@@ -34,7 +34,6 @@ __all__ = [
     "CensusRecord",
     "CensusSummary",
     "CensusFileError",
-    "enumerate_permutation_gates",
     "run_census",
     "summarize",
 ]
@@ -151,15 +150,6 @@ def _permutation_tuples(config):
             seen.add(p)
             out.append(p)
     return out
-
-
-def enumerate_permutation_gates(dim1, dim2, mode="exhaustive", sample_size=0, seed=0):
-    """Yield permutation gates, lexicographic or seeded distinct sample."""
-    # The gates do not depend on the strategy; random_seeded is defined on all dims.
-    config = CensusConfig(dim1, dim2, mode=mode, sample_size=sample_size, seed=seed,
-                          strategy="random_seeded")
-    for p in _permutation_tuples(config):
-        yield UnitaryGate.from_permutation(dim1, dim2, p)
 
 
 def _classify_one(perm, config):

@@ -9,6 +9,7 @@ The ``CTCKIT_LOG`` environment variable sets the log level.
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from .census import CensusConfig, CensusFileError, run_census, summarize
-from .deutsch import SolverDiagnostic, fixed_point_set, membership
+from .deutsch import SolverDiagnostic, evolve_out, fixed_point_set, membership
 from .discontinuity import (
     DEFAULT_EPSILONS,
     JUMP_TOL,
@@ -32,7 +33,6 @@ from .discontinuity import (
 from .reference import reference_center, reference_gate
 from .selection import SelectionRule, ctc_channel, select
 from .states import DensityOperator, UnitaryGate, from_bloch, von_neumann_entropy
-from .linalg import matrix_to_json
 
 log = logging.getLogger("ctckit")
 
@@ -72,10 +72,7 @@ def parse_rho(obj):
             factors = [DensityOperator.from_json(f) for f in obj["product"]]
             if not factors:
                 raise ValueError("product form needs at least one factor")
-            m = factors[0].matrix
-            for f in factors[1:]:
-                m = np.kron(m, f.matrix)
-            return DensityOperator(m)
+            return functools.reduce(DensityOperator.product, factors)
         if isinstance(obj, dict) and "matrix" in obj:
             return DensityOperator.from_json(obj["matrix"])
         return DensityOperator.from_json(obj)
@@ -147,6 +144,16 @@ def _gate_from_args(args):
     raise CLIInputError("provide --gate, --scenario, or --paper-example")
 
 
+def _strategy_from_args(args):
+    """``(strategy, seed)`` of the probe flags; ``--paper-example`` fixes both."""
+    if args.paper_example:
+        for flag, value in (("--strategy", args.strategy), ("--seed", args.seed)):
+            if value is not None:
+                raise CLIInputError(f"{flag} applies only without --paper-example")
+        return "paper_example", 0
+    return args.strategy or "vertex_pairs", args.seed or 0
+
+
 def cmd_fixed_points(args):
     gate, rho, _ = parse_scenario(args.scenario)
     fps = fixed_point_set(gate, rho)
@@ -189,17 +196,19 @@ def cmd_evolve(args):
 def cmd_probe(args):
     gate = _gate_from_args(args)
     rule = parse_rule(None, args.rule)
-    strategy = "paper_example" if args.paper_example else args.strategy
+    strategy, seed = _strategy_from_args(args)
     epsilons = _parse_epsilons(args.epsilons)
     rows = [["path", "direction", "epsilon", "k", "entropy", "sigma", "rho_hat"]]
-    jobs = [(fam, epsilons) for fam in generate_probe_families(gate, strategy, seed=args.seed)]
+    jobs = [(fam, epsilons) for fam in generate_probe_families(gate, strategy, seed=seed)]
+    centers = {}  # center state -> its row cells; the paths of a vertex share one
     for (fam, _), result in zip(jobs, _probe(gate, jobs, rule, {})):
-        rows.append([
-            fam.label, "center", 0.0, result.center_fps.k,
-            result.center_selection.entropy,
-            json.dumps(result.center_selection.sigma.to_json()),
-            json.dumps(result.center_rho_hat.to_json()),
-        ])
+        if fam.center not in centers:
+            sel = select(result.center_fps, rule)
+            centers[fam.center] = [
+                result.center_fps.k, sel.entropy, json.dumps(sel.sigma.to_json()),
+                json.dumps(evolve_out(gate, fam.center, sel.sigma).to_json()),
+            ]
+        rows.append([fam.label, "center", 0.0, *centers[fam.center]])
         for rec in result.records:
             rows.append([
                 fam.label, rec.direction, rec.epsilon,
@@ -215,7 +224,7 @@ def cmd_probe(args):
 def cmd_classify(args):
     gate = _gate_from_args(args)
     rule = parse_rule(None, args.rule)
-    strategy = "paper_example" if args.paper_example else args.strategy
+    strategy, seed = _strategy_from_args(args)
     epsilons = _parse_epsilons(args.epsilons)
     cls = classify(
         gate,
@@ -223,7 +232,7 @@ def cmd_classify(args):
         epsilons=epsilons,
         jump_tol=args.jump_tol,
         rule=rule,
-        seed=args.seed,
+        seed=seed,
     )
     report = {
         "verdict": cls.verdict,
@@ -318,9 +327,9 @@ def build_parser():
         src.add_argument("--scenario", help="scenario JSON file (gate part is used)")
         src.add_argument("--paper-example", action="store_true",
                          help="use the bundled reference gate and path")
-        p.add_argument("--strategy", choices=STRATEGIES, default="vertex_pairs")
+        p.add_argument("--strategy", choices=STRATEGIES, help="default: vertex_pairs")
         p.add_argument("--epsilons", help="comma-separated decreasing grid")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, help="default: 0")
         p.add_argument("--rule", choices=_RULE_NAMES)
 
     p = sub.add_parser("probe", help="per-epsilon records along probe paths (CSV)")

@@ -113,7 +113,8 @@ class FixedPointSet:
     basis: list
     k: int
     affine: AffineMapReal
-    affine_pinv: np.ndarray  # pseudoinverse of ``linear - I`` at cutoff SV_TOL
+    affine_gap: np.ndarray  # ``linear - I``, the matrix the solve factored
+    affine_pinv: np.ndarray  # its pseudoinverse at cutoff SV_TOL
     residuals: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
@@ -281,6 +282,7 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
         basis=basis_mats,
         k=k,
         affine=aff,
+        affine_gap=a,
         affine_pinv=a_pinv,
         residuals={
             "map_trace_distance": td,
@@ -297,17 +299,16 @@ def membership(fps, sigma, tol=RESIDUAL_TOL):
 
     Both the distance from the affine solution subspace (in coordinate norm)
     and the trace distance moved by one application of the map must fall
-    below ``tol``.  The subspace distance uses the pseudoinverse at
-    :data:`SV_TOL` that the solve computed.
+    below ``tol``.  The subspace distance uses ``M - I`` and its
+    pseudoinverse at :data:`SV_TOL` as the solve formed them.
     """
     if sigma.dim != fps.dim2:
         raise ValueError(f"state dim {sigma.dim} does not match set dim {fps.dim2}")
     b2 = hermitian_basis(fps.dim2)
-    aff = fps.affine
-    a = aff.linear - np.eye(aff.n)
     x = b2.traceless_coords(sigma.matrix)
-    affine_residual = float(np.linalg.norm(fps.affine_pinv @ (a @ x + aff.offset)))
-    map_residual = _map_residual(aff, b2, x, sigma.matrix)
+    r = fps.affine_gap @ x + fps.affine.offset
+    affine_residual = float(np.linalg.norm(fps.affine_pinv @ r))
+    map_residual = _map_residual(fps.affine, b2, x, sigma.matrix)
     return MembershipCheck(
         ok=(affine_residual <= tol and map_residual <= tol),
         affine_residual=affine_residual,

@@ -21,8 +21,10 @@ The verdict is monotone in the path set: adding paths can only upgrade it.
 
 ``_probe`` builds every :class:`ProbeResult`, for :func:`probe`,
 :func:`classify` and the ``probe`` command alike: it solves each probe point
-on its own and emits all their states as one stack.  :func:`classify` takes
-the running jumps of all its rows from one batched trace distance each.
+on its own, and selects and emits the direction points only, all their
+states as one stack.  A verdict reads a center's fixed-point set, never a
+state selected from it.  :func:`classify` takes the running jumps of all its
+rows from one batched trace distance each.
 """
 
 import hashlib
@@ -101,12 +103,10 @@ class ProbeRecord:
 
 @dataclass
 class ProbeResult:
-    """A family's center outcome and its records: direction a on the grid, then b."""
+    """A family's center fixed-point set and its records: direction a on the grid, then b."""
 
     label: str
     center_fps: object
-    center_selection: object
-    center_rho_hat: DensityOperator
     records: list = field(default_factory=list)
 
     def pairs(self):
@@ -118,8 +118,8 @@ class ProbeResult:
 def probe(u, family, epsilons, rule=None):
     """Solve the fixed-point problem along both directions of a family."""
     eps = _epsilon_grid(epsilons)
-    _check_user_families([family], eps)
-    return _probe(u, [(family, eps)], rule, {})[0]
+    states = _check_user_families([family], eps)
+    return _probe(u, [(family, eps)], rule, {}, states)[0]
 
 
 def _epsilon_grid(epsilons):
@@ -139,58 +139,66 @@ def _check_refinement(jump_tol, max_refinements):
 
 
 def _check_user_families(families, eps):
-    """Raise unless given ``families`` exist, have distinct labels and approach their centers."""
+    """Raise unless given ``families`` exist, have distinct labels and approach their
+    centers; return the states built for the check, keyed as :func:`_probe` keys them."""
     if not families:
         raise ValueError("families must hold at least one path family")
     labels = [fam.label for fam in families]
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(f"family labels must be distinct; {label!r} repeats")
+    states = {}
     for fam in families:
         for name, direction in (("direction_a", fam.family_a), ("direction_b", fam.family_b)):
-            dists = [trace_distance(direction(e), fam.center) for e in eps]
+            for e in eps:
+                if (direction, e) not in states:
+                    states[direction, e] = direction(e)
+            dists = [trace_distance(states[direction, e], fam.center) for e in eps]
             if any(b > a + 1e-12 for a, b in zip(dists, dists[1:])):
                 raise ValueError(
                     f"{name} must approach the center monotonically in trace distance"
                 )
+    return states
 
 
-def _probe(u, jobs, rule, solved):
+def _probe(u, jobs, rule, solved, states=None):
     """One :class:`ProbeResult` per ``(family, eps)`` job.
 
-    Each new point is solved and selected on its own, then all are emitted
-    as one stack.  A :class:`SolverDiagnostic` is recorded on a direction
-    point and raised from a center.  ``solved`` maps the center state and
+    A center is solved but not selected: its fixed-point set is its outcome,
+    and a :class:`SolverDiagnostic` there is raised.  Each new direction
+    point is solved and selected on its own, a diagnostic recorded, then all
+    are emitted as one stack.  ``solved`` maps the center state and
     ``(direction, eps)`` to outcomes, so a shared point is solved once; it
-    holds its keys, so no key can be reused by another object.
+    holds its keys, so no key can be reused by another object.  ``states``
+    holds direction states already built, by the same keys.
     """
-    fresh, tables = [], []  # (key, state, fps, selection) of each new point
+    states = states or {}
+    fresh, tables = [], []  # (key, state, fps, selection) of each new direction point
     for fam, grid in jobs:
         table = [(name, direction, eps) for name, direction in
                  (("a", fam.family_a), ("b", fam.family_b)) for eps in grid]
         tables.append(table)
-        for key in [fam.center] + [(direction, eps) for _, direction, eps in table]:
+        if fam.center not in solved:
+            solved[fam.center] = fixed_point_set(u, fam.center)
+        for _, direction, eps in table:
+            key = direction, eps
             if key in solved:
                 continue
-            state = key if key is fam.center else key[0](key[1])
+            state = states[key] if key in states else direction(eps)
             try:
                 fps = fixed_point_set(u, state)
                 fresh.append((key, state, fps, select(fps, rule)))
                 solved[key] = None  # claimed; filled in after the emission
             except SolverDiagnostic as exc:
-                if key is fam.center:
-                    raise
                 solved[key] = (None, None, None, None, str(exc))
     if fresh:
         rhos = np.stack([state.matrix for _, state, _, _ in fresh])
         sigmas = np.stack([sel.sigma.matrix for _, _, _, sel in fresh])
-        for (key, state, fps, sel), rho_hat in zip(
+        for (key, _, fps, sel), rho_hat in zip(
                 fresh, DensityOperator.from_stack(_emit(u, rhos, sigmas))):
-            # A center is keyed by its own state.
-            solved[key] = ((fps, sel, rho_hat) if key is state
-                           else (fps.k, sel.sigma, sel.entropy, rho_hat, None))
+            solved[key] = (fps.k, sel.sigma, sel.entropy, rho_hat, None)
     return [
-        ProbeResult(fam.label, *solved[fam.center], [
+        ProbeResult(fam.label, solved[fam.center], [
             ProbeRecord(name, eps, *solved[direction, eps]) for name, direction, eps in table])
         for (fam, _), table in zip(jobs, tables)
     ]
@@ -408,18 +416,19 @@ def classify(
     """
     base_eps = _epsilon_grid(epsilons)
     _check_refinement(jump_tol, max_refinements)
+    states = {}
     if families is None:
         families = generate_probe_families(u, strategy, seed=seed)
     else:
         for name, value, default in (("strategy", strategy, "vertex_pairs"), ("seed", seed, 0)):
             if value != default:
                 raise ValueError(f"{name}={value!r} applies only to generated families")
-        _check_user_families(families, base_eps)
+        states = _check_user_families(families, base_eps)
         strategy = "user_paths"
 
     jobs = [(fam, base_eps) for fam in families]
     solved, limits = {}, {}
-    analyses = _analyze(jobs, _probe(u, jobs, rule, solved), jump_tol, limits)
+    analyses = _analyze(jobs, _probe(u, jobs, rule, solved, states), jump_tol, limits)
     refinements_used = 0
     # No base grid holds a refined eps, so refining after every family is
     # analysed gives the analyses of refining each family in turn.

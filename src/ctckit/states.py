@@ -1,4 +1,4 @@
-"""Density operators, unitary gates, and single-qubit Bloch coordinates.
+"""Density operators, unitary gates, and qubit states from Bloch vectors.
 
 Validation tolerances are deliberately strict and uniform across the package:
 Hermiticity and unit trace to 1e-12, positive semidefiniteness to -1e-10 on
@@ -8,22 +8,15 @@ checks run; the NaN that an infinite entry produces raises no floating-point
 warning.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import dagger, hermitian_trace_norm, matrix_from_json, matrix_to_json
 
 __all__ = [
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "DensityOperator",
     "UnitaryGate",
-    "BlochVector",
     "von_neumann_entropy",
     "trace_distance",
-    "to_bloch",
     "from_bloch",
 ]
 
@@ -31,10 +24,6 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 UNITARY_TOL = 1e-12
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def _validated(m, ndim, evals=None):
@@ -201,17 +190,6 @@ class UnitaryGate:
         return f"UnitaryGate(dims=({self.dim1}, {self.dim2}), {kind})"
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    x: float
-    y: float
-    z: float
-
-    @property
-    def norm(self):
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-
-
 def _spectrum_entropy(evals):
     """Entropy -sum(p ln p) in nats of a spectrum clipped to [0, 1]."""
     p = np.clip(evals, 0.0, 1.0)
@@ -232,23 +210,10 @@ def trace_distance(a, b):
     return 0.5 * hermitian_trace_norm(ma - mb)
 
 
-def to_bloch(state):
-    """Bloch coordinates (Tr(rho X), Tr(rho Y), Tr(rho Z)) of a qubit state."""
-    if state.dim != 2:
-        raise ValueError("Bloch coordinates are defined for qubits only")
-    m = state.matrix
-    return BlochVector(
-        float(np.trace(m @ PAULI_X).real),
-        float(np.trace(m @ PAULI_Y).real),
-        float(np.trace(m @ PAULI_Z).real),
-    )
-
-
 def from_bloch(v):
-    """Qubit state (I + x X + y Y + z Z) / 2; requires ``|v| <= 1``."""
-    if not isinstance(v, BlochVector):
-        v = BlochVector(*v)
-    if v.norm > 1.0 + PSD_TOL:
-        raise ValueError(f"Bloch vector norm {v.norm} exceeds 1")
-    m = 0.5 * (np.eye(2, dtype=complex) + v.x * PAULI_X + v.y * PAULI_Y + v.z * PAULI_Z)
-    return DensityOperator(m)
+    """Qubit state (I + x X + y Y + z Z) / 2 of ``v = (x, y, z)``; requires ``|v| <= 1``."""
+    x, y, z = v
+    norm = float(np.sqrt(x**2 + y**2 + z**2))
+    if norm > 1.0 + PSD_TOL:
+        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    return DensityOperator(0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]))

@@ -283,6 +283,7 @@ def fixed_point_set_ref(u, rho, residual_tol=1e-10, max_iterations=100_000):
         basis=basis_mats,
         k=k,
         affine=aff,
+        affine_gap=a,
         affine_pinv=_truncated_pinv_ref(aff.linear - np.eye(aff.n))[3],
         residuals={
             "map_trace_distance": td,
@@ -294,12 +295,12 @@ def fixed_point_set_ref(u, rho, residual_tol=1e-10, max_iterations=100_000):
     )
 
 
-# The per-path loop that ``discontinuity.classify`` replaced.  Every probe
-# point is solved, selected and emitted on its own, with the joint state
-# built by ``np.kron``; every running jump is one trace distance and every
-# limit is tested for membership once per path.  ``fixed_point_set`` is
-# looked up on ``discontinuity`` at call time, so a patched solver reaches
-# this loop too.
+# The per-path loop that ``discontinuity.classify`` replaced.  Every
+# direction point is solved, selected and emitted on its own, with the joint
+# state built by ``np.kron``, and every center is solved; every running jump
+# is one trace distance and every limit is tested for membership once per
+# path.  ``fixed_point_set`` is looked up on ``discontinuity`` at call time,
+# so a patched solver reaches this loop too.
 
 
 def _sandwich_kron(u, rho, sigma):
@@ -323,7 +324,7 @@ def _probe_loop(u, fam, eps, rule, solved):
         return fps, sel, evolve_out_kron(u, state, sel.sigma)
 
     if fam.center not in solved:
-        solved[fam.center] = solve(fam.center)
+        solved[fam.center] = discontinuity.fixed_point_set(u, fam.center)
     records = []
     for name, direction in (("a", fam.family_a), ("b", fam.family_b)):
         for e in eps:
@@ -335,7 +336,7 @@ def _probe_loop(u, fam, eps, rule, solved):
                 except SolverDiagnostic as exc:
                     solved[key] = (None, None, None, None, str(exc))
             records.append(ProbeRecord(name, e, *solved[key]))
-    return ProbeResult(fam.label, *solved[fam.center], records)
+    return ProbeResult(fam.label, solved[fam.center], records)
 
 
 def _analyze_path_loop(result, jump_tol):

@@ -15,7 +15,7 @@ from ctckit.census import (
     CensusConfig,
     CensusFileError,
     CensusRecord,
-    enumerate_permutation_gates,
+    _permutation_tuples,
     run_census,
     summarize,
 )
@@ -92,19 +92,16 @@ class TestConfig:
 
 class TestEnumeration:
     def test_counts(self):
-        assert len(list(enumerate_permutation_gates(2, 1))) == 2
-        assert len(list(enumerate_permutation_gates(2, 2))) == math.factorial(4)
+        assert len(_permutation_tuples(CensusConfig(2, 1))) == 2
+        assert len(_permutation_tuples(CensusConfig(2, 2))) == math.factorial(4)
 
     def test_lexicographic_starts_at_identity(self):
-        first = next(iter(enumerate_permutation_gates(2, 2)))
-        assert first.permutation == (0, 1, 2, 3)
+        assert _permutation_tuples(CensusConfig(2, 2))[0] == (0, 1, 2, 3)
 
     def test_sample_is_distinct_and_seeded(self):
-        a = [g.permutation for g in
-             enumerate_permutation_gates(4, 2, mode="sample", sample_size=20, seed=9)]
-        b = [g.permutation for g in
-             enumerate_permutation_gates(4, 2, mode="sample", sample_size=20, seed=9)]
-        assert a == b
+        config = CensusConfig(4, 2, mode="sample", sample_size=20, seed=9)
+        a = _permutation_tuples(config)
+        assert a == _permutation_tuples(config)
         assert len(set(a)) == 20
 
 
@@ -152,9 +149,7 @@ class TestRunAndSummarize:
         run_census(cfg)
         got = [tuple(json.loads(l)["permutation"])
                for l in open(cfg.out_path).readlines()[1:]]
-        expected = [g.permutation for g in enumerate_permutation_gates(
-            4, 2, mode="sample", sample_size=5, seed=2)]
-        assert got == expected
+        assert got == _permutation_tuples(cfg)
 
 
 class TestResume:

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from ctckit.cli import main
-from ctckit.deutsch import SolverDiagnostic
+from ctckit.deutsch import SolverDiagnostic, fixed_point_set
+from ctckit.reference import reference_center, reference_gate
+from ctckit.selection import ctc_channel
 
 
 def write_json(path, obj):
@@ -229,6 +231,13 @@ class TestInputErrors:
         assert code == 2 and "paper_example" in err
         assert not (tmp_path / "rec.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["classify", "probe"])
+    @pytest.mark.parametrize("flag, value", [("--strategy", "random_seeded"), ("--seed", "7")])
+    def test_paper_example_rejects_strategy_flags(self, capsys, command, flag, value):
+        code, out, err = run(capsys, command, "--paper-example", flag, value)
+        assert code == 2 and out == ""
+        assert flag in err
+
     def test_probe_requires_a_gate_source(self, capsys):
         code, _, err = run(capsys, "probe")
         assert code == 2 and "provide" in err
@@ -249,6 +258,18 @@ class TestProbeCommand:
         assert sigma["rows"] == 2
         ks = {r[3] for r in body if r[1] != "center"}
         assert ks == {"0"}
+
+    def test_center_row_is_the_channel_at_the_center(self, capsys):
+        gate, center = reference_gate(), reference_center()
+        rho_hat, sel = ctc_channel(gate, center)
+        code, out, _ = run(capsys, "probe", "--paper-example")
+        assert code == 0
+        _, row = list(csv.reader(out.splitlines()))[:2]
+        assert row[:3] == ["reference", "center", "0.0"]
+        assert int(row[3]) == fixed_point_set(gate, center).k == 1
+        assert float(row[4]) == sel.entropy
+        assert json.loads(row[5]) == sel.sigma.to_json()
+        assert json.loads(row[6]) == rho_hat.to_json()
 
     def test_stdout_when_no_out_flag(self, capsys):
         code, out, _ = run(capsys, "probe", "--paper-example", "--epsilons", "0.2,0.1")

@@ -207,10 +207,26 @@ class TestClassify:
         d1 = gate.dim1
         assert len(calls) == d1 * (1 + 2 * (d1 - 1) * len(DEFAULT_EPSILONS))
 
+    def test_only_direction_points_are_selected(self, monkeypatch):
+        # The 4 centers are solved but not selected (two of them have k > 0):
+        # 124 solves, 120 selections.
+        choose = discontinuity.select
+        calls = []
+
+        def counted(fps, rule=None):
+            calls.append(fps)
+            return choose(fps, rule)
+
+        monkeypatch.setattr(discontinuity, "select", counted)
+        cls = classify(reference_gate(), "vertex_pairs", max_refinements=0)
+        assert len(calls) == 4 * 2 * 3 * len(DEFAULT_EPSILONS)
+        assert sorted({p["center_k"] for p in cls.witness["paths"]}) == [0, 1]
+
     def test_eigvalsh_calls_of_one_classify(self, monkeypatch):
         # A solve decomposes its accepted candidate and that candidate's map
         # residual; a state keeps its spectrum, so neither its validation nor
-        # the entropy of a unique fixed state decomposes it again.
+        # the entropy of a unique fixed state decomposes it again.  Centers
+        # are not selected, so their k > 0 sets are not optimised.
         eigvalsh = np.linalg.eigvalsh
         calls = []
 
@@ -220,7 +236,7 @@ class TestClassify:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         classify(reference_gate(), "vertex_pairs", max_refinements=0)
-        assert len(calls) == 413
+        assert len(calls) == 411
 
     def test_each_limit_is_tested_for_membership_once(self, monkeypatch):
         # 60 paths test 2 limits each; they share 4 vertices x 6 directions.
@@ -260,6 +276,29 @@ class TestClassify:
         (path,) = cls.witness["paths"]
         assert [row["epsilon"] for row in path["rows"]] == pytest.approx(
             list(PAPER_EPSILONS) + [1e-3])
+
+    @pytest.mark.parametrize("entry", ["probe", "classify"])
+    def test_given_directions_build_each_state_once(self, entry):
+        # The check of a given family hands the states it built to the solve;
+        # a refined eps is built once too.
+        calls = []
+
+        def counted(direction):
+            def fam(e):
+                calls.append(e)
+                return direction(e)
+            return fam
+
+        family = PathFamily(reference_center(), counted(mixed_second_qubit),
+                            counted(mixed_first_qubit), "golden")
+        grid = list(PAPER_EPSILONS)
+        if entry == "probe":
+            probe(reference_gate(), family, PAPER_EPSILONS)
+        else:
+            classify(reference_gate(), families=[family], epsilons=PAPER_EPSILONS,
+                     jump_tol=0.3, max_refinements=1)
+            grid.append(min(PAPER_EPSILONS) / 10.0)
+        assert sorted(calls) == sorted(2 * grid)
 
     def test_verdict_independent_of_selection_rule_on_pinned_paths(self):
         for kind in ("max_entropy", "min_entropy"):

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from ctckit.states import (
-    BlochVector,
     DensityOperator,
     UnitaryGate,
     from_bloch,
-    to_bloch,
     trace_distance,
     von_neumann_entropy,
 )
@@ -200,17 +198,13 @@ def test_trace_distance():
 
 
 def test_bloch_round_trip():
-    v = BlochVector(0.3, -0.2, 0.4)
-    w = to_bloch(from_bloch(v))
-    assert (w.x, w.y, w.z) == pytest.approx((0.3, -0.2, 0.4), abs=1e-14)
-    assert v.norm == pytest.approx(np.sqrt(0.09 + 0.04 + 0.16))
+    # Tr(rho P) recovers each coordinate, for the Pauli matrices P = X, Y, Z.
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    m = from_bloch((0.3, -0.2, 0.4)).matrix
+    coords = [np.trace(m @ p) for p in paulis]
+    assert coords == pytest.approx([0.3, -0.2, 0.4], abs=1e-14)
 
 
 def test_from_bloch_rejects_outside_ball():
     with pytest.raises(ValueError):
         from_bloch((0.8, 0.8, 0.8))
-
-
-def test_to_bloch_requires_qubit():
-    with pytest.raises(ValueError):
-        to_bloch(DensityOperator.maximally_mixed(3))
