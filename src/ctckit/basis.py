@@ -43,6 +43,7 @@ class HermitianBasis:
         # Read-only stack ``(dim**2, dim, dim)``; ``traceless`` is its tail.
         self.elements = _gell_mann_elements(dim)
         self.traceless = self.elements[1:]
+        self._identity = np.eye(dim, dtype=complex)
 
     @property
     def n_traceless(self):
@@ -53,15 +54,16 @@ class HermitianBasis:
         return np.trace(m[..., None, :, :] @ self.traceless, axis1=-2, axis2=-1).real
 
     def from_traceless(self, x, trace=1.0):
-        """Hermitian matrix with the given traceless coordinates and trace."""
+        """Hermitian matrix with the given traceless coordinates and trace, or the
+        stack ``(..., dim, dim)`` of a coordinate stack ``(..., n_traceless)``."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_traceless,):
+        if x.shape[-1:] != (self.n_traceless,):
             raise ValueError(f"expected {self.n_traceless} coordinates, got {x.shape}")
-        terms = np.empty((self.n_traceless + 1, self.dim, self.dim), dtype=complex)
-        terms[0] = (trace / self.dim) * np.eye(self.dim, dtype=complex)
-        np.multiply(x[:, None, None], self.traceless, out=terms[1:])
-        # The outer-axis sum adds in order, bit for bit ``m = m + x_i * B_i``.
-        return terms.sum(axis=0)
+        terms = np.empty(x.shape[:-1] + (self.n_traceless + 1, self.dim, self.dim), dtype=complex)
+        terms[..., 0, :, :] = (trace / self.dim) * self._identity
+        np.multiply(x[..., None, None], self.traceless, out=terms[..., 1:, :, :])
+        # The sum over the term axis adds in order, bit for bit ``m = m + x_i * B_i``.
+        return terms.sum(axis=-3)
 
 
 @lru_cache(maxsize=None)

@@ -14,12 +14,16 @@ whose pseudoinverse refines candidates by a least-squares projection onto the
 affine solution subspace and serves :func:`membership` too.  Candidates come
 in one order: the refined origin (exact for the common trivial null space),
 then at every 64th step of Cesaro-averaged iteration the refined and the raw
-running mean.  The first within the inner tolerances is the particular
-solution, kept with the spectrum its check computed; failing that, the best
-by (negativity, residual) is accepted with a warning or raises.
+running mean.  They are checked as stacks, the origin alone and then blocks
+of 1, 2, 4, ... up to 64 checkpoints, so a block runs at most as many steps
+past the accepted checkpoint as the solve had run before it.  The first
+candidate within the inner tolerances is the particular solution, kept with
+the spectrum its check computed; failing that, the best by (negativity,
+residual) is accepted with a warning or raises.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +56,7 @@ MAX_ITERATIONS = 100_000
 _EIG_SLACK = 5e-13
 _EARLY_RESIDUAL = 1e-12
 _CHECK_EVERY = 64
+_MAX_BLOCK = 64  # most checkpoints in one candidate stack
 
 
 class SolverDiagnostic(RuntimeError):
@@ -164,6 +169,18 @@ def evolve_out(u, rho, sigma):
     return DensityOperator(_emit(u, rho.matrix[None], sigma.matrix[None])[0])
 
 
+@lru_cache(maxsize=None)
+def _solve_constants(d2):
+    """Read-only input stack ``[I/d2, B_1, ...]`` of the superoperator of a
+    ``d2``-dimensional loop, and the identity that ``M - I`` subtracts."""
+    inputs = np.concatenate([np.eye(d2, dtype=complex)[None] / d2,
+                             hermitian_basis(d2).traceless])
+    eye = np.eye(d2 * d2 - 1)
+    inputs.setflags(write=False)
+    eye.setflags(write=False)
+    return inputs, eye
+
+
 def build_superoperator(u, rho):
     """Induced map on the second factor as a real affine map.
 
@@ -174,18 +191,16 @@ def build_superoperator(u, rho):
     if rho.dim != u.dim1:
         raise ValueError(f"system dim {rho.dim} does not match gate dim1 {u.dim1}")
     d2 = u.dim2
-    b2 = hermitian_basis(d2)
-    inputs = np.concatenate([np.eye(d2, dtype=complex)[None] / d2, b2.traceless])
-    images = partial_trace_1(_interact(u, rho.matrix[None], inputs), u.dim1, d2)
-    coords = b2.traceless_coords(images)
+    images = partial_trace_1(_interact(u, rho.matrix[None], _solve_constants(d2)[0]), u.dim1, d2)
+    coords = hermitian_basis(d2).traceless_coords(images)
     return AffineMapReal(np.ascontiguousarray(coords[1:].T), coords[0])
 
 
 def _truncated_pinv(a):
     """SVD pieces of ``a`` plus its pseudoinverse with cutoff :data:`SV_TOL`."""
     u, s, vt = np.linalg.svd(a)
-    rank = int(np.sum(s > SV_TOL))
-    pinv = vt[:rank].T @ np.diag(1.0 / s[:rank]) @ u[:, :rank].T  # zeros at rank 0
+    rank = int((s > SV_TOL).sum())
+    pinv = (vt[:rank].T * (1.0 / s[:rank])) @ u[:, :rank].T  # zeros at rank 0
     return s, vt, rank, pinv
 
 
@@ -202,6 +217,15 @@ def _map_residual(aff, b2, x, m):
     return 0.5 * hermitian_trace_norm(b2.from_traceless(aff.apply(x)) - m)
 
 
+def _assess(aff, b2, xs):
+    """Matrices, spectra, minimum eigenvalues and :func:`_map_residual` of a
+    stack ``(N, n)`` of candidate coordinates, each bit for bit its own."""
+    images = (aff.linear @ xs[:, :, None])[:, :, 0] + aff.offset
+    mats = b2.from_traceless(np.stack((xs, images)))
+    spectra = np.linalg.eigvalsh(mats[0])
+    return mats[0], spectra, spectra.min(axis=-1), 0.5 * hermitian_trace_norm(mats[1] - mats[0])
+
+
 def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERATIONS):
     """Solve ``T(sigma) = sigma`` for the induced map of ``(u, rho)``.
 
@@ -209,14 +233,17 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
     candidate reaches ``residual_tol`` in trace distance (or fails PSD
     validation) within ``max_iterations`` Cesaro iterations.
     """
+    if max_iterations < 0 or max_iterations != int(max_iterations):
+        raise ValueError(f"max_iterations must be a non-negative integer, got {max_iterations}")
+    max_iterations = int(max_iterations)
     aff = build_superoperator(u, rho)
     d2 = u.dim2
     b2 = hermitian_basis(d2)
     n = b2.n_traceless
     warnings = []
 
-    a = aff.linear - np.eye(n)
-    c = aff.offset
+    linear, c = aff.linear, aff.offset
+    a = linear - _solve_constants(d2)[1]
     s, vt, rank, a_pinv = _truncated_pinv(a)
     k = n - rank
 
@@ -228,29 +255,47 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
 
     basis_mats = [b2.from_traceless(_canonical_sign(v), trace=0.0) for v in vt[rank:]]
 
-    def refine(y):
-        return y - a_pinv @ (a @ y + c)
+    def refine(ys):
+        """``y - a_pinv @ (a @ y + c)`` for each row of ``ys``."""
+        return ys - (a_pinv @ (a @ ys[:, :, None] + c[:, None]))[:, :, 0]
+
+    def blocks():
+        """``(iterations, xs)`` stacks of candidates in order.  The running mean
+        of the orbit of the maximally mixed state converges to a fixed state,
+        and refinement removes the remaining error transverse to the solution
+        subspace.  Each step stays one ``linear @ x + c`` and one mean update,
+        written into preallocated buffers: their rounding decides whether a
+        knife-edge solve raises."""
+        yield [0], refine(np.zeros((1, n)))
+        x, t, mean = np.zeros(n), np.empty(n), np.zeros(n)
+        dot, add, subtract, divide = np.dot, np.add, np.subtract, np.divide
+        i, size = 0, 1
+        while i < max_iterations:
+            means, steps = np.empty((size, n)), []
+            while len(steps) < size and i < max_iterations:
+                stop = min(i - i % _CHECK_EVERY + _CHECK_EVERY, max_iterations)
+                for i in range(i + 1, stop + 1):
+                    dot(linear, x, out=t)
+                    add(t, c, out=x)
+                    subtract(x, mean, out=t)
+                    divide(t, i, out=t)
+                    add(mean, t, out=mean)
+                means[len(steps)] = mean
+                steps.append(i)
+            means = means[:len(steps)]
+            xs = np.stack((refine(means), means), axis=1).reshape(-1, n)
+            yield np.repeat(steps, 2).tolist(), xs
+            size = min(2 * size, _MAX_BLOCK)
 
     def candidates():
-        """``(iterations, x)`` in order.  The running mean of the orbit of the
-        maximally mixed state converges to a fixed state, and refinement
-        removes the remaining error transverse to the solution subspace."""
-        yield 0, refine(np.zeros(n))
-        x = np.zeros(n)
-        mean = np.zeros(n)
-        for i in range(1, max_iterations + 1):
-            x = aff.linear @ x + c
-            mean += (x - mean) / i
-            if i % _CHECK_EVERY == 0 or i == max_iterations:
-                yield i, refine(mean)
-                yield i, mean.copy()
+        """``(iterations, x, m, evals, lo, td)`` of each candidate in order."""
+        for steps, xs in blocks():
+            mats, spectra, los, tds = _assess(aff, b2, xs)
+            for j, iterations in enumerate(steps):
+                yield iterations, xs[j], mats[j], spectra[j], float(los[j]), float(tds[j])
 
     best = None  # (key, x, m, evals, lo, td) of the best candidate so far
-    for iterations, x in candidates():
-        m = b2.from_traceless(x)
-        evals = np.linalg.eigvalsh(m)
-        lo = float(np.min(evals))
-        td = _map_residual(aff, b2, x, m)
+    for iterations, x, m, evals, lo, td in candidates():
         key = (max(0.0, -lo), td)
         if best is None or key < best[0]:
             best = key, x, m, evals, lo, td

@@ -55,7 +55,7 @@ def conjugate(u, m, permutation=None):
 def hermitian_trace_norm(m):
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix, or
     the array of norms of a stack ``(..., n, n)``."""
-    norms = np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+    norms = abs(np.linalg.eigvalsh(m)).sum(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
 

@@ -130,13 +130,16 @@ def _axis_directions(k):
     return np.concatenate((0.0 - eye, eye[::-1]))
 
 
+def _unique(fps):
+    """The state of a ``k == 0`` set, which every entropy rule selects."""
+    return SelectionResult(fps.particular, von_neumann_entropy(fps.particular), 0, True, 0.0)
+
+
 def _optimize(fps, rule, sense, start=None):
     """Gradient iteration on ``f = sense * entropy``; ``sense=+1`` maximizes."""
     k = fps.k
     if k == 0:
-        return SelectionResult(
-            fps.particular, von_neumann_entropy(fps.particular), 0, True, 0.0
-        )
+        return _unique(fps)
     particular = fps.particular.matrix
     stacked = np.stack(fps.basis)
     kicks = _axis_directions(k) if sense < 0 else ()
@@ -230,11 +233,13 @@ def _constant_index(fps, rule):
 def select(fps, rule=None):
     """Apply a selection rule to a fixed-point set."""
     rule = rule or SelectionRule("max_entropy")
+    if rule.kind == "constant_index":
+        return _constant_index(fps, rule)
+    if fps.k == 0:
+        return _unique(fps)
     if rule.kind == "max_entropy":
         return max_entropy_state(fps, rule)
-    if rule.kind == "min_entropy":
-        return min_entropy_state(fps, rule)
-    return _constant_index(fps, rule)
+    return min_entropy_state(fps, rule)
 
 
 def ctc_channel(u, rho, rule=None):

@@ -34,7 +34,7 @@ def _validated(m, ndim, evals=None):
         raise ValueError(f"density matrix must be square, got shape {m.shape[ndim - 2:]}")
     mh = m.swapaxes(-1, -2).conj()
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
-        hermitian = np.max(np.abs(m - mh)) <= HERM_TOL
+        hermitian = abs(m - mh).max() <= HERM_TOL
     if not hermitian:
         raise ValueError("density matrix has non-finite entries or is not Hermitian to 1e-12")
     tr = m.trace(axis1=-2, axis2=-1)
@@ -45,7 +45,7 @@ def _validated(m, ndim, evals=None):
     m = 0.5 * (m + mh)
     if evals is None:
         evals = np.linalg.eigvalsh(m)
-    lo = float(np.min(evals))
+    lo = float(evals.min())
     if lo < -PSD_TOL:
         raise ValueError(f"density matrix has eigenvalue {lo} below -1e-10")
     m.setflags(write=False)

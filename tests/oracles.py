@@ -138,9 +138,14 @@ def traceless_coords_loop(basis, m):
 
 
 def from_traceless_loop(basis, x, trace=1.0):
-    """``trace I / d + sum_i x_i B_i``, accumulated one term at a time."""
+    """``trace I / d + sum_i x_i B_i``, accumulated one term at a time; a
+    stack ``(..., n)`` of coordinates one row at a time."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        mats = [from_traceless_loop(basis, row, trace=trace) for row in x]
+        return np.array(mats).reshape(x.shape[:-1] + (basis.dim, basis.dim))
     m = (trace / basis.dim) * np.eye(basis.dim, dtype=complex)
-    for xi, b in zip(np.asarray(x, dtype=float), basis.traceless):
+    for xi, b in zip(x, basis.traceless):
         m = m + xi * b
     return m
 

@@ -70,3 +70,21 @@ def test_from_traceless_honors_trace_argument():
 
 def test_basis_cache_returns_same_object():
     assert hermitian_basis(3) is hermitian_basis(3)
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3)])
+@pytest.mark.parametrize("trace", [1.0, 0.0])
+def test_stacked_from_traceless_matches_one_row_at_a_time(shape, trace):
+    rng = np.random.default_rng(6)
+    b = hermitian_basis(3)
+    x = rng.normal(size=shape + (b.n_traceless,))
+    stack = b.from_traceless(x, trace=trace)
+    assert stack.shape == shape + (3, 3)
+    for idx in np.ndindex(*shape):
+        assert np.array_equal(stack[idx], b.from_traceless(x[idx], trace=trace))
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 7), (5, 9), (5, 4, 7), ()])
+def test_from_traceless_rejects_a_wrong_last_axis(shape):
+    with pytest.raises(ValueError, match="expected 8 coordinates"):
+        hermitian_basis(3).from_traceless(np.zeros(shape))

@@ -10,7 +10,8 @@ superoperator and every output of ``fixed_point_set`` must equal what the
 loop versions in ``oracles`` produce, on seeded permutation and Haar-random
 dense gates.  The solver also equals ``oracles.fixed_point_set_ref``, its
 form before its candidates became one loop, on the same inputs and on a
-(3, 3) solve that raises or, with a looser tolerance, accepts slowly.  The
+(3, 3) solve that raises or, with a looser tolerance, accepts slowly, and
+at step budgets on the edges of the solver's candidate stacks.  The
 same holds one level up: the stacked emission equals the ``np.kron``
 formula, and ``classify`` gives the witness digest of the per-path loop it
 replaced.
@@ -30,7 +31,7 @@ from ctckit.deutsch import (
     fixed_point_set,
 )
 from ctckit.discontinuity import classify, generate_probe_families
-from ctckit.reference import reference_gate
+from ctckit.reference import reference_center, reference_gate
 from ctckit.states import DensityOperator, UnitaryGate
 
 from oracles import (
@@ -55,6 +56,10 @@ CESARO_GATE = (3, 2, 8, 4, 1, 5, 6, 0, 7)
 CESARO_RHO = np.diag([0.999, 0.0, 0.001]).astype(complex)
 
 
+def _cesaro_input():
+    return UnitaryGate.from_permutation(3, 3, CESARO_GATE), DensityOperator(CESARO_RHO)
+
+
 def _cases(dim1, dim2):
     """Seeded ``(gate, rho)`` pairs: permutation gates with full-rank, pure
     and mixed diagonal inputs, and dense Haar-random gates."""
@@ -74,7 +79,7 @@ def _cases(dim1, dim2):
             rho = random_density(rng, dim1)
         out.append((gate, DensityOperator(rho)))
     if (dim1, dim2) == (3, 3):
-        out.append((UnitaryGate.from_permutation(3, 3, CESARO_GATE), DensityOperator(CESARO_RHO)))
+        out.append(_cesaro_input())
     return out
 
 
@@ -189,6 +194,61 @@ def test_slow_convergence_acceptance_matches_the_pre_rewrite_solver():
     assert new.residuals["iterations"] == 64
     assert new.warnings == [
         "slow convergence: accepted candidate with residual 1.649e-04 after 64 iterations"]
+
+
+# Step budgets at the edges of the candidate stacks: none, one step, around
+# the first checkpoints, and 65 checkpoints, where the doubling blocks
+# (1, 2, ..., 32) have run 63 and the next block stops at the budget.
+BLOCK_EDGES = [0, 1, 63, 64, 65, 127, 128, 129, 4160]
+
+
+@pytest.mark.parametrize("max_iterations", BLOCK_EDGES)
+@pytest.mark.parametrize("make_input", [_cesaro_input, _raising_input], ids=["cesaro", "raising"])
+def test_block_edges_match_the_pre_rewrite_solver(make_input, max_iterations):
+    gate, rho = make_input()
+    try:
+        ref = fixed_point_set_ref(gate, rho, max_iterations=max_iterations)
+    except SolverDiagnostic as exc:
+        with pytest.raises(SolverDiagnostic) as new:
+            fixed_point_set(gate, rho, max_iterations=max_iterations)
+        assert str(new.value) == str(exc)
+        return
+    new = fixed_point_set(gate, rho, max_iterations=max_iterations)
+    _assert_same_fixed_point_set(new, ref)
+
+
+@pytest.mark.parametrize("max_iterations", [-1, -64, 2.5, 64.5])
+@pytest.mark.parametrize("make_input", [lambda: (reference_gate(), reference_center()),
+                                        _raising_input], ids=["origin_passes", "raising"])
+def test_max_iterations_must_be_a_count(make_input, max_iterations):
+    # Unchecked, a negative count meant no step ("after 0 iterations"), and a
+    # fraction passed when the refined origin did and otherwise broke ``range``.
+    with pytest.raises(ValueError, match="max_iterations must be a non-negative integer"):
+        fixed_point_set(*make_input(), max_iterations=max_iterations)
+
+
+def test_raising_solve_checks_its_candidates_as_stacks(monkeypatch):
+    # 3,127 candidates: the refined origin alone, then 1,563 checkpoints (each
+    # a refined and a raw mean) in 30 blocks: 1, 2, ..., 32, then 23 of 64 and
+    # the last 28.  A stack is one ``from_traceless`` of its candidates and
+    # their images, and two ``eigvalsh``; one at a time it was 6,254 of each.
+    gate, rho = _raising_input()
+    counts = {"eigvalsh": 0, "from_traceless": 0}
+    eigvalsh, from_traceless = np.linalg.eigvalsh, HermitianBasis.from_traceless
+
+    def counted_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counted_from_traceless(*args, **kwargs):
+        counts["from_traceless"] += 1
+        return from_traceless(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(HermitianBasis, "from_traceless", counted_from_traceless)
+    with pytest.raises(SolverDiagnostic, match="after 100000 iterations"):
+        fixed_point_set(gate, rho)
+    assert counts == {"eigvalsh": 62, "from_traceless": 31}
 
 
 @pytest.mark.parametrize("dim1,dim2", DIMS)
