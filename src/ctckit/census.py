@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .discontinuity import DEFAULT_EPSILONS, JUMP_TOL, VERDICTS, classify
-from .discontinuity import _check_refinement, _check_strategy, _epsilon_grid
+from .discontinuity import _check_count, _check_refinement, _check_strategy, _epsilon_grid
 from .states import UnitaryGate
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
 
 EXHAUSTIVE_CAP = 40_320  # 8!
 _RUN_FIELDS = ("workers", "out_path", "exhaustive_cap")  # where and how, not what
+_COUNT_FIELDS = (
+    "dim1", "dim2", "sample_size", "seed", "max_refinements", "workers", "exhaustive_cap")
 
 
 class CensusFileError(Exception):
@@ -62,6 +64,9 @@ class CensusConfig:
     exhaustive_cap: int = EXHAUSTIVE_CAP
 
     def __post_init__(self):
+        for name in _COUNT_FIELDS:  # hashed as ints, as epsilons are as floats
+            _check_count(name, getattr(self, name))
+            setattr(self, name, int(getattr(self, name)))
         if self.dim1 < 1 or self.dim2 < 1:
             raise ValueError("factor dimensions must be positive")
         if self.mode not in ("exhaustive", "sample"):

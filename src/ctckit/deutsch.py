@@ -11,15 +11,16 @@ affine map ``x -> M x + c``.  Its fixed states form a non-empty compact convex
 set: a particular solution plus the span of the null space of ``M - I``,
 intersected with the PSD cone.  The solver factors ``M - I`` by one SVD,
 whose pseudoinverse refines candidates by a least-squares projection onto the
-affine solution subspace and serves :func:`membership` too.  Candidates come
-in one order: the refined origin (exact for the common trivial null space),
-then at every 64th step of Cesaro-averaged iteration the refined and the raw
-running mean.  They are checked as stacks, the origin alone and then blocks
-of 1, 2, 4, ... up to 64 checkpoints, so a block runs at most as many steps
-past the accepted checkpoint as the solve had run before it.  The first
-candidate within the inner tolerances is the particular solution, kept with
-the spectrum its check computed; failing that, the best by (negativity,
-residual) is accepted with a warning or raises.
+affine solution subspace and serves :func:`membership` too.  The refined
+origin, exact for the common trivial null space, is checked first, as a
+stack of one, and no Cesaro state is built when it passes.  Otherwise the
+fallback checks, at every 64th step of Cesaro-averaged iteration, the
+refined and then the raw running mean, in blocks of 1, 2, 4, ... up to 64
+checkpoints, so a block runs at most as many steps past the accepted
+checkpoint as the solve had run before it.  The first candidate within the
+inner tolerances is the particular solution, kept with the spectrum its
+check computed; failing that, the best by (negativity, residual) is accepted
+with a warning or raises.
 """
 
 from dataclasses import dataclass, field
@@ -226,47 +227,24 @@ def _assess(aff, b2, xs):
     return mats[0], spectra, spectra.min(axis=-1), 0.5 * hermitian_trace_norm(mats[1] - mats[0])
 
 
-def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERATIONS):
-    """Solve ``T(sigma) = sigma`` for the induced map of ``(u, rho)``.
+def _passes(candidate):
+    """Whether ``(iterations, x, m, evals, lo, td)`` meets the inner thresholds."""
+    lo, td = candidate[4:]
+    return lo >= -_EIG_SLACK and td <= _EARLY_RESIDUAL
 
-    Returns a :class:`FixedPointSet`; raises :class:`SolverDiagnostic` when no
-    candidate reaches ``residual_tol`` in trace distance (or fails PSD
-    validation) within ``max_iterations`` Cesaro iterations.
-    """
-    if max_iterations < 0 or max_iterations != int(max_iterations):
-        raise ValueError(f"max_iterations must be a non-negative integer, got {max_iterations}")
-    max_iterations = int(max_iterations)
-    aff = build_superoperator(u, rho)
-    d2 = u.dim2
-    b2 = hermitian_basis(d2)
-    n = b2.n_traceless
-    warnings = []
 
+def _cesaro_candidate(aff, b2, refine, origin, residual_tol, max_iterations, warnings):
+    """The candidate to accept once the refined ``origin`` has failed, in the
+    order the module docstring gives.  The running mean of the orbit of the
+    maximally mixed state converges to a fixed state, and ``refine`` removes
+    the remaining error transverse to the solution subspace.  Each step stays
+    one ``linear @ x + c`` and one mean update, written into preallocated
+    buffers: their rounding decides whether a knife-edge solve raises."""
     linear, c = aff.linear, aff.offset
-    a = linear - _solve_constants(d2)[1]
-    s, vt, rank, a_pinv = _truncated_pinv(a)
-    k = n - rank
-
-    gray = s[(s > SV_TOL / 10) & (s < SV_TOL * 10)]
-    if gray.size:
-        warnings.append(
-            f"singular values {gray.tolist()} lie within a decade of the cutoff {SV_TOL}"
-        )
-
-    basis_mats = [b2.from_traceless(_canonical_sign(v), trace=0.0) for v in vt[rank:]]
-
-    def refine(ys):
-        """``y - a_pinv @ (a @ y + c)`` for each row of ``ys``."""
-        return ys - (a_pinv @ (a @ ys[:, :, None] + c[:, None]))[:, :, 0]
+    n = c.shape[0]
 
     def blocks():
-        """``(iterations, xs)`` stacks of candidates in order.  The running mean
-        of the orbit of the maximally mixed state converges to a fixed state,
-        and refinement removes the remaining error transverse to the solution
-        subspace.  Each step stays one ``linear @ x + c`` and one mean update,
-        written into preallocated buffers: their rounding decides whether a
-        knife-edge solve raises."""
-        yield [0], refine(np.zeros((1, n)))
+        """``(iterations, xs)`` stacks of checkpoint candidates in order."""
         x, t, mean = np.zeros(n), np.empty(n), np.zeros(n)
         dot, add, subtract, divide = np.dot, np.add, np.subtract, np.divide
         i, size = 0, 1
@@ -287,31 +265,75 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
             yield np.repeat(steps, 2).tolist(), xs
             size = min(2 * size, _MAX_BLOCK)
 
-    def candidates():
-        """``(iterations, x, m, evals, lo, td)`` of each candidate in order."""
-        for steps, xs in blocks():
-            mats, spectra, los, tds = _assess(aff, b2, xs)
-            for j, iterations in enumerate(steps):
-                yield iterations, xs[j], mats[j], spectra[j], float(los[j]), float(tds[j])
+    def key(candidate):
+        return max(0.0, -candidate[4]), candidate[5]
 
-    best = None  # (key, x, m, evals, lo, td) of the best candidate so far
-    for iterations, x, m, evals, lo, td in candidates():
-        key = (max(0.0, -lo), td)
-        if best is None or key < best[0]:
-            best = key, x, m, evals, lo, td
-        if lo >= -_EIG_SLACK and td <= _EARLY_RESIDUAL:
-            break
-    else:
-        _, x, m, evals, lo, td = best
-        if lo < -1e-10 or td > residual_tol:
-            raise SolverDiagnostic(
-                f"no fixed-point candidate within tolerance after {iterations} "
-                f"iterations (min eigenvalue {lo:.3e}, residual {td:.3e})"
-            )
-        warnings.append(
-            f"slow convergence: accepted candidate with residual {td:.3e} "
-            f"after {iterations} iterations"
+    best = last = origin
+    for steps, xs in blocks():
+        mats, spectra, los, tds = _assess(aff, b2, xs)
+        for j, iterations in enumerate(steps):
+            last = iterations, xs[j], mats[j], spectra[j], float(los[j]), float(tds[j])
+            if _passes(last):
+                return last
+            if key(last) < key(best):
+                best = last
+    iterations = last[0]
+    _, x, m, evals, lo, td = best
+    if lo < -1e-10 or td > residual_tol:
+        raise SolverDiagnostic(
+            f"no fixed-point candidate within tolerance after {iterations} "
+            f"iterations (min eigenvalue {lo:.3e}, residual {td:.3e})"
         )
+    warnings.append(
+        f"slow convergence: accepted candidate with residual {td:.3e} "
+        f"after {iterations} iterations"
+    )
+    return iterations, x, m, evals, lo, td
+
+
+def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERATIONS):
+    """Solve ``T(sigma) = sigma`` for the induced map of ``(u, rho)``.
+
+    Returns a :class:`FixedPointSet`; raises :class:`SolverDiagnostic` when no
+    candidate reaches ``residual_tol`` in trace distance (or fails PSD
+    validation) within ``max_iterations`` Cesaro iterations.
+    """
+    if max_iterations < 0 or max_iterations != int(max_iterations):
+        raise ValueError(f"max_iterations must be a non-negative integer, got {max_iterations}")
+    max_iterations = int(max_iterations)
+    aff = build_superoperator(u, rho)
+    d2 = u.dim2
+    b2 = hermitian_basis(d2)
+    n = b2.n_traceless
+    warnings = []
+
+    c = aff.offset
+    a = aff.linear - _solve_constants(d2)[1]
+    s, vt, rank, a_pinv = _truncated_pinv(a)
+    k = n - rank
+
+    gray = s[(s > SV_TOL / 10) & (s < SV_TOL * 10)]
+    if gray.size:
+        warnings.append(
+            f"singular values {gray.tolist()} lie within a decade of the cutoff {SV_TOL}"
+        )
+
+    basis_mats = [b2.from_traceless(_canonical_sign(v), trace=0.0) for v in vt[rank:]]
+
+    def refine(ys):
+        """``y - a_pinv @ (a @ y + c)`` for each row of ``ys``."""
+        return ys - (a_pinv @ (a @ ys[:, :, None] + c[:, None]))[:, :, 0]
+
+    # The refined origin is exact for the common trivial null space; only when
+    # it fails does the Cesaro fallback build its orbit.
+    xs = refine(np.zeros((1, n)))
+    mats, spectra, los, tds = _assess(aff, b2, xs)
+    origin = 0, xs[0], mats[0], spectra[0], float(los[0]), float(tds[0])
+    if _passes(origin):
+        iterations, x, m, evals, lo, td = origin
+    else:
+        iterations, x, m, evals, lo, td = _cesaro_candidate(
+            aff, b2, refine, origin, residual_tol, max_iterations, warnings)
 
     if td > residual_tol:
         raise SolverDiagnostic(f"fixed-point residual {td:.3e} exceeds {residual_tol}")

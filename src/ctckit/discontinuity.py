@@ -25,11 +25,19 @@ on its own, and selects and emits the direction points only, all their
 states as one stack.  A verdict reads a center's fixed-point set, never a
 state selected from it.  :func:`classify` takes the running jumps of all its
 rows from one batched trace distance each.
+
+Generated states are built once per process.  :func:`generate_probe_families`
+returns new :class:`PathFamily` objects on every call, but their centers and
+direction states come from a bounded table keyed by value, ``(strategy, d1,
+seed)`` and then ``eps``, with read-only matrices, so the gates of a census
+share them.  Given families are never kept.
 """
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +70,8 @@ LIMIT_MEMBERSHIP_TOL = 0.05
 VERDICTS = ("continuous_witnessed_none", "ephemeral", "physical")
 STRATEGIES = ("paper_example", "vertex_pairs", "random_seeded")
 RANDOM_PATHS = 4
+_GENERATED_TABLES = 8  # (strategy, d1, seed) keys whose generated states are kept
+_EPS_PER_DIRECTION = 16  # states a generated direction keeps, one per eps
 ROW_COLUMNS = (
     "epsilon",
     "k_a",
@@ -130,12 +140,18 @@ def _epsilon_grid(epsilons):
     return eps
 
 
+def _check_count(name, value):
+    """Raise unless ``value`` is a non-negative integer; a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not value >= 0 or not float(value).is_integer()):
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+
+
 def _check_refinement(jump_tol, max_refinements):
     """Raise unless ``jump_tol`` is finite and positive and ``max_refinements`` a count."""
     if not 0.0 < float(jump_tol) < float("inf"):
         raise ValueError(f"jump_tol must be a finite positive number, got {jump_tol}")
-    if max_refinements < 0 or max_refinements != int(max_refinements):
-        raise ValueError(f"max_refinements must be a non-negative integer, got {max_refinements}")
+    _check_count("max_refinements", max_refinements)
 
 
 def _check_user_families(families, eps):
@@ -240,23 +256,34 @@ def generate_probe_families(u, strategy, seed=0):
     ``random_seeded``
         :data:`RANDOM_PATHS` seeded paths with Haar-random pure centers,
         each mixed toward two independent random pure states.
+
+    The families are new on every call, but their states are built once per
+    process (see :func:`_generated_paths`).
     """
     _check_strategy(strategy, u.dim1, u.dim2)
+    _check_count("seed", seed)
+    return [PathFamily(*path) for path in _generated_paths(strategy, u.dim1, int(seed))]
+
+
+def _shared(direction):
+    """``direction`` with the state of each ``eps`` built once and kept."""
+    return lru_cache(maxsize=_EPS_PER_DIRECTION)(direction)
+
+
+@lru_cache(maxsize=_GENERATED_TABLES)
+def _generated_paths(strategy, d1, seed):
+    """``(center, family_a, family_b, label)`` of each family that ``strategy``
+    generates on first-factor dimension ``d1``.  The table is keyed by value
+    and bounded: centers are built once and each direction keeps its states,
+    whose matrices are read-only, so every gate of a census shares them."""
     if strategy == "paper_example":
-        return [
-            PathFamily(
-                center=reference_center(),
-                family_a=mixed_second_qubit,
-                family_b=mixed_first_qubit,
-                label="reference",
-            )
-        ]
+        return ((reference_center(), _shared(mixed_second_qubit),
+                 _shared(mixed_first_qubit), "reference"),)
     if strategy == "vertex_pairs":
-        d1 = u.dim1
 
         def mix_family(center, w):
             other = DensityOperator.basis_state(d1, w)
-            return lambda e: _mix_toward(center, other, e)
+            return _shared(lambda e: _mix_toward(center, other, e))
 
         def sup_family(v, w):
             def fam(e):
@@ -265,9 +292,9 @@ def generate_probe_families(u, strategy, seed=0):
                 amps[w] = np.sqrt(e)
                 return DensityOperator.pure(amps)
 
-            return fam
+            return _shared(fam)
 
-        families = []
+        paths = []
         for v in range(d1):
             center = DensityOperator.basis_state(d1, v)
             directions = []
@@ -278,20 +305,18 @@ def generate_probe_families(u, strategy, seed=0):
                 directions.append((f"sup{w}", sup_family(v, w)))
             for i, (name_a, fam_a) in enumerate(directions):
                 for name_b, fam_b in directions[i + 1:]:
-                    families.append(
-                        PathFamily(center, fam_a, fam_b, label=f"vertex{v}:{name_a}|{name_b}")
-                    )
-        return families
+                    paths.append((center, fam_a, fam_b, f"vertex{v}:{name_a}|{name_b}"))
+        return tuple(paths)
     rng = np.random.default_rng(seed)
-    families = []
+    paths = []
     for i in range(RANDOM_PATHS):
-        center = DensityOperator.pure(_haar_pure(u.dim1, rng))
-        other_a = DensityOperator.pure(_haar_pure(u.dim1, rng))
-        other_b = DensityOperator.pure(_haar_pure(u.dim1, rng))
-        fam_a = lambda e, c=center, o=other_a: _mix_toward(c, o, e)
-        fam_b = lambda e, c=center, o=other_b: _mix_toward(c, o, e)
-        families.append(PathFamily(center, fam_a, fam_b, label=f"random{i}"))
-    return families
+        center = DensityOperator.pure(_haar_pure(d1, rng))
+        other_a = DensityOperator.pure(_haar_pure(d1, rng))
+        other_b = DensityOperator.pure(_haar_pure(d1, rng))
+        fam_a = _shared(lambda e, c=center, o=other_a: _mix_toward(c, o, e))
+        fam_b = _shared(lambda e, c=center, o=other_b: _mix_toward(c, o, e))
+        paths.append((center, fam_a, fam_b, f"random{i}"))
+    return tuple(paths)
 
 
 @dataclass

@@ -4,6 +4,8 @@ Composite indices follow the row-major convention: basis state ``|i, a>`` of
 ``H1 (x) H2`` lives at flat index ``i * dim2 + a``, matching ``numpy.kron``.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -47,9 +49,18 @@ def conjugate(u, m, permutation=None):
     matrix products.
     """
     if permutation is not None:
-        inv = np.argsort(np.asarray(permutation))
-        return np.asarray(m)[..., inv[:, None], inv]
+        rows, cols = _inverse_permutation(tuple(permutation))
+        return np.asarray(m)[..., rows, cols]
     return u @ m @ dagger(u)
+
+
+@lru_cache(maxsize=64)
+def _inverse_permutation(images):
+    """Read-only gather indices ``(inv[:, None], inv)`` of the inverse of
+    ``images``, kept by value, so the conjugations of one gate invert it once."""
+    inv = np.argsort(np.asarray(images))
+    inv.setflags(write=False)
+    return inv[:, None], inv
 
 
 def hermitian_trace_norm(m):

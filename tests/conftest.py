@@ -1,3 +1,15 @@
+import pytest
+
+from ctckit import discontinuity
+
+
+@pytest.fixture
+def empty_probe_table():
+    """Empty the process-wide table of generated probe states, so a count that
+    includes building them reads the same whatever ran before."""
+    discontinuity._generated_paths.cache_clear()
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance verdict lines after capture ends.
 

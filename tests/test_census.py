@@ -72,6 +72,35 @@ class TestConfig:
             run_census(small_config(tmp_path, **overrides))
         assert not (tmp_path / "c.jsonl").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        dict(mode="sample", sample_size=2.5),
+        dict(mode="sample", sample_size=True),
+        dict(sample_size=0.5),
+        dict(workers=1.5),
+        dict(workers=True),
+        dict(dim2=True),
+        dict(seed=True),
+        dict(seed=-1),
+        dict(max_refinements=True),
+        dict(max_refinements=0.5),
+        dict(seed=None),
+        dict(workers="2"),
+    ], ids=["sample-size-2.5", "sample-size-true", "exhaustive-sample-size-0.5", "workers-1.5",
+            "workers-true", "dim2-true", "seed-true", "seed-negative", "max-refinements-true",
+            "max-refinements-0.5", "seed-none", "workers-string"])
+    def test_rejects_non_integral_counts_before_writing(self, tmp_path, overrides):
+        # Each would be hashed as given: 2.5 gates enumerate 3, True hashes "true".
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            run_census(small_config(tmp_path, **overrides))
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_integral_counts_hash_as_ints(self):
+        a = CensusConfig(4, 2, mode="sample", sample_size=10, seed=3, max_refinements=1)
+        b = CensusConfig(4.0, 2.0, mode="sample", sample_size=10.0, seed=np.int64(3),
+                         max_refinements=1.0, workers=2.0)
+        assert b.config_hash() == a.config_hash()
+        assert (b.sample_size, b.workers) == (10, 2) and type(b.seed) is int
+
     def test_hash_ignores_execution_fields(self):
         a = CensusConfig(4, 2, mode="sample", sample_size=10)
         b = CensusConfig(4, 2, mode="sample", sample_size=10, workers=8,

@@ -4,7 +4,8 @@ membership checks, and agreement with a slow iterate-and-average oracle."""
 import numpy as np
 import pytest
 
-from ctckit.basis import hermitian_basis
+from ctckit import deutsch
+from ctckit.basis import HermitianBasis, hermitian_basis
 from ctckit.deutsch import (
     build_superoperator,
     deutsch_map,
@@ -126,6 +127,33 @@ def test_swap_gate_copies_system_onto_loop():
     fps = fixed_point_set(u, rho)
     assert fps.k == 0
     assert trace_distance(fps.particular.matrix, rho.matrix) < 1e-10
+
+
+def test_accepted_origin_builds_no_cesaro_state(monkeypatch):
+    # A unique fixed state is exact at the refined origin: one stacked check
+    # (one from_traceless, the spectrum and the map residual), and the
+    # Cesaro fallback is never entered.
+    u, rho = reference_gate(), mixed_first_qubit(0.1)
+    counts = {"eigvalsh": 0, "from_traceless": 0}
+    eigvalsh, from_traceless = np.linalg.eigvalsh, HermitianBasis.from_traceless
+
+    def counted_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counted_from_traceless(*args, **kwargs):
+        counts["from_traceless"] += 1
+        return from_traceless(*args, **kwargs)
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the Cesaro fallback ran for an accepted origin")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(HermitianBasis, "from_traceless", counted_from_traceless)
+    monkeypatch.setattr(deutsch, "_cesaro_candidate", no_fallback)
+    fps = fixed_point_set(u, rho)
+    assert fps.k == 0 and fps.residuals["iterations"] == 0
+    assert counts == {"eigvalsh": 2, "from_traceless": 1}
 
 
 def test_fixed_point_is_actually_fixed():

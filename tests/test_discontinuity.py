@@ -27,7 +27,7 @@ from ctckit.reference import (
     reference_gate,
 )
 from ctckit.selection import SelectionRule
-from ctckit.states import UnitaryGate, trace_distance
+from ctckit.states import DensityOperator, UnitaryGate, trace_distance
 
 
 def paper_family():
@@ -164,9 +164,41 @@ class TestGenerateFamilies:
         for fa, fb in zip(a, b):
             assert trace_distance(fa.center.matrix, fb.center.matrix) < 1e-15
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, None, [1, 2]])
+    def test_rejects_a_seed_that_is_not_a_count(self, seed):
+        # Generated states are kept by seed, so a seed must be a value key.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            generate_probe_families(reference_gate(), "vertex_pairs", seed=seed)
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             generate_probe_families(reference_gate(), "exhaustive")
+
+    @pytest.mark.parametrize("strategy", ["paper_example", "vertex_pairs", "random_seeded"])
+    def test_generated_states_are_shared_and_read_only(self, strategy):
+        a = generate_probe_families(reference_gate(), strategy, seed=3)
+        b = generate_probe_families(reference_gate(), strategy, seed=3)
+        states = []
+        for fa, fb in zip(a, b):
+            assert fa is not fb and fa.center is fb.center
+            for eps in DEFAULT_EPSILONS:
+                assert fa.family_a(eps) is fb.family_a(eps)
+                states += [fa.family_a(eps), fa.family_b(eps)]
+            states.append(fa.center)
+        for state in states:
+            assert state.matrix.flags.writeable is False
+            assert state.eigenvalues.flags.writeable is False
+
+    def test_mutating_a_returned_family_leaves_the_next_call_alone(self):
+        before = classify(reference_gate(), "vertex_pairs").witness_digest()
+        fams = generate_probe_families(reference_gate(), "vertex_pairs")
+        center, family_a = fams[0].center, fams[0].family_a
+        for fam in fams:
+            fam.center, fam.family_a, fam.label = fam.family_b(0.5), fam.family_b, "moved"
+        again = generate_probe_families(reference_gate(), "vertex_pairs")
+        assert (again[0].center, again[0].family_a) == (center, family_a)
+        assert again[0].label == "vertex0:mix1|sup1"
+        assert classify(reference_gate(), "vertex_pairs").witness_digest() == before
 
     def test_vertex_pairs_need_two_vertices(self):
         with pytest.raises(ValueError, match="vertex_pairs paths need dim1 >= 2"):
@@ -222,11 +254,13 @@ class TestClassify:
         assert len(calls) == 4 * 2 * 3 * len(DEFAULT_EPSILONS)
         assert sorted({p["center_k"] for p in cls.witness["paths"]}) == [0, 1]
 
-    def test_eigvalsh_calls_of_one_classify(self, monkeypatch):
+    def test_eigvalsh_calls_of_one_classify(self, empty_probe_table, monkeypatch):
         # A solve decomposes its accepted candidate and that candidate's map
         # residual; a state keeps its spectrum, so neither its validation nor
         # the entropy of a unique fixed state decomposes it again.  Centers
-        # are not selected, so their k > 0 sets are not optimised.
+        # are not selected, so their k > 0 sets are not optimised.  The first
+        # call also validates the 136 generated states (4 centers, 12 other
+        # vertices, 120 direction points), which later calls share.
         eigvalsh = np.linalg.eigvalsh
         calls = []
 
@@ -235,8 +269,43 @@ class TestClassify:
             return eigvalsh(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            classify(reference_gate(), "vertex_pairs", max_refinements=0)
+            counts.append(len(calls))
+        assert counts == [411, 275]
+
+    def test_second_gate_builds_no_generated_state(self, monkeypatch):
         classify(reference_gate(), "vertex_pairs", max_refinements=0)
-        assert len(calls) == 411
+        built, solves, selections = [], [], []
+        pure, mix_toward = DensityOperator.pure.__func__, discontinuity._mix_toward
+        solve, choose = discontinuity.fixed_point_set, discontinuity.select
+
+        def counted_pure(cls, amplitudes):
+            built.append(amplitudes)
+            return pure(cls, amplitudes)
+
+        def counted_mix(center, other, eps):
+            built.append(eps)
+            return mix_toward(center, other, eps)
+
+        def counted_solve(u, rho):
+            solves.append(rho)
+            return solve(u, rho)
+
+        def counted_select(fps, rule=None):
+            selections.append(fps)
+            return choose(fps, rule)
+
+        monkeypatch.setattr(DensityOperator, "pure", classmethod(counted_pure))
+        monkeypatch.setattr(discontinuity, "_mix_toward", counted_mix)
+        monkeypatch.setattr(discontinuity, "fixed_point_set", counted_solve)
+        monkeypatch.setattr(discontinuity, "select", counted_select)
+        classify(UnitaryGate.from_permutation(4, 2, (3, 4, 2, 7, 6, 1, 5, 0)), "vertex_pairs",
+                 max_refinements=0)
+        assert built == []
+        assert (len(solves), len(selections)) == (124, 120)
 
     def test_each_limit_is_tested_for_membership_once(self, monkeypatch):
         # 60 paths test 2 limits each; they share 4 vertices x 6 directions.
