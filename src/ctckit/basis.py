@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .states import _check_count
+
 __all__ = ["HermitianBasis", "hermitian_basis"]
 
 
@@ -37,9 +39,7 @@ class HermitianBasis:
     """Coordinate charts between Hermitian matrices and real vectors."""
 
     def __init__(self, dim):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = dim
+        self.dim = dim = _check_count("dim", dim, 1)
         # Read-only stack ``(dim**2, dim, dim)``; ``traceless`` is its tail.
         self.elements = _gell_mann_elements(dim)
         self.traceless = self.elements[1:]

@@ -21,13 +21,13 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .discontinuity import DEFAULT_EPSILONS, JUMP_TOL, VERDICTS, classify
-from .discontinuity import _check_count, _check_refinement, _check_strategy, _epsilon_grid
-from .states import UnitaryGate
+from .discontinuity import _check_refinement, _check_strategy, _epsilon_grid
+from .states import UnitaryGate, _check_count
 
 __all__ = [
     "CensusConfig",
@@ -40,8 +40,8 @@ __all__ = [
 
 EXHAUSTIVE_CAP = 40_320  # 8!
 _RUN_FIELDS = ("workers", "out_path", "exhaustive_cap")  # where and how, not what
-_COUNT_FIELDS = (
-    "dim1", "dim2", "sample_size", "seed", "max_refinements", "workers", "exhaustive_cap")
+_COUNT_FLOORS = {"dim1": 1, "dim2": 1, "sample_size": 0, "seed": 0, "max_refinements": 0,
+                 "workers": 1, "exhaustive_cap": 0}
 
 
 class CensusFileError(Exception):
@@ -64,11 +64,8 @@ class CensusConfig:
     exhaustive_cap: int = EXHAUSTIVE_CAP
 
     def __post_init__(self):
-        for name in _COUNT_FIELDS:  # hashed as ints, as epsilons are as floats
-            _check_count(name, getattr(self, name))
-            setattr(self, name, int(getattr(self, name)))
-        if self.dim1 < 1 or self.dim2 < 1:
-            raise ValueError("factor dimensions must be positive")
+        for name, floor in _COUNT_FLOORS.items():  # hashed as ints, as epsilons are as floats
+            setattr(self, name, _check_count(name, getattr(self, name), floor))
         if self.mode not in ("exhaustive", "sample"):
             raise ValueError(f"unknown census mode {self.mode!r}")
         total = math.factorial(self.dim1 * self.dim2)
@@ -78,12 +75,9 @@ class CensusConfig:
                 f"{self.exhaustive_cap}; use sample mode"
             )
         if self.mode == "sample":
-            if self.sample_size < 1:
-                raise ValueError("sample mode needs sample_size >= 1")
+            _check_count("sample_size", self.sample_size, 1)
             if self.sample_size > total:
                 raise ValueError(f"sample_size {self.sample_size} exceeds {total} gates")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         self.epsilons = tuple(float(e) for e in self.epsilons)
         _epsilon_grid(self.epsilons)
         _check_refinement(self.jump_tol, self.max_refinements)
@@ -120,7 +114,7 @@ class CensusRecord:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            permutation=tuple(int(i) for i in obj["permutation"]),
+            permutation=tuple(_check_count("permutation entry", i) for i in obj["permutation"]),
             verdict=str(obj["verdict"]),
             sigma_jump=float(obj["sigma_jump"]),
             rho_hat_jump=float(obj["rho_hat_jump"]),
@@ -135,7 +129,7 @@ class CensusSummary:
     fraction_physical: float
     fraction_ephemeral_or_physical: float
     fraction_continuous_witnessed_none: float
-    counts: dict = field(default_factory=dict)
+    counts: dict
 
     def to_json(self):
         return asdict(self)

@@ -369,16 +369,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CLIInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CensusFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SolverDiagnostic as exc:
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (CLIInputError, CensusFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ check computed; failing that, the best by (negativity, residual) is accepted
 with a warning or raises.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from .basis import hermitian_basis
 from .linalg import (
     conjugate, hermitian_trace_norm, matrix_to_json, partial_trace_1, partial_trace_2)
-from .states import DensityOperator, _validated
+from .states import PSD_TOL, DensityOperator, _check_count, _validated
 
 __all__ = [
     "SV_TOL",
@@ -121,8 +121,8 @@ class FixedPointSet:
     affine: AffineMapReal
     affine_gap: np.ndarray  # ``linear - I``, the matrix the solve factored
     affine_pinv: np.ndarray  # its pseudoinverse at cutoff SV_TOL
-    residuals: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
+    residuals: dict
+    warnings: list
 
     def state_at(self, coeffs):
         """State ``particular + sum_i coeffs[i] basis[i]``; raises if not PSD."""
@@ -279,7 +279,7 @@ def _cesaro_candidate(aff, b2, refine, origin, residual_tol, max_iterations, war
                 best = last
     iterations = last[0]
     _, x, m, evals, lo, td = best
-    if lo < -1e-10 or td > residual_tol:
+    if lo < -PSD_TOL or td > residual_tol:
         raise SolverDiagnostic(
             f"no fixed-point candidate within tolerance after {iterations} "
             f"iterations (min eigenvalue {lo:.3e}, residual {td:.3e})"
@@ -298,9 +298,7 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
     candidate reaches ``residual_tol`` in trace distance (or fails PSD
     validation) within ``max_iterations`` Cesaro iterations.
     """
-    if max_iterations < 0 or max_iterations != int(max_iterations):
-        raise ValueError(f"max_iterations must be a non-negative integer, got {max_iterations}")
-    max_iterations = int(max_iterations)
+    max_iterations = _check_count("max_iterations", max_iterations)
     aff = build_superoperator(u, rho)
     d2 = u.dim2
     b2 = hermitian_basis(d2)

@@ -35,8 +35,7 @@ share them.  Given families are never kept.
 
 import hashlib
 import json
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,7 +43,7 @@ import numpy as np
 from .deutsch import SolverDiagnostic, _emit, fixed_point_set, membership
 from .reference import mixed_first_qubit, mixed_second_qubit, reference_center
 from .selection import select
-from .states import DensityOperator, trace_distance
+from .states import DensityOperator, _check_count, trace_distance
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -104,11 +103,11 @@ class ProbeRecord:
 
     direction: str
     epsilon: float
-    k: int = None
-    sigma: DensityOperator = None
-    entropy: float = None
-    rho_hat: DensityOperator = None
-    error: str = None
+    k: int
+    sigma: DensityOperator
+    entropy: float
+    rho_hat: DensityOperator
+    error: str
 
 
 @dataclass
@@ -117,7 +116,7 @@ class ProbeResult:
 
     label: str
     center_fps: object
-    records: list = field(default_factory=list)
+    records: list
 
     def pairs(self):
         """Per-eps ``(eps, record_a, record_b)`` rows, coarse to fine."""
@@ -138,13 +137,6 @@ def _epsilon_grid(epsilons):
     if len(eps) < 2 or not all(0.0 < e <= 1.0 for e in eps):
         raise ValueError(f"epsilons must hold at least two distinct values in (0, 1], got {eps}")
     return eps
-
-
-def _check_count(name, value):
-    """Raise unless ``value`` is a non-negative integer; a bool is not one."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not value >= 0 or not float(value).is_integer()):
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
 def _check_refinement(jump_tol, max_refinements):
@@ -261,8 +253,8 @@ def generate_probe_families(u, strategy, seed=0):
     process (see :func:`_generated_paths`).
     """
     _check_strategy(strategy, u.dim1, u.dim2)
-    _check_count("seed", seed)
-    return [PathFamily(*path) for path in _generated_paths(strategy, u.dim1, int(seed))]
+    seed = _check_count("seed", seed)
+    return [PathFamily(*path) for path in _generated_paths(strategy, u.dim1, seed)]
 
 
 def _shared(direction):

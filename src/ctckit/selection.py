@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .deutsch import fixed_point_set, evolve_out
-from .states import DensityOperator, _spectrum_entropy, von_neumann_entropy
+from .states import DensityOperator, _check_count, _spectrum_entropy, von_neumann_entropy
 
 __all__ = [
     "RULE_KINDS",
@@ -60,8 +60,7 @@ class SelectionRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown selection rule {self.kind!r}; expected one of {RULE_KINDS}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        self.max_iters = _check_count("max_iters", self.max_iters, 1)
         self.coordinates = tuple(float(c) for c in self.coordinates)
 
 

@@ -6,7 +6,14 @@ the smallest eigenvalue.  The Hermiticity and unitarity checks are written so
 that a NaN fails them, which rejects every non-finite entry before the other
 checks run; the NaN that an infinite entry produces raises no floating-point
 warning.
+
+The package's two input rules live here: :func:`_check_count` decides what
+a count is everywhere (an integral real, not a bool, at least a floor; ``2.0``
+reads as 2), and :func:`_permutation_matrix` checks a permutation before any
+matrix is built from it.
 """
+
+import numbers
 
 import numpy as np
 
@@ -24,6 +31,28 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 UNITARY_TOL = 1e-12
+
+
+def _check_count(name, value, floor=0):
+    """``value`` as an ``int``; raises unless it is an integer of at least ``floor``
+    (a bool is not one).  An exact ``int`` skips the slower ``numbers.Real`` test."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                                   or not float(value).is_integer()) or not value >= 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    if value < floor:
+        raise ValueError(f"{name} must be at least {floor}")
+    return int(value)
+
+
+def _permutation_matrix(images, d):
+    """``(tuple of ints, 0/1 matrix with m[images[j], j] == 1)`` of ``images``;
+    raises before building the matrix unless it permutes ``0..d-1``."""
+    p = tuple(_check_count("permutation entry", j) for j in images)
+    if sorted(p) != list(range(d)):
+        raise ValueError(f"{list(p)} is not a permutation of 0..{d - 1}")
+    m = np.zeros((d, d), dtype=complex)
+    m[p, range(d)] = 1.0
+    return p, m
 
 
 def _validated(m, ndim, evals=None):
@@ -126,25 +155,19 @@ class UnitaryGate:
     """
 
     def __init__(self, matrix, dim1, dim2, permutation=None):
-        m = np.asarray(matrix, dtype=complex)
+        dim1, dim2 = _check_count("dim1", dim1, 1), _check_count("dim2", dim2, 1)
         d = dim1 * dim2
-        if dim1 < 1 or dim2 < 1:
-            raise ValueError("factor dimensions must be positive")
+        if permutation is not None:
+            permutation, expected = _permutation_matrix(permutation, d)
+        m = np.asarray(matrix, dtype=complex)
         if m.shape != (d, d):
             raise ValueError(f"gate shape {m.shape} incompatible with dims ({dim1}, {dim2})")
         with np.errstate(invalid="ignore"):
             unitary = np.max(np.abs(m @ dagger(m) - np.eye(d))) <= UNITARY_TOL
         if not unitary:
             raise ValueError("gate has non-finite entries or is not unitary to 1e-12")
-        if permutation is not None:
-            p = [int(j) for j in permutation]
-            if sorted(p) != list(range(d)):
-                raise ValueError(f"{p} is not a permutation of 0..{d - 1}")
-            expected = np.zeros((d, d), dtype=complex)
-            expected[p, range(d)] = 1.0
-            if not np.array_equal(m, expected):
-                raise ValueError("matrix does not equal the stated permutation matrix")
-            permutation = tuple(p)
+        if permutation is not None and not np.array_equal(m, expected):
+            raise ValueError("matrix does not equal the stated permutation matrix")
         self.matrix = m
         self.matrix.setflags(write=False)
         self.dim1 = dim1
@@ -158,10 +181,9 @@ class UnitaryGate:
     @classmethod
     def from_permutation(cls, dim1, dim2, images):
         """Basis-permutation gate sending ``|j>`` to ``|images[j]>``."""
-        d = dim1 * dim2
-        m = np.zeros((d, d), dtype=complex)
-        m[list(images), range(d)] = 1.0
-        return cls(m, dim1, dim2, permutation=images)
+        d = _check_count("dim1", dim1, 1) * _check_count("dim2", dim2, 1)
+        p, m = _permutation_matrix(images, d)
+        return cls(m, dim1, dim2, permutation=p)
 
     @classmethod
     def identity(cls, dim1, dim2):
@@ -178,8 +200,8 @@ class UnitaryGate:
     @classmethod
     def from_json(cls, obj):
         try:
-            dim1, dim2 = int(obj["dim1"]), int(obj["dim2"])
-        except (KeyError, TypeError, ValueError) as exc:
+            dim1, dim2 = obj["dim1"], obj["dim2"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed gate object: {exc}") from exc
         if "perm" in obj:
             return cls.from_permutation(dim1, dim2, obj["perm"])

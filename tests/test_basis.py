@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctckit.basis import hermitian_basis
+from ctckit.basis import HermitianBasis, hermitian_basis
 from ctckit.linalg import dagger
 
 from oracles import random_density
@@ -66,6 +66,19 @@ def test_from_traceless_honors_trace_argument():
     b = hermitian_basis(2)
     m = b.from_traceless(np.zeros(3), trace=0.0)
     np.testing.assert_allclose(m, np.zeros((2, 2)), atol=0)
+
+
+@pytest.mark.parametrize("dim, message", [
+    (0, "dim must be at least 1"), (True, "non-negative integer"), (2.5, "non-negative integer")],
+    ids=["0", "true", "2.5"])
+def test_dimension_follows_the_count_rule(dim, message):
+    with pytest.raises(ValueError, match=message):
+        HermitianBasis(dim)
+
+
+def test_integral_float_dimension_reads_as_an_int():
+    basis = HermitianBasis(3.0)
+    assert type(basis.dim) is int and basis.elements.shape == (9, 3, 3)
 
 
 def test_basis_cache_returns_same_object():

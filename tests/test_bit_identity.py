@@ -217,12 +217,13 @@ def test_block_edges_match_the_pre_rewrite_solver(make_input, max_iterations):
     _assert_same_fixed_point_set(new, ref)
 
 
-@pytest.mark.parametrize("max_iterations", [-1, -64, 2.5, 64.5])
+@pytest.mark.parametrize("max_iterations", [-1, -64, 2.5, 64.5, True, False, float("nan"), "64"])
 @pytest.mark.parametrize("make_input", [lambda: (reference_gate(), reference_center()),
                                         _raising_input], ids=["origin_passes", "raising"])
 def test_max_iterations_must_be_a_count(make_input, max_iterations):
     # Unchecked, a negative count meant no step ("after 0 iterations"), and a
-    # fraction passed when the refined origin did and otherwise broke ``range``.
+    # fraction passed when the refined origin did and otherwise broke ``range``;
+    # a bool is not a count, and NaN or a string is not a number of steps.
     with pytest.raises(ValueError, match="max_iterations must be a non-negative integer"):
         fixed_point_set(*make_input(), max_iterations=max_iterations)
 

@@ -282,6 +282,17 @@ class TestSummarize:
         with pytest.raises(CensusFileError, match="line 4"):
             summarize(cfg.out_path)
 
+    @pytest.mark.parametrize("perm", [[0.5, 1], [True, 0]], ids=["fraction", "bool"])
+    def test_permutation_entries_follow_the_count_rule(self, tmp_path, perm):
+        # ``int()`` would read either record as a gate of the census.
+        cfg = small_config(tmp_path, dim1=2, dim2=1)
+        run_census(cfg)
+        rec = dict(CensusRecord((0, 1), "physical", 0.0, 0.0, 0.0, "x").to_json(),
+                   permutation=perm)
+        open(cfg.out_path, "a").write(json.dumps(rec) + "\n")
+        with pytest.raises(CensusFileError, match="line 4: corrupt record.*permutation entry"):
+            summarize(cfg.out_path)
+
 
 def test_solver_diagnostic_still_writes_the_gate_record(tmp_path, monkeypatch):
     def records(cfg):

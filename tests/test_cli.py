@@ -5,6 +5,7 @@ Exit code contract: 0 success, 2 input error, 3 numerical diagnostic.
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ class TestFixedPoints:
                            "--out", str(dest))
         assert code == 0
         assert json.loads(dest.read_text()) == json.loads(out)
+
+    def test_gray_zone_warning_reaches_the_report(self, capsys, tmp_path):
+        # sigma_min(M - I) is 8.66e-9 here, within a decade of the 1e-9 cutoff.
+        scen = write_json(tmp_path / "g.json", {
+            "gate": {"dim1": 3, "dim2": 3, "perm": [6, 3, 4, 8, 1, 7, 0, 2, 5]},
+            "rho": {"rows": 3, "cols": 3, "re": [1e-4, 0, 0, 0, 0, 0, 0, 0, 1 - 1e-4],
+                    "im": [0] * 9},
+        })
+        code, out, _ = run(capsys, "fixed-points", "--scenario", scen)
+        assert code == 0
+        warnings = json.loads(out)["warnings"]
+        assert len(warnings) == 1
+        assert re.match(r"^singular values \[8\.66\d*e-09\] lie within a decade "
+                        r"of the cutoff 1e-09$", warnings[0])
 
 
 class TestEvolve:
@@ -203,6 +218,48 @@ class TestInputErrors:
         })
         code, _, err = run(capsys, "fixed-points", "--scenario", scen)
         assert code == 2 and "bad gate" in err
+
+    @pytest.mark.parametrize("command", ["fixed-points", "classify"])
+    @pytest.mark.parametrize("perm", [[0.5, 1], [0, 5], "ab"], ids=["fraction", "range", "string"])
+    def test_malformed_permutation_is_a_bad_gate(self, capsys, tmp_path, command, perm):
+        # Used as matrix indices unchecked, these raise IndexError: exit 1.
+        gate = {"dim1": 2, "dim2": 1, "perm": perm}
+        if command == "classify":
+            args = ["--gate", write_json(tmp_path / "g.json", gate)]
+        else:
+            args = ["--scenario", write_json(tmp_path / "s.json", {
+                "gate": gate, "rho": qubit_matrix([1, 0])})]
+        code, out, err = run(capsys, command, *args)
+        assert code == 2 and out == ""
+        assert "bad gate" in err
+
+    @pytest.mark.parametrize("command", ["select", "evolve"])
+    @pytest.mark.parametrize("max_iters", [float("nan"), 2.5, True], ids=["nan", "2.5", "true"])
+    def test_rule_max_iters_must_be_a_count(self, capsys, tmp_path, command, max_iters):
+        # Unchecked, NaN runs no iteration and exits 3 (did not converge).
+        scen = write_json(tmp_path / "r.json", {
+            "gate": ref_gate_obj(),
+            "rho": {"product": [qubit_matrix([1, 0]), qubit_matrix([1, 0])]},
+            "rule": {"kind": "min_entropy", "max_iters": max_iters},
+        })
+        code, out, err = run(capsys, command, "--scenario", scen)
+        assert code == 2 and out == ""
+        assert "bad rule: max_iters must be a non-negative integer" in err
+
+    def test_census_to_an_unwritable_path_writes_nothing(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {"dim1": 2, "dim2": 1, "mode": "exhaustive"})
+        dest = tmp_path / "missing" / "x.jsonl"
+        code, out, err = run(capsys, "census", "--config", cfg, "--out", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(dest) in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    def test_probe_to_an_unwritable_path(self, tmp_path, capsys):
+        dest = tmp_path / "missing" / "p.csv"
+        code, out, err = run(capsys, "probe", "--paper-example", "--out", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(dest) in err
+        assert not dest.parent.exists()
 
     def test_bad_epsilons_list(self, capsys):
         code, _, err = run(capsys, "classify", "--paper-example",

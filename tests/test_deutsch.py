@@ -1,6 +1,8 @@
 """Self-consistency solver: superoperator construction, fixed-point sets,
 membership checks, and agreement with a slow iterate-and-average oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,15 @@ def test_trivial_loop_has_the_general_shape():
     assert fps.residuals.keys() == general.residuals.keys()
     check = membership(fps, DensityOperator(np.eye(1)))
     assert (check.ok, check.affine_residual, check.map_residual) == (True, 0.0, 0.0)
+
+
+
+def test_gray_zone_singular_values_are_reported():
+    # The ``vertex2:mix0`` probe state at eps = 1e-4 on a (3, 3) census gate:
+    # sigma_min(M - I) is about 0.87 eps**2, within a decade of SV_TOL.
+    gate = UnitaryGate.from_permutation(3, 3, [6, 3, 4, 8, 1, 7, 0, 2, 5])
+    fps = fixed_point_set(gate, DensityOperator(np.diag([1e-4, 0.0, 1.0 - 1e-4])))
+    assert fps.k == 0 and len(fps.warnings) == 1
+    assert re.match(r"^singular values \[8\.66\d*e-09\] lie within a decade "
+                    r"of the cutoff 1e-09$", fps.warnings[0])
+    assert fps.to_json()["warnings"] == fps.warnings

@@ -49,6 +49,15 @@ class TestSelectionRule:
         with pytest.raises(ValueError):
             SelectionRule(max_iters=0)
 
+    @pytest.mark.parametrize("max_iters", [float("nan"), 2.5, True, "3"])
+    def test_max_iters_follows_the_count_rule(self, max_iters):
+        # NaN passes ``< 1`` and would run no iteration at all.
+        with pytest.raises(ValueError, match="max_iters must be a non-negative integer"):
+            SelectionRule(max_iters=max_iters)
+
+    def test_integral_max_iters_reads_as_an_int(self):
+        assert type(SelectionRule(max_iters=5.0).max_iters) is int
+
 
 class TestMaxEntropy:
     def test_unique_set_returns_the_point(self):

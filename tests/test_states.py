@@ -144,6 +144,47 @@ class TestUnitaryGate:
         with pytest.raises(ValueError):
             UnitaryGate(np.eye(4), 3, 2)
 
+    @pytest.mark.parametrize("dims", [(True, 4), (4, True), (0, 4), (2.5, 2), (float("nan"), 2),
+                                      ("2", 2)],
+                             ids=["true-4", "4-true", "0-4", "2.5-2", "nan-2", "string-2"])
+    def test_dims_follow_the_count_rule(self, dims):
+        # ``int()`` would read 2.5 as 2 and True as 1.
+        with pytest.raises(ValueError, match="dim[12] must be"):
+            UnitaryGate(np.eye(4), *dims)
+        with pytest.raises(ValueError, match="dim[12] must be"):
+            UnitaryGate.from_permutation(*dims, range(4))
+
+    def test_integral_float_dims_read_as_ints(self):
+        g = UnitaryGate(np.eye(4), 2.0, 2)
+        assert (g.dim1, g.dim2) == (2, 2) and type(g.dim1) is int
+        assert UnitaryGate.from_permutation(2.0, np.int64(2), range(4)).dim1 == 2
+
+    def test_from_json_rejects_a_fractional_dim(self):
+        with pytest.raises(ValueError, match="dim1 must be a non-negative integer, got 2.7"):
+            UnitaryGate.from_json({"dim1": 2.7, "dim2": 1, "perm": [0, 1]})
+        with pytest.raises(ValueError, match="dim1 must be a non-negative integer, got 2.7"):
+            UnitaryGate.from_json({"dim1": 2.7, "dim2": 1, "rows": 2, "cols": 2,
+                                   "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]})
+
+    @pytest.mark.parametrize("perm, message", [
+        ([0.5, 1], "permutation entry must be a non-negative integer, got 0.5"),
+        ([0, 5], r"\[0, 5\] is not a permutation of 0..1"),
+        ("ab", "permutation entry must be a non-negative integer, got a"),
+        ([True, 0], "permutation entry must be a non-negative integer, got True"),
+        ([0, 0], r"\[0, 0\] is not a permutation of 0..1"),
+        ([0, 1, 2], r"\[0, 1, 2\] is not a permutation of 0..1"),
+    ], ids=["fraction", "range", "string", "bool", "repeat", "length"])
+    def test_permutations_are_checked_before_any_matrix(self, perm, message):
+        # Used as matrix indices unchecked, these raise IndexError or read 0.5 as 0.
+        with pytest.raises(ValueError, match=message):
+            UnitaryGate.from_permutation(2, 1, perm)
+        with pytest.raises(ValueError, match=message):
+            UnitaryGate(np.eye(2), 1, 2, permutation=perm)
+
+    def test_integral_permutation_entries_are_stored_as_ints(self):
+        g = UnitaryGate(np.eye(2)[::-1], 2, 1, permutation=[1.0, np.int64(0)])
+        assert g.permutation == (1, 0) and all(type(j) is int for j in g.permutation)
+
     def test_from_permutation(self):
         g = UnitaryGate.from_permutation(2, 2, (1, 0, 3, 2))
         assert g.permutation == (1, 0, 3, 2)
