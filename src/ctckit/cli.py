@@ -18,14 +18,15 @@ import sys
 
 import numpy as np
 
-from .census import CensusConfig, CensusFileError, run_census, summarize
-from .deutsch import SolverDiagnostic, evolve_out, fixed_point_set, membership
+from .census import CensusConfig, CensusFileError, run_census
+from .deutsch import SolverDiagnostic, fixed_point_set, membership
 from .discontinuity import (
     DEFAULT_EPSILONS,
     JUMP_TOL,
     STRATEGIES,
     _epsilon_grid,
     _probe,
+    _select_and_emit,
     classify,
     generate_probe_families,
     witness_csv_rows,
@@ -116,10 +117,10 @@ def _parse_epsilons(text):
 
 def _emit(report, out_path=None):
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _write_csv(rows, out_path=None):
@@ -135,11 +136,11 @@ def _write_csv(rows, out_path=None):
 
 
 def _gate_from_args(args):
-    if getattr(args, "paper_example", False):
+    if args.paper_example:
         return reference_gate()
-    if getattr(args, "gate", None):
+    if args.gate:
         return parse_gate(_load_json(args.gate))
-    if getattr(args, "scenario", None):
+    if args.scenario:
         return parse_scenario(args.scenario)[0]
     raise CLIInputError("provide --gate, --scenario, or --paper-example")
 
@@ -200,23 +201,19 @@ def cmd_probe(args):
     epsilons = _parse_epsilons(args.epsilons)
     rows = [["path", "direction", "epsilon", "k", "entropy", "sigma", "rho_hat"]]
     jobs = [(fam, epsilons) for fam in generate_probe_families(gate, strategy, seed=seed)]
-    centers = {}  # center state -> its row cells; the paths of a vertex share one
-    for (fam, _), result in zip(jobs, _probe(gate, jobs, rule, {})):
-        if fam.center not in centers:
-            sel = select(result.center_fps, rule)
-            centers[fam.center] = [
-                result.center_fps.k, sel.entropy, json.dumps(sel.sigma.to_json()),
-                json.dumps(evolve_out(gate, fam.center, sel.sigma).to_json()),
-            ]
-        rows.append([fam.label, "center", 0.0, *centers[fam.center]])
+    results = _probe(gate, jobs, rule, {})
+    # center state -> its fixed-point set; the paths of a vertex share one
+    centers = {fam.center: result.center_fps for (fam, _), result in zip(jobs, results)}
+    emitted = dict(zip(centers, _select_and_emit(gate, list(centers.items()), rule)))
+    for (fam, _), result in zip(jobs, results):
+        sel, rho_hat = emitted[fam.center]
+        rows.append([fam.label, "center", 0.0, result.center_fps.k, sel.entropy,
+                     json.dumps(sel.sigma.to_json()), json.dumps(rho_hat.to_json())])
         for rec in result.records:
-            rows.append([
-                fam.label, rec.direction, rec.epsilon,
-                rec.k if rec.k is not None else "",
-                rec.entropy if rec.entropy is not None else "",
-                json.dumps(rec.sigma.to_json()) if rec.sigma is not None else rec.error,
-                json.dumps(rec.rho_hat.to_json()) if rec.rho_hat is not None else "",
-            ])
+            cells = (["", "", rec.error, ""] if rec.error is not None else
+                     [rec.k, rec.entropy, json.dumps(rec.sigma.to_json()),
+                      json.dumps(rec.rho_hat.to_json())])
+            rows.append([fam.label, rec.direction, rec.epsilon, *cells])
     _write_csv(rows, args.out)
     return 0
 
@@ -242,9 +239,9 @@ def cmd_classify(args):
         "refinements_used": cls.witness["refinements_used"],
         "witness_digest": cls.witness_digest(),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:
         _write_csv(witness_csv_rows(cls), args.out)
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -260,11 +257,11 @@ def cmd_census(args):
         raise CLIInputError(f"bad census config: {exc}") from exc
     log.info("census of %d x %d gates -> %s", config.dim1, config.dim2, config.out_path)
     summary = run_census(config, resume=args.resume)
-    print(json.dumps(summary.to_json(), indent=2, sort_keys=True))
     if args.summary_csv:
         fractions = summary.to_json()
         del fractions["counts"]
         _write_csv([list(fractions), list(fractions.values())], args.summary_csv)
+    print(json.dumps(summary.to_json(), indent=2, sort_keys=True))
     return 0
 
 

@@ -20,17 +20,18 @@ Verdicts, ordered by strength:
 The verdict is monotone in the path set: adding paths can only upgrade it.
 
 ``_probe`` builds every :class:`ProbeResult`, for :func:`probe`,
-:func:`classify` and the ``probe`` command alike: it solves each probe point
-on its own, and selects and emits the direction points only, all their
-states as one stack.  A verdict reads a center's fixed-point set, never a
-state selected from it.  :func:`classify` takes the running jumps of all its
-rows from one batched trace distance each.
+:func:`classify` and the ``probe`` command alike: it calls each direction
+for its states and solves each probe point on its own.  One stage selects
+and emits as one stack: the new direction points of a ``_probe`` call, and
+the distinct centers of the ``probe`` command.  A verdict reads a center's
+fixed-point set, never a state selected from it.  :func:`classify` takes
+the running jumps of all its rows from one batched trace distance each.
 
 Generated states are built once per process.  :func:`generate_probe_families`
 returns new :class:`PathFamily` objects on every call, but their centers and
 direction states come from a bounded table keyed by value, ``(strategy, d1,
 seed)`` and then ``eps``, with read-only matrices, so the gates of a census
-share them.  Given families are never kept.
+share them.  A given direction is memoised for one call, then dropped.
 """
 
 import hashlib
@@ -127,8 +128,7 @@ class ProbeResult:
 def probe(u, family, epsilons, rule=None):
     """Solve the fixed-point problem along both directions of a family."""
     eps = _epsilon_grid(epsilons)
-    states = _check_user_families([family], eps)
-    return _probe(u, [(family, eps)], rule, {}, states)[0]
+    return _probe(u, [(fam, eps) for fam in _check_user_families([family], eps)], rule, {})[0]
 
 
 def _epsilon_grid(epsilons):
@@ -147,41 +147,47 @@ def _check_refinement(jump_tol, max_refinements):
 
 
 def _check_user_families(families, eps):
-    """Raise unless given ``families`` exist, have distinct labels and approach their
-    centers; return the states built for the check, keyed as :func:`_probe` keys them."""
+    """Given ``families`` with each distinct direction memoised for this call;
+    raises unless they exist, have distinct labels and approach their centers."""
     if not families:
         raise ValueError("families must hold at least one path family")
     labels = [fam.label for fam in families]
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(f"family labels must be distinct; {label!r} repeats")
-    states = {}
+    # One wrapper per distinct direction, so a shared one builds each eps once.
+    memo = {d: lru_cache(maxsize=None)(d) for fam in families for d in (fam.family_a, fam.family_b)}
+    families = [PathFamily(f.center, memo[f.family_a], memo[f.family_b], f.label) for f in families]
     for fam in families:
         for name, direction in (("direction_a", fam.family_a), ("direction_b", fam.family_b)):
-            for e in eps:
-                if (direction, e) not in states:
-                    states[direction, e] = direction(e)
-            dists = [trace_distance(states[direction, e], fam.center) for e in eps]
+            dists = [trace_distance(direction(e), fam.center) for e in eps]
             if any(b > a + 1e-12 for a, b in zip(dists, dists[1:])):
                 raise ValueError(
                     f"{name} must approach the center monotonically in trace distance"
                 )
-    return states
+    return families
 
 
-def _probe(u, jobs, rule, solved, states=None):
+def _select_and_emit(u, points, rule):
+    """``(selection, rho_hat)`` of each ``(state, fps)`` point: each set is
+    selected on its own, then all the states are emitted as one stack."""
+    sels = [select(fps, rule) for _, fps in points]
+    rho_hats = _emit(u, np.stack([state.matrix for state, _ in points]),
+                     np.stack([sel.sigma.matrix for sel in sels]))
+    return list(zip(sels, DensityOperator.from_stack(rho_hats)))
+
+
+def _probe(u, jobs, rule, solved):
     """One :class:`ProbeResult` per ``(family, eps)`` job.
 
     A center is solved but not selected: its fixed-point set is its outcome,
     and a :class:`SolverDiagnostic` there is raised.  Each new direction
-    point is solved and selected on its own, a diagnostic recorded, then all
-    are emitted as one stack.  ``solved`` maps the center state and
-    ``(direction, eps)`` to outcomes, so a shared point is solved once; it
-    holds its keys, so no key can be reused by another object.  ``states``
-    holds direction states already built, by the same keys.
+    point is solved on its own, a diagnostic recorded, and the solved ones
+    go through :func:`_select_and_emit`.  ``solved`` maps the center state
+    and ``(direction, eps)`` to outcomes, so a shared point is solved once;
+    it holds its keys, so no key can be reused by another object.
     """
-    states = states or {}
-    fresh, tables = [], []  # (key, state, fps, selection) of each new direction point
+    fresh, tables = {}, []  # (direction, eps) -> (state, fps) of each new direction point
     for fam, grid in jobs:
         table = [(name, direction, eps) for name, direction in
                  (("a", fam.family_a), ("b", fam.family_b)) for eps in grid]
@@ -190,20 +196,16 @@ def _probe(u, jobs, rule, solved, states=None):
             solved[fam.center] = fixed_point_set(u, fam.center)
         for _, direction, eps in table:
             key = direction, eps
-            if key in solved:
+            if key in solved or key in fresh:
                 continue
-            state = states[key] if key in states else direction(eps)
+            state = direction(eps)
             try:
-                fps = fixed_point_set(u, state)
-                fresh.append((key, state, fps, select(fps, rule)))
-                solved[key] = None  # claimed; filled in after the emission
+                fresh[key] = state, fixed_point_set(u, state)
             except SolverDiagnostic as exc:
                 solved[key] = (None, None, None, None, str(exc))
     if fresh:
-        rhos = np.stack([state.matrix for _, state, _, _ in fresh])
-        sigmas = np.stack([sel.sigma.matrix for _, _, _, sel in fresh])
-        for (key, _, fps, sel), rho_hat in zip(
-                fresh, DensityOperator.from_stack(_emit(u, rhos, sigmas))):
+        for (key, (_, fps)), (sel, rho_hat) in zip(
+                fresh.items(), _select_and_emit(u, list(fresh.values()), rule)):
             solved[key] = (fps.k, sel.sigma, sel.entropy, rho_hat, None)
     return [
         ProbeResult(fam.label, solved[fam.center], [
@@ -433,19 +435,18 @@ def classify(
     """
     base_eps = _epsilon_grid(epsilons)
     _check_refinement(jump_tol, max_refinements)
-    states = {}
     if families is None:
         families = generate_probe_families(u, strategy, seed=seed)
     else:
         for name, value, default in (("strategy", strategy, "vertex_pairs"), ("seed", seed, 0)):
             if value != default:
                 raise ValueError(f"{name}={value!r} applies only to generated families")
-        states = _check_user_families(families, base_eps)
+        families = _check_user_families(families, base_eps)
         strategy = "user_paths"
 
     jobs = [(fam, base_eps) for fam in families]
     solved, limits = {}, {}
-    analyses = _analyze(jobs, _probe(u, jobs, rule, solved, states), jump_tol, limits)
+    analyses = _analyze(jobs, _probe(u, jobs, rule, solved), jump_tol, limits)
     refinements_used = 0
     # No base grid holds a refined eps, so refining after every family is
     # analysed gives the analyses of refining each family in turn.

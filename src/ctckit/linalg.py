@@ -4,6 +4,7 @@ Composite indices follow the row-major convention: basis state ``|i, a>`` of
 ``H1 (x) H2`` lives at flat index ``i * dim2 + a``, matching ``numpy.kron``.
 """
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -70,6 +71,17 @@ def hermitian_trace_norm(m):
     return float(norms) if norms.ndim == 0 else norms
 
 
+def _check_count(name, value, floor=0):
+    """``value`` as an ``int``; raises unless it is an integer of at least ``floor``
+    (a bool is not one).  An exact ``int`` skips the slower ``numbers.Real`` test."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                                   or not float(value).is_integer()) or not value >= 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    if value < floor:
+        raise ValueError(f"{name} must be at least {floor}")
+    return int(value)
+
+
 def matrix_to_json(m):
     """Serialize a complex matrix as flat row-major real/imaginary parts."""
     m = np.asarray(m, dtype=complex)
@@ -86,7 +98,7 @@ def matrix_to_json(m):
 def matrix_from_json(obj):
     """Inverse of :func:`matrix_to_json`, with shape/length validation."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _check_count("rows", obj["rows"]), _check_count("cols", obj["cols"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:

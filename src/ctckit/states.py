@@ -7,17 +7,16 @@ that a NaN fails them, which rejects every non-finite entry before the other
 checks run; the NaN that an infinite entry produces raises no floating-point
 warning.
 
-The package's two input rules live here: :func:`_check_count` decides what
-a count is everywhere (an integral real, not a bool, at least a floor; ``2.0``
-reads as 2), and :func:`_permutation_matrix` checks a permutation before any
+The package's two input rules: ``linalg._check_count`` decides what a count
+is everywhere (an integral real, not a bool, at least a floor; ``2.0`` reads
+as 2), and :func:`_permutation_matrix` checks a permutation before any
 matrix is built from it.
 """
 
-import numbers
-
 import numpy as np
 
-from .linalg import dagger, hermitian_trace_norm, matrix_from_json, matrix_to_json
+from .linalg import (
+    _check_count, dagger, hermitian_trace_norm, matrix_from_json, matrix_to_json)
 
 __all__ = [
     "DensityOperator",
@@ -31,17 +30,6 @@ HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 UNITARY_TOL = 1e-12
-
-
-def _check_count(name, value, floor=0):
-    """``value`` as an ``int``; raises unless it is an integer of at least ``floor``
-    (a bool is not one).  An exact ``int`` skips the slower ``numbers.Real`` test."""
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                                   or not float(value).is_integer()) or not value >= 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
-    if value < floor:
-        raise ValueError(f"{name} must be at least {floor}")
-    return int(value)
 
 
 def _permutation_matrix(images, d):

@@ -299,6 +299,92 @@ class TestInputErrors:
         code, _, err = run(capsys, "probe")
         assert code == 2 and "provide" in err
 
+    @pytest.mark.parametrize("command", ["fixed-points", "select", "evolve", "classify"])
+    def test_out_is_written_before_anything_is_printed(self, capsys, tmp_path, command):
+        dest = tmp_path / "missing" / "x.out"
+        source = (["--paper-example"] if command == "classify"
+                  else ["--scenario", scenario_a(tmp_path)])
+        code, out, err = run(capsys, command, *source, "--out", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(dest) in err
+
+    def test_census_summary_csv_is_written_before_the_summary_is_printed(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "dim1": 2, "dim2": 1, "mode": "exhaustive", "out_path": str(tmp_path / "rec.jsonl"),
+        })
+        dest = tmp_path / "missing" / "sum.csv"
+        code, out, err = run(capsys, "census", "--config", cfg, "--summary-csv", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(dest) in err
+
+    @pytest.mark.parametrize("rows", [1.5, True], ids=["1.5", "true"])
+    def test_rho_shape_must_be_a_count(self, capsys, tmp_path, rows):
+        # int() read both as 1, and this 1x1 state ran with exit 0.
+        scen = write_json(tmp_path / "s.json", {
+            "gate": {"dim1": 1, "dim2": 2, "perm": [0, 1]},
+            "rho": {"rows": rows, "cols": 1, "re": [1], "im": [0]},
+        })
+        code, out, err = run(capsys, "fixed-points", "--scenario", scen)
+        assert code == 2 and out == ""
+        assert "bad rho" in err and "rows must be a non-negative integer" in err
+
+    def test_integral_float_rho_shape_reads_as_an_int(self, capsys, tmp_path):
+        rho = qubit_matrix([0.7, 0.3])
+        plain = write_json(tmp_path / "p.json", {"gate": ref_gate_obj(), "rho": {
+            "product": [qubit_matrix([1, 0]), rho]}})
+        floats = write_json(tmp_path / "f.json", {"gate": ref_gate_obj(), "rho": {
+            "product": [qubit_matrix([1, 0]), {**rho, "rows": 2.0, "cols": 2.0}]}})
+        code, out, _ = run(capsys, "fixed-points", "--scenario", floats)
+        assert code == 0
+        assert out == run(capsys, "fixed-points", "--scenario", plain)[1]
+
+    def test_empty_product_is_a_bad_rho(self, capsys, tmp_path):
+        scen = write_json(tmp_path / "e.json", {"gate": ref_gate_obj(), "rho": {"product": []}})
+        code, out, err = run(capsys, "fixed-points", "--scenario", scen)
+        assert code == 2 and out == ""
+        assert "bad rho: product form needs at least one factor" in err
+
+    @pytest.mark.parametrize("missing", ["gate", "rho"])
+    def test_scenario_needs_gate_and_rho(self, capsys, tmp_path, missing):
+        obj = {"gate": ref_gate_obj(), "rho": qubit_matrix([1, 0])}
+        del obj[missing]
+        code, out, err = run(capsys, "fixed-points", "--scenario",
+                             write_json(tmp_path / "s.json", obj))
+        assert code == 2 and out == ""
+        assert "scenario must contain 'gate' and 'rho'" in err
+
+    def test_bloch_slice_requires_a_source(self, capsys):
+        code, out, err = run(capsys, "bloch-slice")
+        assert code == 2 and out == ""
+        assert "provide --scenario or --paper-example" in err
+
+    def test_bloch_slice_needs_two_cells_per_axis(self, capsys):
+        code, out, err = run(capsys, "bloch-slice", "--paper-example", "--resolution", "1")
+        assert code == 2 and out == ""
+        assert "--resolution must be at least 2" in err
+
+
+def test_matrix_form_of_a_rho_reads_as_the_plain_form(capsys, tmp_path):
+    rho = {"rows": 2, "cols": 2, "re": [0.7, 0.2, 0.2, 0.3], "im": [0, 0, 0, 0]}
+    gate = {"dim1": 2, "dim2": 2, "perm": [0, 1, 2, 3]}
+    outs = []
+    for name, form in (("plain", rho), ("matrix", {"matrix": rho})):
+        code, out, _ = run(capsys, "evolve", "--scenario",
+                           write_json(tmp_path / f"{name}.json", {"gate": gate, "rho": form}))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", ["probe", "classify"])
+def test_a_scenario_is_a_gate_source(capsys, tmp_path, command):
+    # Only the scenario's gate is used; its rho and rule block are not.
+    grid = ["--strategy", "vertex_pairs", "--epsilons", "0.2,0.1"]
+    code, out, _ = run(capsys, command, "--scenario", scenario_a(tmp_path), *grid)
+    assert code == 0
+    gate = write_json(tmp_path / "g.json", ref_gate_obj())
+    assert out == run(capsys, command, "--gate", gate, *grid)[1]
+
 
 class TestProbeCommand:
     def test_csv_row_per_eps_per_direction(self, tmp_path, capsys):
@@ -351,6 +437,29 @@ class TestProbeCommand:
         assert code == 0
         # 4 vertices: one center plus 6 directions on 5 grid points each
         assert len(calls) == 4 * (1 + 6 * 5)
+
+    def test_directions_and_centers_are_two_stacked_emissions(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # One stack of the 120 direction points, one of the 4 distinct centers;
+        # nothing goes through evolve_out, whose emissions are deutsch's own.
+        from ctckit import deutsch, discontinuity
+
+        emissions = []
+
+        def counting(module):
+            emit = module._emit
+
+            def counted(u, rhos, sigmas):
+                emissions.append((module.__name__, len(rhos)))
+                return emit(u, rhos, sigmas)
+            return counted
+
+        for module in (deutsch, discontinuity):
+            monkeypatch.setattr(module, "_emit", counting(module))
+        gate = write_json(tmp_path / "g.json", ref_gate_obj())
+        code, _, _ = run(capsys, "probe", "--gate", gate, "--strategy", "vertex_pairs")
+        assert code == 0
+        assert emissions == [("ctckit.discontinuity", 120), ("ctckit.discontinuity", 4)]
 
 
 class TestClassifyCommand:

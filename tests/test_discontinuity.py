@@ -7,6 +7,10 @@ too.  "continuous_witnessed_none" is deliberately not a continuity proof —
 it only says no probed path witnessed a jump.
 """
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -368,6 +372,64 @@ class TestClassify:
                      jump_tol=0.3, max_refinements=1)
             grid.append(min(PAPER_EPSILONS) / 10.0)
         assert sorted(calls) == sorted(2 * grid)
+
+    def test_a_direction_shared_by_given_families_is_built_and_solved_once(self, monkeypatch):
+        built, solves = [], []
+        solve = discontinuity.fixed_point_set
+
+        def counted_solve(u, rho):
+            solves.append(rho)
+            return solve(u, rho)
+
+        def shared(e):
+            built.append(e)
+            return mixed_second_qubit(e)
+
+        monkeypatch.setattr(discontinuity, "fixed_point_set", counted_solve)
+        center = reference_center()
+        families = [PathFamily(center, shared, mixed_first_qubit, label)
+                    for label in ("one", "two")]
+        cls = classify(reference_gate(), families=families, epsilons=PAPER_EPSILONS,
+                       max_refinements=0)
+        assert [p["label"] for p in cls.witness["paths"]] == ["one", "two"]
+        assert sorted(built) == sorted(PAPER_EPSILONS)
+        assert len(solves) == 1 + 2 * len(PAPER_EPSILONS)
+
+    @pytest.mark.parametrize("entry", ["probe", "classify"])
+    def test_given_directions_are_not_kept_after_the_call(self, entry):
+        def direction(e):
+            return mixed_second_qubit(e)
+
+        ref = weakref.ref(direction)
+        family = PathFamily(reference_center(), direction, mixed_first_qubit, "golden")
+        if entry == "probe":
+            probe(reference_gate(), family, PAPER_EPSILONS)
+        else:
+            classify(reference_gate(), families=[family], epsilons=PAPER_EPSILONS)
+        del family, direction
+        gc.collect()
+        assert ref() is None
+
+    def test_limits_outside_the_center_set_are_no_witness(self, monkeypatch):
+        # Both pools hold no such path above jump_tol, so one limit is rejected here.
+        check = discontinuity.membership
+
+        def reject_first(fps, sigma, **kwargs):
+            result = check(fps, sigma, **kwargs)
+            checked.append(sigma)
+            return dataclasses.replace(result, ok=result.ok and len(checked) > 1)
+
+        checked = []
+        monkeypatch.setattr(discontinuity, "membership", reject_first)
+        cls = classify(reference_gate(), strategy="paper_example")
+        (path,) = cls.witness["paths"]
+        assert cls.verdict == path["verdict"] == "continuous_witnessed_none"
+        assert path["sigma_jump"] > cls.witness["jump_tol"]
+        assert path["limits_in_set"] == [False, True]
+        assert path["notes"] == [
+            "directional limits differ but do not both lie in the center fixed-point set; "
+            "not counted as a witness"
+        ]
 
     def test_verdict_independent_of_selection_rule_on_pinned_paths(self):
         for kind in ("max_entropy", "min_entropy"):

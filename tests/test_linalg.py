@@ -103,3 +103,11 @@ def test_matrix_json_round_trip():
 def test_matrix_from_json_validates():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "re": [1, 0, 0], "im": [0, 0, 0, 0]})
+
+
+@pytest.mark.parametrize("rows", [1.5, True, -1, "1", None],
+                         ids=["1.5", "true", "-1", "str", "none"])
+def test_matrix_shape_follows_the_count_rule(rows):
+    # int() read 1.5 and True as 1, and "1" as 1.
+    with pytest.raises(ValueError, match="malformed matrix object: rows must be a non-negative"):
+        matrix_from_json({"rows": rows, "cols": 1, "re": [1], "im": [0]})

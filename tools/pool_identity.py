@@ -1,4 +1,4 @@
-"""Print the census outcome of every gate in the benchmark's reference pools.
+"""Print the census outcome of every reference-pool gate, then of a fixed CLI matrix.
 
     python3 tools/pool_identity.py [CHECKOUT] > outcomes.jsonl
 
@@ -12,15 +12,21 @@ the text of every ``SolverDiagnostic`` its solves raised, recorded by
 wrapping ``discontinuity.fixed_point_set``; then one line per pool with the
 config hash of its semantics next to the hash the reference holds.
 
-A change is bit-identical on valid census input when the outputs of the
-parent checkout and of the change are equal:
+Then each command of :data:`CLI_RUNS` runs as ``ctckit`` in its own process,
+with one BLAS thread, in a temporary directory that holds the input files
+:func:`write_inputs` makes, on valid input only.  One JSON line per run
+gives its argv, exit code, and the sha256 of its stdout, its stderr and each
+file it wrote, with the census records' ``wall_time`` masked.
+
+A change is bit-identical on valid census and CLI input when the outputs of
+the parent checkout and of the change are equal:
 
     python3 tools/pool_identity.py ../parent > parent.jsonl
     python3 tools/pool_identity.py > change.jsonl
     diff parent.jsonl change.jsonl
 
 Digests hash full-precision floats, so compare outputs of one host only.
-Both pools take about a minute on one core.
+The pools take about a minute on one core, the CLI runs about 15 s.
 """
 
 import os
@@ -28,11 +34,91 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy is first imported
 
+import hashlib  # noqa: E402
 import json  # noqa: E402
+import re  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 POOLS = ("census_4x2", "census_3x3")
+
+CLI_RUNS = (
+    ("probe", "--paper-example", "--out", "probe_paper.csv"),
+    ("probe", "--gate", "gate_ref.json"),
+    ("probe", "--scenario", "paper.json", "--strategy", "vertex_pairs", "--epsilons", "0.3,0.1"),
+    ("probe", "--gate", "gate_33.json", "--strategy", "random_seeded", "--seed", "2",
+     "--rule", "min-entropy"),
+    ("probe", "--gate", "gate_dense.json"),
+    ("classify", "--paper-example", "--out", "witness_paper.csv"),
+    ("classify", "--gate", "gate_ref.json", "--jump-tol", "0.3", "--out", "witness_ref.csv"),
+    ("classify", "--gate", "gate_33.json"),
+    ("classify", "--gate", "gate_33.json", "--strategy", "random_seeded"),
+    ("classify", "--gate", "gate_dense.json"),
+    ("bloch-slice", "--paper-example", "--out", "slice_paper.csv"),
+    ("bloch-slice", "--scenario", "identity.json", "--resolution", "51"),
+    ("fixed-points", "--scenario", "paper.json", "--out", "fps_paper.json"),
+    ("fixed-points", "--scenario", "gray.json"),
+    ("fixed-points", "--scenario", "identity.json"),
+    ("select", "--scenario", "paper.json", "--out", "select_paper.json"),
+    ("select", "--scenario", "identity.json", "--rule", "constant"),
+    ("select", "--scenario", "identity.json", "--rule", "min-entropy"),
+    ("evolve", "--scenario", "paper.json", "--out", "evolve_paper.json"),
+    ("evolve", "--scenario", "identity.json", "--rule", "constant"),
+    ("census", "--config", "census.json", "--summary-csv", "census_summary.csv"),
+)
+
+
+def write_inputs(directory):
+    """Gate, scenario and census config files of :data:`CLI_RUNS` in ``directory``."""
+    from ctckit.linalg import matrix_to_json
+
+    ref_gate = {"dim1": 4, "dim2": 2, "perm": [4, 1, 3, 2, 0, 6, 5, 7]}
+    q, r = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4, 2)) @ [1, 1j])
+    dense = q * (np.diag(r) / abs(np.diag(r)))
+    inputs = {
+        "gate_ref.json": ref_gate,
+        "gate_33.json": {"dim1": 3, "dim2": 3, "perm": [6, 3, 4, 8, 1, 7, 0, 2, 5]},
+        "gate_dense.json": {"dim1": 2, "dim2": 2, **matrix_to_json(dense)},
+        "paper.json": {"gate": ref_gate, "rule": {"kind": "min_entropy"}, "rho": {"product": [
+            matrix_to_json(np.diag([1, 0])), matrix_to_json(np.diag([0.9, 0.1]))]}},
+        "gray.json": {"gate": {"dim1": 3, "dim2": 3, "perm": [6, 3, 4, 8, 1, 7, 0, 2, 5]},
+                      "rho": matrix_to_json(np.diag([1e-4, 0, 1 - 1e-4]))},
+        "identity.json": {"gate": {"dim1": 2, "dim2": 2, "perm": [0, 1, 2, 3]},
+                          "rho": {"matrix": matrix_to_json([[0.7, 0.2], [0.2, 0.3]])}},
+        "census.json": {"dim1": 2, "dim2": 2, "mode": "exhaustive", "out_path": "census.jsonl"},
+    }
+    for name, obj in inputs.items():
+        (directory / name).write_text(json.dumps(obj))
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(root):
+    env = {k: v for k, v in os.environ.items() if k != "CTCKIT_LOG"}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    entry = "import sys; from ctckit.cli import main; sys.exit(main(sys.argv[1:]))"
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        write_inputs(directory)
+        for argv in CLI_RUNS:
+            before = set(directory.iterdir())
+            done = subprocess.run([sys.executable, "-c", entry, *argv], cwd=directory,
+                                  env=env, capture_output=True, check=False)
+            files = {}
+            for path in sorted(set(directory.iterdir()) - before):
+                data = path.read_bytes()
+                if path.suffix == ".jsonl":
+                    data = re.sub(rb'"wall_time": [^,}]+', b'"wall_time": null', data)
+                files[path.name] = _sha(data)
+            print(json.dumps({"argv": list(argv), "exit": done.returncode,
+                              "stdout": _sha(done.stdout), "stderr": _sha(done.stderr),
+                              "files": files}), flush=True)
 
 
 def main(argv):
@@ -65,6 +151,8 @@ def main(argv):
             }), flush=True)
         print(json.dumps({"pool": name, "config_hash": config.config_hash(),
                           "reference_hash": ref["config_hash"]}), flush=True)
+    discontinuity.fixed_point_set = solve
+    run_cli(root)
 
 
 if __name__ == "__main__":
