@@ -8,7 +8,6 @@ The ``CTCKIT_LOG`` environment variable sets the log level.
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -135,6 +134,14 @@ def _write_csv(rows, out_path=None):
         sys.stdout.write(text)
 
 
+def _check_writable(path):
+    """Raise the ``OSError`` that writing ``path`` would, leaving any file as it was."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()  # appending nothing truncates nothing
+    if not existed:
+        os.remove(path)
+
+
 def _gate_from_args(args):
     if args.paper_example:
         return reference_gate()
@@ -247,12 +254,11 @@ def cmd_classify(args):
 
 def cmd_census(args):
     obj = _load_json(args.config)
-    overrides = {"workers": args.workers, "out_path": args.out}
+    given = {"workers": args.workers, "out_path": args.out}
+    if isinstance(obj, dict):  # a flag overrides its field; other JSON fails below
+        obj.update((k, v) for k, v in given.items() if v is not None)
     try:
-        config = dataclasses.replace(
-            CensusConfig.from_json(obj),
-            **{k: v for k, v in overrides.items() if v is not None},
-        )
+        config = CensusConfig.from_json(obj)
     except (TypeError, ValueError) as exc:
         raise CLIInputError(f"bad census config: {exc}") from exc
     log.info("census of %d x %d gates -> %s", config.dim1, config.dim2, config.out_path)
@@ -365,6 +371,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in filter(None, (args.out, getattr(args, "summary_csv", None))):
+            _check_writable(path)
         return args.func(args)
     except SolverDiagnostic as exc:
         print(f"numerical diagnostic: {exc}", file=sys.stderr)

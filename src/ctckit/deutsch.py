@@ -66,27 +66,10 @@ class SolverDiagnostic(RuntimeError):
 
 @dataclass(frozen=True)
 class AffineMapReal:
-    """Real affine map ``x -> linear @ x + offset`` on traceless coordinates."""
+    """Real affine map ``x -> linear @ x + offset`` that :func:`build_superoperator` makes."""
 
     linear: np.ndarray
     offset: np.ndarray
-
-    def __post_init__(self):
-        linear = np.asarray(self.linear, dtype=float)
-        offset = np.asarray(self.offset, dtype=float)
-        n = offset.shape[0]
-        if linear.shape != (n, n):
-            raise ValueError(f"linear part {linear.shape} does not match offset length {n}")
-        if not (np.all(np.isfinite(linear)) and np.all(np.isfinite(offset))):
-            raise ValueError("affine map entries must be finite")
-        linear.setflags(write=False)
-        offset.setflags(write=False)
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "offset", offset)
-
-    @property
-    def n(self):
-        return self.offset.shape[0]
 
     def apply(self, x):
         return self.linear @ np.asarray(x, dtype=float) + self.offset
@@ -205,22 +188,16 @@ def _truncated_pinv(a):
     return s, vt, rank, pinv
 
 
-def _canonical_sign(v, tol=1e-12):
-    for vi in v:
-        if abs(vi) > tol:
-            return v if vi > 0 else -v
-    return v
-
-
-def _map_residual(aff, b2, x, m):
-    """Trace distance that one application of the map moves ``m``, whose
-    traceless coordinates are ``x``."""
-    return 0.5 * hermitian_trace_norm(b2.from_traceless(aff.apply(x)) - m)
+def _canonical_sign(v):
+    """``v`` signed so that its first entry above 1e-12 in magnitude is positive."""
+    lead = next(vi for vi in v if abs(vi) > 1e-12)  # a unit row of ``vt`` has one
+    return v if lead > 0 else -v
 
 
 def _assess(aff, b2, xs):
-    """Matrices, spectra, minimum eigenvalues and :func:`_map_residual` of a
-    stack ``(N, n)`` of candidate coordinates, each bit for bit its own."""
+    """Matrices, spectra, minimum eigenvalues and map residuals (the trace
+    distance one application of the map moves each) of a stack ``(N, n)`` of
+    candidate coordinates, each bit for bit its own."""
     images = (aff.linear @ xs[:, :, None])[:, :, 0] + aff.offset
     mats = b2.from_traceless(np.stack((xs, images)))
     spectra = np.linalg.eigvalsh(mats[0])
@@ -373,7 +350,8 @@ def membership(fps, sigma, tol=RESIDUAL_TOL):
     x = b2.traceless_coords(sigma.matrix)
     r = fps.affine_gap @ x + fps.affine.offset
     affine_residual = float(np.linalg.norm(fps.affine_pinv @ r))
-    map_residual = _map_residual(fps.affine, b2, x, sigma.matrix)
+    moved = b2.from_traceless(fps.affine.apply(x)) - sigma.matrix
+    map_residual = 0.5 * hermitian_trace_norm(moved)
     return MembershipCheck(
         ok=(affine_residual <= tol and map_residual <= tol),
         affine_residual=affine_residual,

@@ -171,7 +171,9 @@ class UnitaryGate:
         """Basis-permutation gate sending ``|j>`` to ``|images[j]>``."""
         d = _check_count("dim1", dim1, 1) * _check_count("dim2", dim2, 1)
         p, m = _permutation_matrix(images, d)
-        return cls(m, dim1, dim2, permutation=p)
+        gate = cls(m, dim1, dim2)  # ``m`` is ``p``'s matrix by construction
+        gate.permutation = p
+        return gate
 
     @classmethod
     def identity(cls, dim1, dim2):

@@ -289,7 +289,7 @@ def fixed_point_set_ref(u, rho, residual_tol=1e-10, max_iterations=100_000):
         k=k,
         affine=aff,
         affine_gap=a,
-        affine_pinv=_truncated_pinv_ref(aff.linear - np.eye(aff.n))[3],
+        affine_pinv=_truncated_pinv_ref(aff.linear - np.eye(aff.offset.size))[3],
         residuals={
             "map_trace_distance": td,
             "affine_norm": float(np.linalg.norm(a @ x0 + c)),

@@ -267,6 +267,21 @@ class TestSummarize:
         open(path, "w").write(json.dumps(header) + "\n")
         assert summarize(path).total == 0
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert summarize(str(path)).to_json() == {
+            "total": 0, "fraction_physical": 0.0, "fraction_ephemeral_or_physical": 0.0,
+            "fraction_continuous_witnessed_none": 0.0,
+            "counts": {v: 0 for v in discontinuity.VERDICTS}}
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        cfg = small_config(tmp_path, dim1=2, dim2=1)
+        expected = run_census(cfg)
+        header, *records = open(cfg.out_path).read().splitlines()
+        open(cfg.out_path, "w").write("\n".join([header, "", records[0], "   ", records[1], ""]))
+        assert summarize(cfg.out_path) == expected
+
     def test_duplicate_permutations_count_once(self, tmp_path):
         cfg = small_config(tmp_path, dim1=2, dim2=1)
         run_census(cfg)

@@ -316,6 +316,36 @@ class TestInputErrors:
         code, out, err = run(capsys, "census", "--config", cfg, "--summary-csv", str(dest))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and str(dest) in err
+        assert not (tmp_path / "rec.jsonl").exists()  # checked before the census ran
+
+    @pytest.mark.parametrize("command", ["probe", "classify"])
+    def test_an_unwritable_out_is_found_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        from ctckit import discontinuity
+
+        calls = []
+        original = discontinuity.fixed_point_set
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(discontinuity, "fixed_point_set", counted)
+        dest = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, command, "--paper-example", "--out", str(dest))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(dest) in err
+        assert calls == []
+
+    def test_checking_an_out_path_leaves_its_file_as_it_was(self, tmp_path, capsys):
+        kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+        kept.write_text("earlier report\n")
+        for dest in (kept, new):
+            code, out, err = run(capsys, "fixed-points", "--scenario",
+                                 str(tmp_path / "absent.json"), "--out", str(dest))
+            assert code == 2 and out == "" and "cannot read" in err
+        assert kept.read_text() == "earlier report\n"
+        assert not new.exists()
 
     @pytest.mark.parametrize("rows", [1.5, True], ids=["1.5", "true"])
     def test_rho_shape_must_be_a_count(self, capsys, tmp_path, rows):
@@ -530,6 +560,33 @@ class TestCensusCommand:
         code, _, _ = run(capsys, "census", "--config", cfg, "--out", str(dest))
         assert code == 0
         assert dest.exists() and not (tmp_path / "ignored.jsonl").exists()
+
+    def test_flags_override_the_file_before_the_config_is_built(self, tmp_path, capsys,
+                                                                monkeypatch):
+        from ctckit.census import CensusConfig
+
+        built = []
+        original = CensusConfig.__post_init__
+
+        def counted(self):
+            built.append((self.workers, self.out_path))
+            original(self)
+
+        monkeypatch.setattr(CensusConfig, "__post_init__", counted)
+        cfg = write_json(tmp_path / "cfg.json", {
+            "dim1": 2, "dim2": 1, "mode": "exhaustive", "workers": 0,
+            "out_path": str(tmp_path / "ignored.jsonl"),
+        })
+        dest = tmp_path / "actual.jsonl"
+        code, _, _ = run(capsys, "census", "--config", cfg, "--workers", "1", "--out", str(dest))
+        assert code == 0
+        assert built == [(1, str(dest))]
+
+    def test_a_config_that_is_not_an_object_is_a_bad_config(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", [2, 1])
+        code, out, err = run(capsys, "census", "--config", cfg, "--workers", "1")
+        assert code == 2 and out == ""
+        assert "bad census config" in err and "must be a mapping, not list" in err
 
 
 class TestBlochSlice:

@@ -24,6 +24,7 @@ from ctckit.reference import (
 from ctckit.states import DensityOperator, UnitaryGate, trace_distance
 
 from oracles import (
+    _canonical_sign_ref,
     cesaro_fixed_point,
     deutsch_map_direct,
     random_density,
@@ -195,6 +196,31 @@ def test_state_at_rejects_points_outside_cone():
     fps = fixed_point_set(reference_gate(), reference_center())
     with pytest.raises(ValueError):
         fps.state_at([5.0])
+
+
+def test_state_at_needs_one_coefficient_per_basis_direction():
+    fps = fixed_point_set(reference_gate(), reference_center())
+    for coeffs in ([], [0.0, 0.0], [[0.0]]):
+        with pytest.raises(ValueError, match="expected 1 coefficients"):
+            fps.state_at(coeffs)
+
+
+@pytest.mark.parametrize("family", [mixed_first_qubit, mixed_second_qubit])
+@pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
+def test_reference_mixing_weight_must_lie_in_the_unit_interval(family, eps):
+    with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+        family(eps)
+
+
+def test_canonical_sign_matches_the_oracle_loop():
+    # The first entry above 1e-12 in magnitude decides, as in the oracle's loop.
+    rng = np.random.default_rng(11)
+    rows = [np.array([1e-13, -0.6, 0.8]), np.array([-1e-12, 0.6, -0.8]),
+            np.array([0.0, 0.0, -1.0]), *np.linalg.svd(rng.normal(size=(5, 5)))[2]]
+    for v in rows:
+        got = deutsch._canonical_sign(v)
+        np.testing.assert_array_equal(got, _canonical_sign_ref(v))
+        assert got[np.argmax(np.abs(v) > 1e-12)] > 0
 
 
 def test_basis_sign_is_deterministic():

@@ -100,6 +100,20 @@ def test_matrix_json_round_trip():
     np.testing.assert_allclose(back, m, atol=0)
 
 
+@pytest.mark.parametrize("trace", [partial_trace_1, partial_trace_2])
+@pytest.mark.parametrize("shape", [(4, 4), (6, 5), (6,)])
+def test_partial_traces_reject_a_shape_off_the_dims(trace, shape):
+    with pytest.raises(ValueError, match="incompatible with dims \\(2, 3\\)"):
+        trace(np.zeros(shape), 2, 3)
+
+
+@pytest.mark.parametrize("m", [np.zeros(3), np.zeros((2, 2, 2)), 1.0],
+                         ids=["1-D", "3-D", "scalar"])
+def test_matrix_to_json_needs_a_2d_array(m):
+    with pytest.raises(ValueError, match="expected a 2-D array"):
+        matrix_to_json(m)
+
+
 def test_matrix_from_json_validates():
     with pytest.raises(ValueError):
         matrix_from_json({"rows": 2, "cols": 2, "re": [1, 0, 0], "im": [0, 0, 0, 0]})

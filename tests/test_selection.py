@@ -84,6 +84,15 @@ class TestMaxEntropy:
             other = fps.state_at(sample_feasible(fps, rng))
             assert von_neumann_entropy(other.matrix) <= sel.entropy + 1e-9
 
+    @pytest.mark.parametrize("start", [[], [0.0, 0.0], [[0.0]]], ids=["0", "2", "1x1"])
+    def test_start_needs_one_coefficient_per_basis_direction(self, start):
+        with pytest.raises(ValueError, match="start must have 1 coefficients"):
+            max_entropy_state(center_fps(), start=start)
+
+    def test_start_outside_the_cone_is_rejected(self):
+        with pytest.raises(ValueError, match="start coefficients give a non-PSD state"):
+            max_entropy_state(center_fps(), start=[5.0])
+
     def test_start_point_does_not_change_answer(self):
         fps = identity_fps()
         rng = np.random.default_rng(3)

@@ -46,6 +46,10 @@ class TestDensityOperator:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 
+    def test_pure_rejects_the_zero_vector(self):
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+            DensityOperator.pure([0, 0])
+
     def test_pure_and_basis_state(self):
         psi = np.array([1.0, 1.0]) / np.sqrt(2)
         rho = DensityOperator.pure(psi)
@@ -191,6 +195,30 @@ class TestUnitaryGate:
         np.testing.assert_array_equal(
             g.matrix @ np.array([1, 0, 0, 0]), np.array([0, 1, 0, 0])
         )
+
+    def test_from_permutation_builds_its_matrix_once(self, monkeypatch):
+        from ctckit import states
+
+        calls = []
+        original = states._permutation_matrix
+
+        def counted(images, d):
+            calls.append(d)
+            return original(images, d)
+
+        monkeypatch.setattr(states, "_permutation_matrix", counted)
+        g = UnitaryGate.from_permutation(3, 3, (6, 3, 4, 8, 1, 7, 0, 2, 5))
+        assert calls == [9]
+        assert g.permutation == (6, 3, 4, 8, 1, 7, 0, 2, 5)
+        assert all(type(j) is int for j in g.permutation)
+        np.testing.assert_array_equal(g.matrix, original(g.permutation, 9)[1])
+        assert g.matrix.flags.writeable is False
+
+    @pytest.mark.parametrize("obj", [{"dim1": 2, "perm": [0, 1]}, [2, 1], None],
+                             ids=["no-dim2", "list", "null"])
+    def test_from_json_needs_both_dims(self, obj):
+        with pytest.raises(ValueError, match="malformed gate object"):
+            UnitaryGate.from_json(obj)
 
     def test_permutation_must_match_matrix(self):
         with pytest.raises(ValueError):

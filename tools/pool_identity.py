@@ -63,11 +63,13 @@ CLI_RUNS = (
     ("fixed-points", "--scenario", "paper.json", "--out", "fps_paper.json"),
     ("fixed-points", "--scenario", "gray.json"),
     ("fixed-points", "--scenario", "identity.json"),
+    ("fixed-points", "--scenario", "dense.json", "--out", "fps_dense.json"),
     ("select", "--scenario", "paper.json", "--out", "select_paper.json"),
     ("select", "--scenario", "identity.json", "--rule", "constant"),
     ("select", "--scenario", "identity.json", "--rule", "min-entropy"),
     ("evolve", "--scenario", "paper.json", "--out", "evolve_paper.json"),
     ("evolve", "--scenario", "identity.json", "--rule", "constant"),
+    ("evolve", "--scenario", "dense.json"),
     ("census", "--config", "census.json", "--summary-csv", "census_summary.csv"),
 )
 
@@ -78,11 +80,13 @@ def write_inputs(directory):
 
     ref_gate = {"dim1": 4, "dim2": 2, "perm": [4, 1, 3, 2, 0, 6, 5, 7]}
     q, r = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4, 2)) @ [1, 1j])
-    dense = q * (np.diag(r) / abs(np.diag(r)))
+    dense = {"dim1": 2, "dim2": 2, **matrix_to_json(q * (np.diag(r) / abs(np.diag(r))))}
     inputs = {
         "gate_ref.json": ref_gate,
         "gate_33.json": {"dim1": 3, "dim2": 3, "perm": [6, 3, 4, 8, 1, 7, 0, 2, 5]},
-        "gate_dense.json": {"dim1": 2, "dim2": 2, **matrix_to_json(dense)},
+        "gate_dense.json": dense,
+        "dense.json": {"gate": dense, "rho": matrix_to_json(
+            [[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]])},
         "paper.json": {"gate": ref_gate, "rule": {"kind": "min_entropy"}, "rho": {"product": [
             matrix_to_json(np.diag([1, 0])), matrix_to_json(np.diag([0.9, 0.1]))]}},
         "gray.json": {"gate": {"dim1": 3, "dim2": 3, "perm": [6, 3, 4, 8, 1, 7, 0, 2, 5]},
