@@ -11,16 +11,23 @@ affine map ``x -> M x + c``.  Its fixed states form a non-empty compact convex
 set: a particular solution plus the span of the null space of ``M - I``,
 intersected with the PSD cone.  The solver factors ``M - I`` by one SVD,
 whose pseudoinverse refines candidates by a least-squares projection onto the
-affine solution subspace and serves :func:`membership` too.  The refined
-origin, exact for the common trivial null space, is checked first, as a
-stack of one, and no Cesaro state is built when it passes.  Otherwise the
-fallback checks, at every 64th step of Cesaro-averaged iteration, the
-refined and then the raw running mean, in blocks of 1, 2, 4, ... up to 64
-checkpoints, so a block runs at most as many steps past the accepted
-checkpoint as the solve had run before it.  The first candidate within the
-inner tolerances is the particular solution, kept with the spectrum its
-check computed; failing that, the best by (negativity, residual) is accepted
-with a warning or raises.
+affine solution subspace and serves :func:`membership` too.
+
+A solve has a core and a finish.  :func:`_cores` builds the cores of a
+stack of states at once: their maps, one stacked SVD and pseudoinverse, and
+their refined origins, checked as candidates with one ``eigvalsh``.  Each
+entry is bit for bit what the state's own solve computes, so the stack
+changes no output.  ``fixed_point_set`` finishes one state's solve from its
+core, or from a stack of one that it builds itself: it reports singular
+values near the cutoff, builds the null basis, and accepts the refined
+origin, exact for the common trivial null space, when it passes.  Otherwise
+the Cesaro fallback checks, at every 64th step of Cesaro-averaged
+iteration, the refined and then the raw running mean, in blocks of 1, 2, 4,
+... up to 64 checkpoints, so a block runs at most as many steps past the
+accepted checkpoint as the solve had run before it.  The first candidate
+within the inner tolerances is the particular solution, kept with the
+spectrum its check computed; failing that, the best by (negativity,
+residual) is accepted with a warning or raises.
 """
 
 from dataclasses import dataclass
@@ -30,7 +37,8 @@ import numpy as np
 
 from .basis import hermitian_basis
 from .linalg import (
-    conjugate, hermitian_trace_norm, matrix_to_json, partial_trace_1, partial_trace_2)
+    _trace_1_gather, conjugate, hermitian_trace_norm, matrix_to_json, partial_trace_1,
+    partial_trace_2)
 from .states import PSD_TOL, DensityOperator, _check_count, _validated
 
 __all__ = [
@@ -130,9 +138,10 @@ class FixedPointSet:
 
 
 def _interact(u, rhos, sigmas):
-    """Joint states ``U (rho (x) sigma) U^dagger`` of input stacks; a stack of
-    one pairs with every input.  The broadcast product is ``np.kron``'s."""
-    joint = rhos[:, :, None, :, None] * sigmas[:, None, :, None, :]
+    """Joint states ``U (rho (x) sigma) U^dagger``, one stack ``(N, d, d)``, of
+    input stacks broadcast over their leading axes.  The broadcast product is
+    ``np.kron``'s."""
+    joint = rhos[..., :, None, :, None] * sigmas[..., None, :, None, :]
     joint = joint.reshape(-1, u.dim, u.dim)
     return conjugate(u.matrix, joint, permutation=u.permutation)
 
@@ -165,27 +174,35 @@ def _solve_constants(d2):
     return inputs, eye
 
 
-def build_superoperator(u, rho):
-    """Induced map on the second factor as a real affine map.
+def _superoperators(u, rhos):
+    """Linear parts ``(N, n, n)`` and offsets ``(N, n)`` of the induced maps
+    of a state stack ``(N, dim1, dim1)``, each bit for bit its own.
 
-    Column ``j`` of the linear part is the image of traceless basis element
+    Column ``j`` of a linear part is the image of traceless basis element
     ``B_j``; the offset is the image of ``I/dim2``.  The map is trace
-    preserving, so images of traceless inputs stay traceless.
+    preserving, so images of traceless inputs stay traceless.  A permutation
+    gate gathers only the entries of ``rho`` and of the inputs whose products
+    the partial trace adds, and adds them in the order ``partial_trace_1``
+    does.
     """
-    if rho.dim != u.dim1:
-        raise ValueError(f"system dim {rho.dim} does not match gate dim1 {u.dim1}")
+    if rhos.shape[-1] != u.dim1:
+        raise ValueError(f"system dim {rhos.shape[-1]} does not match gate dim1 {u.dim1}")
     d2 = u.dim2
-    images = partial_trace_1(_interact(u, rho.matrix[None], _solve_constants(d2)[0]), u.dim1, d2)
-    coords = hermitian_basis(d2).traceless_coords(images)
-    return AffineMapReal(np.ascontiguousarray(coords[1:].T), coords[0])
+    inputs = _solve_constants(d2)[0]
+    if u.permutation is None:
+        images = partial_trace_1(_interact(u, rhos[:, None], inputs), u.dim1, d2)
+    else:
+        (i, j), (a, b) = _trace_1_gather(u.permutation, d2)
+        images = (rhos[:, None, i, j] * inputs[:, a, b]).sum(axis=-3)
+    coords = hermitian_basis(d2).traceless_coords(images).reshape(len(rhos), d2 * d2, -1)
+    return np.ascontiguousarray(coords[:, 1:].swapaxes(1, 2)), coords[:, 0]
 
 
-def _truncated_pinv(a):
-    """SVD pieces of ``a`` plus its pseudoinverse with cutoff :data:`SV_TOL`."""
-    u, s, vt = np.linalg.svd(a)
-    rank = int((s > SV_TOL).sum())
-    pinv = (vt[:rank].T * (1.0 / s[:rank])) @ u[:, :rank].T  # zeros at rank 0
-    return s, vt, rank, pinv
+def build_superoperator(u, rho):
+    """Induced map on the second factor as a real affine map, the stack of
+    one of :func:`_superoperators`."""
+    linear, offset = _superoperators(u, rho.matrix[None])
+    return AffineMapReal(linear[0], offset[0])
 
 
 def _canonical_sign(v):
@@ -194,14 +211,45 @@ def _canonical_sign(v):
     return v if lead > 0 else -v
 
 
-def _assess(aff, b2, xs):
+def _refine(gap, pinv, offset, ys):
+    """``y - pinv @ (gap @ y + offset)`` of each row of ``ys``, for one map or
+    a stack of maps with one row each."""
+    return ys - (pinv @ (gap @ ys[..., None] + offset[..., None]))[..., 0]
+
+
+def _assess(linear, offset, b2, xs):
     """Matrices, spectra, minimum eigenvalues and map residuals (the trace
     distance one application of the map moves each) of a stack ``(N, n)`` of
-    candidate coordinates, each bit for bit its own."""
-    images = (aff.linear @ xs[:, :, None])[:, :, 0] + aff.offset
+    candidate coordinates, each bit for bit its own, for one map or a stack
+    of maps with one row each.  Both spectra come from one ``eigvalsh``."""
+    images = (linear @ xs[..., None])[..., 0] + offset
     mats = b2.from_traceless(np.stack((xs, images)))
-    spectra = np.linalg.eigvalsh(mats[0])
-    return mats[0], spectra, spectra.min(axis=-1), 0.5 * hermitian_trace_norm(mats[1] - mats[0])
+    np.subtract(mats[1], mats[0], out=mats[1])
+    spectra = np.linalg.eigvalsh(mats)
+    return mats[0], spectra[0], spectra[0].min(axis=-1), 0.5 * abs(spectra[1]).sum(axis=-1)
+
+
+def _cores(u, linear, offset):
+    """Solve cores of the maps ``(N, n, n)``, ``(N, n)`` of :func:`_superoperators`,
+    one per map: ``(affine map, M - I, singular values, vt, rank,
+    pseudoinverse, refined origin)``, with the origin as a checked candidate.
+
+    One SVD and one :func:`_assess` serve the stack.  The pseudoinverse
+    weights the singular vectors by ``1/s`` above :data:`SV_TOL` and by 0
+    below it, which adds only zero terms to each entry of the rank-truncated
+    product, so it needs no grouping by rank.
+    """
+    b2 = hermitian_basis(u.dim2)
+    gap = linear - _solve_constants(u.dim2)[1]
+    left, s, vt = np.linalg.svd(gap)
+    kept = s > SV_TOL
+    weights = 1.0 / np.where(kept, s, np.inf)  # ``vt.T / s`` would round differently
+    pinv = (vt.swapaxes(1, 2) * weights[:, None, :]) @ left.swapaxes(1, 2)
+    xs = _refine(gap, pinv, offset, np.zeros(offset.shape))
+    mats, spectra, los, tds = _assess(linear, offset, b2, xs)
+    ranks, los, tds = kept.sum(axis=1).tolist(), los.tolist(), tds.tolist()
+    return [(AffineMapReal(linear[i], offset[i]), gap[i], s[i], vt[i], ranks[i], pinv[i],
+             (0, xs[i], mats[i], spectra[i], los[i], tds[i])) for i in range(len(ranks))]
 
 
 def _passes(candidate):
@@ -247,7 +295,7 @@ def _cesaro_candidate(aff, b2, refine, origin, residual_tol, max_iterations, war
 
     best = last = origin
     for steps, xs in blocks():
-        mats, spectra, los, tds = _assess(aff, b2, xs)
+        mats, spectra, los, tds = _assess(linear, c, b2, xs)
         for j, iterations in enumerate(steps):
             last = iterations, xs[j], mats[j], spectra[j], float(los[j]), float(tds[j])
             if _passes(last):
@@ -268,24 +316,23 @@ def _cesaro_candidate(aff, b2, refine, origin, residual_tol, max_iterations, war
     return iterations, x, m, evals, lo, td
 
 
-def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERATIONS):
+def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERATIONS, *,
+                    core=None):
     """Solve ``T(sigma) = sigma`` for the induced map of ``(u, rho)``.
 
     Returns a :class:`FixedPointSet`; raises :class:`SolverDiagnostic` when no
     candidate reaches ``residual_tol`` in trace distance (or fails PSD
-    validation) within ``max_iterations`` Cesaro iterations.
+    validation) within ``max_iterations`` Cesaro iterations.  ``core`` is
+    ``rho``'s entry of :func:`_cores` when a caller built a stack of them;
+    without it the solve builds its own, as a stack of one.
     """
     max_iterations = _check_count("max_iterations", max_iterations)
-    aff = build_superoperator(u, rho)
+    if core is None:
+        core, = _cores(u, *_superoperators(u, rho.matrix[None]))
+    aff, a, s, vt, rank, a_pinv, origin = core
     d2 = u.dim2
     b2 = hermitian_basis(d2)
-    n = b2.n_traceless
     warnings = []
-
-    c = aff.offset
-    a = aff.linear - _solve_constants(d2)[1]
-    s, vt, rank, a_pinv = _truncated_pinv(a)
-    k = n - rank
 
     gray = s[(s > SV_TOL / 10) & (s < SV_TOL * 10)]
     if gray.size:
@@ -295,20 +342,14 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
 
     basis_mats = [b2.from_traceless(_canonical_sign(v), trace=0.0) for v in vt[rank:]]
 
-    def refine(ys):
-        """``y - a_pinv @ (a @ y + c)`` for each row of ``ys``."""
-        return ys - (a_pinv @ (a @ ys[:, :, None] + c[:, None]))[:, :, 0]
-
     # The refined origin is exact for the common trivial null space; only when
     # it fails does the Cesaro fallback build its orbit.
-    xs = refine(np.zeros((1, n)))
-    mats, spectra, los, tds = _assess(aff, b2, xs)
-    origin = 0, xs[0], mats[0], spectra[0], float(los[0]), float(tds[0])
     if _passes(origin):
         iterations, x, m, evals, lo, td = origin
     else:
         iterations, x, m, evals, lo, td = _cesaro_candidate(
-            aff, b2, refine, origin, residual_tol, max_iterations, warnings)
+            aff, b2, lambda ys: _refine(a, a_pinv, aff.offset, ys), origin, residual_tol,
+            max_iterations, warnings)
 
     if td > residual_tol:
         raise SolverDiagnostic(f"fixed-point residual {td:.3e} exceeds {residual_tol}")
@@ -322,13 +363,13 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
         dim2=d2,
         particular=particular,
         basis=basis_mats,
-        k=k,
+        k=b2.n_traceless - rank,
         affine=aff,
         affine_gap=a,
         affine_pinv=a_pinv,
         residuals={
             "map_trace_distance": td,
-            "affine_norm": float(np.linalg.norm(a @ x + c)),
+            "affine_norm": float(np.linalg.norm(a @ x + aff.offset)),
             "min_eigenvalue": lo,
             "iterations": iterations,
         },

@@ -21,11 +21,14 @@ The verdict is monotone in the path set: adding paths can only upgrade it.
 
 ``_probe`` builds every :class:`ProbeResult`, for :func:`probe`,
 :func:`classify` and the ``probe`` command alike: it calls each direction
-for its states and solves each probe point on its own.  One stage selects
-and emits as one stack: the new direction points of a ``_probe`` call, and
-the distinct centers of the ``probe`` command.  A verdict reads a center's
-fixed-point set, never a state selected from it.  :func:`classify` takes
-the running jumps of all its rows from one batched trace distance each.
+for its states, builds the solve cores of all its new points as one stack,
+and finishes each point's solve with its own ``fixed_point_set`` call, in
+the order the points were met, so a center's diagnostic stops it before
+any later point is solved.  One stage selects and emits as one stack: the
+new direction points of a ``_probe`` call, and the distinct centers of the
+``probe`` command.  A verdict reads a center's fixed-point set, never a
+state selected from it.  :func:`classify` takes the running jumps of all
+its rows from one batched trace distance each.
 
 Generated states are built once per process.  :func:`generate_probe_families`
 returns new :class:`PathFamily` objects on every call, but their centers and
@@ -41,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .deutsch import SolverDiagnostic, _emit, fixed_point_set, membership
+from .deutsch import (
+    SolverDiagnostic, _cores, _emit, _superoperators, fixed_point_set, membership)
 from .reference import mixed_first_qubit, mixed_second_qubit, reference_center
 from .selection import select
 from .states import DensityOperator, _check_count, trace_distance
@@ -180,29 +184,40 @@ def _select_and_emit(u, points, rule):
 def _probe(u, jobs, rule, solved):
     """One :class:`ProbeResult` per ``(family, eps)`` job.
 
+    The solve cores of every new point, centers and direction points in
+    solve order, are built as one stack; then each point's solve is finished
+    by its own ``fixed_point_set(..., core=...)`` call, in the same order.
     A center is solved but not selected: its fixed-point set is its outcome,
-    and a :class:`SolverDiagnostic` there is raised.  Each new direction
-    point is solved on its own, a diagnostic recorded, and the solved ones
-    go through :func:`_select_and_emit`.  ``solved`` maps the center state
-    and ``(direction, eps)`` to outcomes, so a shared point is solved once;
-    it holds its keys, so no key can be reused by another object.
+    and a :class:`SolverDiagnostic` there is raised.  A diagnostic at a
+    direction point is recorded, and the solved ones go through
+    :func:`_select_and_emit`.  ``solved`` maps the center state and
+    ``(direction, eps)`` to outcomes, so a shared point is solved once; it
+    holds its keys, so no key can be reused by another object.
     """
-    fresh, tables = {}, []  # (direction, eps) -> (state, fps) of each new direction point
+    todo, tables = {}, []  # key -> state of each new point in solve order; a center is its key
     for fam, grid in jobs:
         table = [(name, direction, eps) for name, direction in
                  (("a", fam.family_a), ("b", fam.family_b)) for eps in grid]
         tables.append(table)
         if fam.center not in solved:
-            solved[fam.center] = fixed_point_set(u, fam.center)
+            todo.setdefault(fam.center, fam.center)
         for _, direction, eps in table:
             key = direction, eps
-            if key in solved or key in fresh:
-                continue
-            state = direction(eps)
-            try:
-                fresh[key] = state, fixed_point_set(u, state)
-            except SolverDiagnostic as exc:
-                solved[key] = (None, None, None, None, str(exc))
+            if key not in solved and key not in todo:
+                todo[key] = direction(eps)
+    cores = []
+    if todo:
+        stack = np.stack([state.matrix for state in todo.values()])
+        cores = _cores(u, *_superoperators(u, stack))
+    fresh = {}  # (direction, eps) -> (state, fps) of each new direction point
+    for (key, state), core in zip(todo.items(), cores):
+        if key is state:
+            solved[key] = fixed_point_set(u, state, core=core)
+            continue
+        try:
+            fresh[key] = state, fixed_point_set(u, state, core=core)
+        except SolverDiagnostic as exc:
+            solved[key] = (None, None, None, None, str(exc))
     if fresh:
         for (key, (_, fps)), (sel, rho_hat) in zip(
                 fresh.items(), _select_and_emit(u, list(fresh.values()), rule)):

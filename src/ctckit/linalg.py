@@ -64,6 +64,19 @@ def _inverse_permutation(images):
     return inv[:, None], inv
 
 
+@lru_cache(maxsize=64)
+def _trace_1_gather(images, dim2):
+    """Read-only index pairs ``(i, j)`` and ``(a, b)`` of shape ``(dim1, dim2,
+    dim2)``, kept by value: entry ``(x, y)`` of ``Tr_1(P (r (x) s) P^T)``, for
+    the permutation matrix ``P`` of ``images``, is the sum over ``c`` of
+    ``r[i, j] * s[a, b]`` at ``[c, x, y]``."""
+    inv = _inverse_permutation(images)[1].reshape(-1, dim2)  # ``P X P^T`` reads row ``inv``
+    i, a = np.divmod(inv, dim2)
+    i.setflags(write=False)
+    a.setflags(write=False)
+    return (i[:, :, None], i[:, None, :]), (a[:, :, None], a[:, None, :])
+
+
 def hermitian_trace_norm(m):
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix, or
     the array of norms of a stack ``(..., n, n)``."""

@@ -168,11 +168,13 @@ class UnitaryGate:
 
     @classmethod
     def from_permutation(cls, dim1, dim2, images):
-        """Basis-permutation gate sending ``|j>`` to ``|images[j]>``."""
-        d = _check_count("dim1", dim1, 1) * _check_count("dim2", dim2, 1)
-        p, m = _permutation_matrix(images, d)
-        gate = cls(m, dim1, dim2)  # ``m`` is ``p``'s matrix by construction
-        gate.permutation = p
+        """Basis-permutation gate sending ``|j>`` to ``|images[j]>``.  Its 0/1
+        matrix is unitary by construction, so only the permutation is checked."""
+        dim1, dim2 = _check_count("dim1", dim1, 1), _check_count("dim2", dim2, 1)
+        gate = cls.__new__(cls)
+        gate.permutation, gate.matrix = _permutation_matrix(images, dim1 * dim2)
+        gate.matrix.setflags(write=False)
+        gate.dim1, gate.dim2 = dim1, dim2
         return gate
 
     @classmethod

@@ -172,6 +172,12 @@ def build_superoperator_loop(u, rho):
     return linear, offset
 
 
+def superoperators_loop(u, rhos):
+    """``(linears, offsets)`` of a state stack, one ``build_superoperator_loop`` each."""
+    maps = [build_superoperator_loop(u, DensityOperator(m)) for m in rhos]
+    return np.array([linear for linear, _ in maps]), np.array([offset for _, offset in maps])
+
+
 # The fixed-point solver as it was before its candidates became one loop: a
 # ``consider`` closure tracks the best candidate through ``nonlocal`` state,
 # the accepted state is rebuilt and validated again, and the pseudoinverse

@@ -11,10 +11,12 @@ loop versions in ``oracles`` produce, on seeded permutation and Haar-random
 dense gates.  The solver also equals ``oracles.fixed_point_set_ref``, its
 form before its candidates became one loop, on the same inputs and on a
 (3, 3) solve that raises or, with a looser tolerance, accepts slowly, and
-at step budgets on the edges of the solver's candidate stacks.  The
-same holds one level up: the stacked emission equals the ``np.kron``
-formula, and ``classify`` gives the witness digest of the per-path loop it
-replaced.
+at step budgets on the edges of the solver's candidate stacks.  A stack
+of solve cores, built for many states at once as ``discontinuity._probe``
+builds them, finishes each state's solve exactly as its own stack of one
+does.  The same holds one level up: the stacked emission equals the
+``np.kron`` formula, and ``classify`` gives the witness digest of the
+per-path loop it replaced.
 """
 
 import numpy as np
@@ -23,7 +25,6 @@ import pytest
 from ctckit import deutsch, discontinuity
 from ctckit.basis import HermitianBasis, hermitian_basis
 from ctckit.deutsch import (
-    AffineMapReal,
     SolverDiagnostic,
     build_superoperator,
     deutsch_map,
@@ -44,6 +45,7 @@ from oracles import (
     gell_mann_loop,
     random_density,
     random_unitary,
+    superoperators_loop,
     traceless_coords_loop,
 )
 
@@ -128,19 +130,27 @@ def test_stacked_coords_match_one_at_a_time():
 
 @pytest.mark.parametrize("dim1,dim2", DIMS)
 def test_superoperator_matches_loop(dim1, dim2):
-    for gate, rho in _cases(dim1, dim2):
+    cases = _cases(dim1, dim2)
+    for gate, rho in cases:
         aff = build_superoperator(gate, rho)
         linear, offset = build_superoperator_loop(gate, rho)
         assert np.array_equal(aff.linear, linear)
         assert np.array_equal(aff.offset, offset)
+    # Each row of a stack is its own state's map, under every gate of the cases.
+    stack = np.stack([rho.matrix for _, rho in cases])
+    for gate, _ in cases:
+        linears, offsets = deutsch._superoperators(gate, stack)
+        for (_, rho), linear, offset in zip(cases, linears, offsets):
+            ref_linear, ref_offset = build_superoperator_loop(gate, rho)
+            assert np.array_equal(linear, ref_linear)
+            assert np.array_equal(offset, ref_offset)
 
 
 @pytest.mark.parametrize("dim1,dim2", DIMS)
 def test_fixed_point_set_matches_loop_core(dim1, dim2, monkeypatch):
     cases = _cases(dim1, dim2)
     with monkeypatch.context() as mp:
-        mp.setattr(deutsch, "build_superoperator",
-                   lambda u, rho: AffineMapReal(*build_superoperator_loop(u, rho)))
+        mp.setattr(deutsch, "_superoperators", superoperators_loop)
         mp.setattr(HermitianBasis, "traceless_coords", traceless_coords_loop)
         mp.setattr(HermitianBasis, "from_traceless", from_traceless_loop)
         refs = [fixed_point_set(gate, rho) for gate, rho in cases]
@@ -232,7 +242,8 @@ def test_raising_solve_checks_its_candidates_as_stacks(monkeypatch):
     # 3,127 candidates: the refined origin alone, then 1,563 checkpoints (each
     # a refined and a raw mean) in 30 blocks: 1, 2, ..., 32, then 23 of 64 and
     # the last 28.  A stack is one ``from_traceless`` of its candidates and
-    # their images, and two ``eigvalsh``; one at a time it was 6,254 of each.
+    # their images, and one ``eigvalsh`` of both; one at a time it was 6,254
+    # ``from_traceless`` and 6,254 ``eigvalsh`` calls.
     gate, rho = _raising_input()
     counts = {"eigvalsh": 0, "from_traceless": 0}
     eigvalsh, from_traceless = np.linalg.eigvalsh, HermitianBasis.from_traceless
@@ -249,7 +260,69 @@ def test_raising_solve_checks_its_candidates_as_stacks(monkeypatch):
     monkeypatch.setattr(HermitianBasis, "from_traceless", counted_from_traceless)
     with pytest.raises(SolverDiagnostic, match="after 100000 iterations"):
         fixed_point_set(gate, rho)
-    assert counts == {"eigvalsh": 62, "from_traceless": 31}
+    assert counts == {"eigvalsh": 31, "from_traceless": 31}
+
+
+def _stack_gate(dim1, dim2):
+    """A seeded permutation gate; on (3, 3) the census gate with raising points."""
+    if (dim1, dim2) == (3, 3):
+        return UnitaryGate.from_permutation(3, 3, GATE_3X3_DIAGNOSTIC)
+    return UnitaryGate.from_permutation(
+        dim1, dim2, np.random.default_rng(10 * dim1 + dim2).permutation(dim1 * dim2))
+
+
+# One gate per entry of DIMS, and the (4, 2) one with a seeded phase on each
+# column, which makes it dense with the same degenerate vertices.
+STACK_GATES = {
+    **{f"{d1}x{d2}": (lambda d1=d1, d2=d2: _stack_gate(d1, d2)) for d1, d2 in DIMS},
+    "4x2_dense": lambda: UnitaryGate(
+        _stack_gate(4, 2).matrix * np.exp(2j * np.pi * np.random.default_rng(5).random(8)), 4, 2),
+}
+
+
+def _vertex_points(gate):
+    """Every distinct ``vertex_pairs`` point of ``gate`` in probe order: each
+    center, then its directions at DEFAULT_EPSILONS and 1e-4."""
+    points = {}
+    for fam in generate_probe_families(gate, "vertex_pairs"):
+        points.setdefault(fam.center, fam.center)
+        for direction in (fam.family_a, fam.family_b):
+            for eps in (*discontinuity.DEFAULT_EPSILONS, 1e-4):
+                points.setdefault((direction, eps), direction(eps))
+    return list(points.values())
+
+
+@pytest.mark.parametrize("case", list(STACK_GATES))
+def test_stacked_cores_finish_as_standalone_solves(case):
+    # All points of a gate share one stack of solve cores, unique and
+    # degenerate sets alike; each point's finish equals its own solve, or
+    # raises the same text.
+    gate = STACK_GATES[case]()
+    states = _vertex_points(gate)
+    cores = deutsch._cores(gate, *deutsch._superoperators(
+        gate, np.stack([state.matrix for state in states])))
+    assert len(cores) == len(states)
+    ks, raised, warned = set(), {}, 0
+    for state, core in zip(states, cores):
+        try:
+            ref = fixed_point_set(gate, state)
+        except SolverDiagnostic as exc:
+            with pytest.raises(SolverDiagnostic) as new:
+                fixed_point_set(gate, state, core=core)
+            raised[state] = str(new.value)
+            assert raised[state] == str(exc)
+            continue
+        new = fixed_point_set(gate, state, core=core)
+        _assert_same_fixed_point_set(new, ref)
+        assert np.array_equal(new.particular.eigenvalues, ref.particular.eigenvalues)
+        ks.add(new.k)
+        warned += bool(new.warnings)
+    assert 0 in ks and max(ks) > 0
+    if case == "3x3":
+        assert (len(raised), warned) == (3, 2)  # two gray-zone points at eps = 1e-4
+        assert raised[_raising_input()[1]] == (
+            "no fixed-point candidate within tolerance after 100000 iterations "
+            "(min eigenvalue 6.355e-07, residual 6.473e-07)")
 
 
 @pytest.mark.parametrize("dim1,dim2", DIMS)

@@ -134,8 +134,8 @@ def test_swap_gate_copies_system_onto_loop():
 
 def test_accepted_origin_builds_no_cesaro_state(monkeypatch):
     # A unique fixed state is exact at the refined origin: one stacked check
-    # (one from_traceless, the spectrum and the map residual), and the
-    # Cesaro fallback is never entered.
+    # (one from_traceless, and one eigvalsh for the spectrum and the map
+    # residual), and the Cesaro fallback is never entered.
     u, rho = reference_gate(), mixed_first_qubit(0.1)
     counts = {"eigvalsh": 0, "from_traceless": 0}
     eigvalsh, from_traceless = np.linalg.eigvalsh, HermitianBasis.from_traceless
@@ -156,7 +156,7 @@ def test_accepted_origin_builds_no_cesaro_state(monkeypatch):
     monkeypatch.setattr(deutsch, "_cesaro_candidate", no_fallback)
     fps = fixed_point_set(u, rho)
     assert fps.k == 0 and fps.residuals["iterations"] == 0
-    assert counts == {"eigvalsh": 2, "from_traceless": 1}
+    assert counts == {"eigvalsh": 1, "from_traceless": 1}
 
 
 def test_fixed_point_is_actually_fixed():

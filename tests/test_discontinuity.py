@@ -145,6 +145,32 @@ class TestSolverDiagnostic:
         assert c.verdict == "continuous_witnessed_none"
 
 
+    @pytest.mark.parametrize("entry", ["probe", "classify"])
+    def test_a_center_diagnostic_is_raised_before_any_later_solve(self, entry, monkeypatch):
+        # A center's fixed-point set is its outcome, so its diagnostic is
+        # raised, and no point after it in solve order is solved.
+        if entry == "probe":
+            center, before = reference_center(), 0
+        else:
+            # vertex0's center and its 6 directions on the grid come first.
+            center, before = DensityOperator.basis_state(4, 1), 1 + 6 * len(DEFAULT_EPSILONS)
+        fail = failing_at(center.matrix)
+        seen = []
+
+        def recorded(u, rho, **kwargs):
+            seen.append(rho)
+            return fail(u, rho, **kwargs)
+
+        monkeypatch.setattr(discontinuity, "fixed_point_set", recorded)
+        with pytest.raises(SolverDiagnostic, match="^injected failure$"):
+            if entry == "probe":
+                probe(reference_gate(), paper_family(), PAPER_EPSILONS)
+            else:
+                classify(reference_gate(), "vertex_pairs", max_refinements=0)
+        assert len(seen) == before + 1
+        np.testing.assert_array_equal(seen[-1].matrix, center.matrix)
+
+
 class TestGenerateFamilies:
     def test_paper_example_single_family(self):
         fams = generate_probe_families(reference_gate(), "paper_example")
@@ -234,9 +260,9 @@ class TestClassify:
         solve = discontinuity.fixed_point_set
         calls = []
 
-        def counted(u, rho):
+        def counted(u, rho, **kwargs):
             calls.append(rho)
-            return solve(u, rho)
+            return solve(u, rho, **kwargs)
 
         monkeypatch.setattr(discontinuity, "fixed_point_set", counted)
         classify(gate, "vertex_pairs", max_refinements=0)
@@ -259,12 +285,15 @@ class TestClassify:
         assert sorted({p["center_k"] for p in cls.witness["paths"]}) == [0, 1]
 
     def test_eigvalsh_calls_of_one_classify(self, empty_probe_table, monkeypatch):
-        # A solve decomposes its accepted candidate and that candidate's map
-        # residual; a state keeps its spectrum, so neither its validation nor
-        # the entropy of a unique fixed state decomposes it again.  Centers
-        # are not selected, so their k > 0 sets are not optimised.  The first
-        # call also validates the 136 generated states (4 centers, 12 other
-        # vertices, 120 direction points), which later calls share.
+        # The 124 solve cores of a probe call decompose their refined origins
+        # and those origins' map residuals in one stacked call; a state keeps
+        # its spectrum, so neither its validation nor the entropy of a unique
+        # fixed state decomposes it again.  The other 27 calls are the 24
+        # limit memberships, the stacked emission's validation and the two
+        # batched running jumps.  Centers are not selected, so their k > 0
+        # sets are not optimised.  The first call also validates the 136
+        # generated states (4 centers, 12 other vertices, 120 direction
+        # points), which later calls share.
         eigvalsh = np.linalg.eigvalsh
         calls = []
 
@@ -278,7 +307,7 @@ class TestClassify:
             calls.clear()
             classify(reference_gate(), "vertex_pairs", max_refinements=0)
             counts.append(len(calls))
-        assert counts == [411, 275]
+        assert counts == [164, 28]
 
     def test_second_gate_builds_no_generated_state(self, monkeypatch):
         classify(reference_gate(), "vertex_pairs", max_refinements=0)
@@ -294,9 +323,9 @@ class TestClassify:
             built.append(eps)
             return mix_toward(center, other, eps)
 
-        def counted_solve(u, rho):
+        def counted_solve(u, rho, **kwargs):
             solves.append(rho)
-            return solve(u, rho)
+            return solve(u, rho, **kwargs)
 
         def counted_select(fps, rule=None):
             selections.append(fps)
@@ -377,9 +406,9 @@ class TestClassify:
         built, solves = [], []
         solve = discontinuity.fixed_point_set
 
-        def counted_solve(u, rho):
+        def counted_solve(u, rho, **kwargs):
             solves.append(rho)
-            return solve(u, rho)
+            return solve(u, rho, **kwargs)
 
         def shared(e):
             built.append(e)

@@ -214,6 +214,25 @@ class TestUnitaryGate:
         np.testing.assert_array_equal(g.matrix, original(g.permutation, 9)[1])
         assert g.matrix.flags.writeable is False
 
+    def test_from_permutation_skips_the_unitarity_product(self, monkeypatch):
+        # A checked permutation's 0/1 matrix is unitary by construction; a
+        # matrix from outside is still checked.
+        from ctckit import states
+
+        products = []
+        original = states.dagger
+
+        def counted(m):
+            products.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(states, "dagger", counted)
+        g = UnitaryGate.from_permutation(3, 3, (6, 3, 4, 8, 1, 7, 0, 2, 5))
+        assert products == []
+        assert (g.dim1, g.dim2) == (3, 3) and all(type(d) is int for d in (g.dim1, g.dim2))
+        UnitaryGate(g.matrix, 3, 3)
+        assert products == [(9, 9)]
+
     @pytest.mark.parametrize("obj", [{"dim1": 2, "perm": [0, 1]}, [2, 1], None],
                              ids=["no-dim2", "list", "null"])
     def test_from_json_needs_both_dims(self, obj):

@@ -10,7 +10,11 @@ under the pool's census semantics, with one BLAS thread.  Output is one JSON
 line per gate: the verdict, ``repr`` of both jumps, the witness digest and
 the text of every ``SolverDiagnostic`` its solves raised, recorded by
 wrapping ``discontinuity.fixed_point_set``; then one line per pool with the
-config hash of its semantics next to the hash the reference holds.
+config hash of its semantics next to the hash the reference holds.  Then the
+first :data:`REFINING_GATES` gates of each pool are classified again at
+``jump_tol`` 0.3 with ``max_refinements`` 2, where paths near the threshold
+refine their grids (no pool setting does): one line per gate with the same
+fields and the number of refinements used.
 
 Then each command of :data:`CLI_RUNS` runs as ``ctckit`` in its own process,
 with one BLAS thread, in a temporary directory that holds the input files
@@ -26,7 +30,8 @@ the parent checkout and of the change are equal:
     diff parent.jsonl change.jsonl
 
 Digests hash full-precision floats, so compare outputs of one host only.
-The pools take about a minute on one core, the CLI runs about 15 s.
+The pools take about a minute on one core, the refining gates about 7 s
+and the CLI runs about 15 s.
 """
 
 import os
@@ -45,6 +50,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 POOLS = ("census_4x2", "census_3x3")
+REFINING_GATES = 20
+REFINING = {"jump_tol": 0.3, "max_refinements": 2}
 
 CLI_RUNS = (
     ("probe", "--paper-example", "--out", "probe_paper.csv"),
@@ -130,6 +137,7 @@ def main(argv):
     sys.path.insert(0, str(root / "src"))
     from ctckit import census, discontinuity
     from ctckit.deutsch import SolverDiagnostic
+    from ctckit.states import UnitaryGate
 
     diagnostics = []
     solve = discontinuity.fixed_point_set
@@ -142,8 +150,9 @@ def main(argv):
             raise
 
     discontinuity.fixed_point_set = recording_solve
-    for name in POOLS:
-        ref = json.loads((root / "perfbench" / "reference" / f"{name}.json").read_text())
+    refs = {name: json.loads((root / "perfbench" / "reference" / f"{name}.json").read_text())
+            for name in POOLS}
+    for name, ref in refs.items():
         config = census.CensusConfig(**ref["semantics"])
         for perm, *_ in ref["records"]:
             diagnostics.clear()
@@ -155,6 +164,22 @@ def main(argv):
             }), flush=True)
         print(json.dumps({"pool": name, "config_hash": config.config_hash(),
                           "reference_hash": ref["config_hash"]}), flush=True)
+    for name, ref in refs.items():
+        semantics = {**ref["semantics"], **REFINING}
+        for perm, *_ in ref["records"][:REFINING_GATES]:
+            diagnostics.clear()
+            gate = UnitaryGate.from_permutation(semantics["dim1"], semantics["dim2"], perm)
+            cls = discontinuity.classify(
+                gate, strategy=semantics["strategy"], epsilons=semantics["epsilons"],
+                jump_tol=semantics["jump_tol"], seed=semantics["seed"],
+                max_refinements=semantics["max_refinements"])
+            print(json.dumps({
+                "refining_pool": name, "permutation": perm, "verdict": cls.verdict,
+                "sigma_jump": repr(cls.sigma_jump), "rho_hat_jump": repr(cls.rho_hat_jump),
+                "witness_digest": cls.witness_digest(),
+                "refinements_used": cls.witness["refinements_used"],
+                "diagnostics": diagnostics,
+            }), flush=True)
     discontinuity.fixed_point_set = solve
     run_cli(root)
 
