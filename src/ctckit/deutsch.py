@@ -27,7 +27,10 @@ iteration, the refined and then the raw running mean, in blocks of 1, 2, 4,
 accepted checkpoint as the solve had run before it.  The first candidate
 within the inner tolerances is the particular solution, kept with the
 spectrum its check computed; failing that, the best by (negativity,
-residual) is accepted with a warning or raises.
+residual) is accepted with a warning or raises.  The particular is not
+validated again: ``from_traceless`` made it exactly Hermitian with unit
+trace, its spectrum passed the PSD check, and it is finite, as gates and
+states are.
 """
 
 from dataclasses import dataclass
@@ -39,7 +42,7 @@ from .basis import hermitian_basis
 from .linalg import (
     _trace_1_gather, conjugate, hermitian_trace_norm, matrix_to_json, partial_trace_1,
     partial_trace_2)
-from .states import PSD_TOL, DensityOperator, _check_count, _validated
+from .states import PSD_TOL, DensityOperator, _check_count
 
 __all__ = [
     "SV_TOL",
@@ -61,7 +64,7 @@ RESIDUAL_TOL = 1e-10
 MAX_ITERATIONS = 100_000
 
 # Inner acceptance thresholds for iterate candidates; stricter than the
-# reported tolerances so accepted solutions validate with margin.
+# reported tolerances, so an accepted solution is a valid state with margin.
 _EIG_SLACK = 5e-13
 _EARLY_RESIDUAL = 1e-12
 _CHECK_EVERY = 64
@@ -221,11 +224,14 @@ def _assess(linear, offset, b2, xs):
     """Matrices, spectra, minimum eigenvalues and map residuals (the trace
     distance one application of the map moves each) of a stack ``(N, n)`` of
     candidate coordinates, each bit for bit its own, for one map or a stack
-    of maps with one row each.  Both spectra come from one ``eigvalsh``."""
+    of maps with one row each.  Both spectra come from one ``eigvalsh``; the
+    matrices and spectra are read-only, as a state's are."""
     images = (linear @ xs[..., None])[..., 0] + offset
     mats = b2.from_traceless(np.stack((xs, images)))
     np.subtract(mats[1], mats[0], out=mats[1])
     spectra = np.linalg.eigvalsh(mats)
+    mats.setflags(write=False)
+    spectra.setflags(write=False)
     return mats[0], spectra[0], spectra[0].min(axis=-1), 0.5 * abs(spectra[1]).sum(axis=-1)
 
 
@@ -321,9 +327,9 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
     """Solve ``T(sigma) = sigma`` for the induced map of ``(u, rho)``.
 
     Returns a :class:`FixedPointSet`; raises :class:`SolverDiagnostic` when no
-    candidate reaches ``residual_tol`` in trace distance (or fails PSD
-    validation) within ``max_iterations`` Cesaro iterations.  ``core`` is
-    ``rho``'s entry of :func:`_cores` when a caller built a stack of them;
+    candidate reaches ``residual_tol`` in trace distance, with no eigenvalue
+    below ``-PSD_TOL``, within ``max_iterations`` Cesaro iterations.  ``core``
+    is ``rho``'s entry of :func:`_cores` when a caller built a stack of them;
     without it the solve builds its own, as a stack of one.
     """
     max_iterations = _check_count("max_iterations", max_iterations)
@@ -353,15 +359,10 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
 
     if td > residual_tol:
         raise SolverDiagnostic(f"fixed-point residual {td:.3e} exceeds {residual_tol}")
-    try:
-        # ``m`` is exactly Hermitian, so ``evals`` is the spectrum of the stored state.
-        particular = DensityOperator._of(*_validated(m, 2, evals))
-    except ValueError as exc:
-        raise SolverDiagnostic(f"fixed-point candidate failed validation: {exc}") from exc
 
     return FixedPointSet(
         dim2=d2,
-        particular=particular,
+        particular=DensityOperator._of(m, evals),
         basis=basis_mats,
         k=b2.n_traceless - rank,
         affine=aff,

@@ -5,7 +5,6 @@ Composite indices follow the row-major convention: basis state ``|i, a>`` of
 """
 
 import numbers
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,30 +49,24 @@ def conjugate(u, m, permutation=None):
     matrix products.
     """
     if permutation is not None:
-        rows, cols = _inverse_permutation(tuple(permutation))
+        rows, cols = _inverse_permutation(permutation)
         return np.asarray(m)[..., rows, cols]
     return u @ m @ dagger(u)
 
 
-@lru_cache(maxsize=64)
 def _inverse_permutation(images):
-    """Read-only gather indices ``(inv[:, None], inv)`` of the inverse of
-    ``images``, kept by value, so the conjugations of one gate invert it once."""
+    """Gather indices ``(inv[:, None], inv)`` of the inverse of ``images``."""
     inv = np.argsort(np.asarray(images))
-    inv.setflags(write=False)
     return inv[:, None], inv
 
 
-@lru_cache(maxsize=64)
 def _trace_1_gather(images, dim2):
-    """Read-only index pairs ``(i, j)`` and ``(a, b)`` of shape ``(dim1, dim2,
-    dim2)``, kept by value: entry ``(x, y)`` of ``Tr_1(P (r (x) s) P^T)``, for
-    the permutation matrix ``P`` of ``images``, is the sum over ``c`` of
-    ``r[i, j] * s[a, b]`` at ``[c, x, y]``."""
+    """Index pairs ``(i, j)`` and ``(a, b)`` of shape ``(dim1, dim2, dim2)``:
+    entry ``(x, y)`` of ``Tr_1(P (r (x) s) P^T)``, for the permutation matrix
+    ``P`` of ``images``, is the sum over ``c`` of ``r[i, j] * s[a, b]`` at
+    ``[c, x, y]``."""
     inv = _inverse_permutation(images)[1].reshape(-1, dim2)  # ``P X P^T`` reads row ``inv``
     i, a = np.divmod(inv, dim2)
-    i.setflags(write=False)
-    a.setflags(write=False)
     return (i[:, :, None], i[:, None, :]), (a[:, :, None], a[:, None, :])
 
 

@@ -5,7 +5,8 @@ Hermiticity and unit trace to 1e-12, positive semidefiniteness to -1e-10 on
 the smallest eigenvalue.  The Hermiticity and unitarity checks are written so
 that a NaN fails them, which rejects every non-finite entry before the other
 checks run; the NaN that an infinite entry produces raises no floating-point
-warning.
+warning.  Every state is validated where it is built, except a solve's
+particular state, which the solver in ``deutsch`` has already checked.
 
 The package's two input rules: ``linalg._check_count`` decides what a count
 is everywhere (an integral real, not a bool, at least a floor; ``2.0`` reads
@@ -43,10 +44,9 @@ def _permutation_matrix(images, d):
     return p, m
 
 
-def _validated(m, ndim, evals=None):
+def _validated(m, ndim):
     """Read-only ``0.5 (m + m^dagger)`` and ``eigvalsh`` spectrum of a density
-    matrix (``ndim`` 2) or stack (``ndim`` 3) that passes the checks; a known
-    spectrum ``evals`` of an exactly Hermitian ``m`` is checked, not recomputed."""
+    matrix (``ndim`` 2) or stack (``ndim`` 3) that passes the checks."""
     if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density matrix must be square, got shape {m.shape[ndim - 2:]}")
     mh = m.swapaxes(-1, -2).conj()
@@ -60,8 +60,7 @@ def _validated(m, ndim, evals=None):
         tr = np.ravel(tr)[np.argmax(off)]
         raise ValueError(f"density matrix trace {tr} differs from 1 beyond 1e-12")
     m = 0.5 * (m + mh)
-    if evals is None:
-        evals = np.linalg.eigvalsh(m)
+    evals = np.linalg.eigvalsh(m)
     lo = float(evals.min())
     if lo < -PSD_TOL:
         raise ValueError(f"density matrix has eigenvalue {lo} below -1e-10")
@@ -79,7 +78,8 @@ class DensityOperator:
 
     @classmethod
     def _of(cls, matrix, eigenvalues):
-        """State of a matrix and spectrum that :func:`_validated` returned."""
+        """State of a read-only matrix and its checked spectrum: a pair that
+        :func:`_validated` returned, or a solve's accepted particular state."""
         state = cls.__new__(cls)
         state.matrix, state.eigenvalues = matrix, eigenvalues
         return state
@@ -137,16 +137,14 @@ class DensityOperator:
 class UnitaryGate:
     """A unitary on a bipartite space ``H1 (x) H2``.
 
-    ``permutation`` is optional metadata for gates that permute the
-    computational basis: ``matrix[permutation[j], j] == 1``. When present the
-    matrix must equal the induced 0/1 matrix exactly.
+    ``permutation`` is the image tuple of a gate that :meth:`from_permutation`
+    built, with ``matrix[permutation[j], j] == 1``, and ``None`` for a matrix
+    given to the constructor, which checks it for unitarity.
     """
 
-    def __init__(self, matrix, dim1, dim2, permutation=None):
+    def __init__(self, matrix, dim1, dim2):
         dim1, dim2 = _check_count("dim1", dim1, 1), _check_count("dim2", dim2, 1)
         d = dim1 * dim2
-        if permutation is not None:
-            permutation, expected = _permutation_matrix(permutation, d)
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (d, d):
             raise ValueError(f"gate shape {m.shape} incompatible with dims ({dim1}, {dim2})")
@@ -154,13 +152,11 @@ class UnitaryGate:
             unitary = np.max(np.abs(m @ dagger(m) - np.eye(d))) <= UNITARY_TOL
         if not unitary:
             raise ValueError("gate has non-finite entries or is not unitary to 1e-12")
-        if permutation is not None and not np.array_equal(m, expected):
-            raise ValueError("matrix does not equal the stated permutation matrix")
         self.matrix = m
         self.matrix.setflags(write=False)
         self.dim1 = dim1
         self.dim2 = dim2
-        self.permutation = permutation
+        self.permutation = None
 
     @property
     def dim(self):
