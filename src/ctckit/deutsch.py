@@ -33,6 +33,7 @@ trace, its spectrum passed the PSD check, and it is finite, as gates and
 states are.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -328,11 +329,14 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
 
     Returns a :class:`FixedPointSet`; raises :class:`SolverDiagnostic` when no
     candidate reaches ``residual_tol`` in trace distance, with no eigenvalue
-    below ``-PSD_TOL``, within ``max_iterations`` Cesaro iterations.  ``core``
+    below ``-PSD_TOL``, within ``max_iterations`` Cesaro iterations, and
+    ``ValueError`` for a NaN ``residual_tol``.  ``core``
     is ``rho``'s entry of :func:`_cores` when a caller built a stack of them;
     without it the solve builds its own, as a stack of one.
     """
     max_iterations = _check_count("max_iterations", max_iterations)
+    if math.isnan(residual_tol):  # it would pass every residual check
+        raise ValueError("residual_tol must not be NaN")
     if core is None:
         core, = _cores(u, *_superoperators(u, rho.matrix[None]))
     aff, a, s, vt, rank, a_pinv, origin = core

@@ -1,8 +1,10 @@
 """Selecting one fixed state when the self-consistency condition is degenerate.
 
 When the fixed-point set has positive dimension a rule must pick the state
-the loop actually settles into.  ``max_entropy`` maximizes the von Neumann
-entropy over the set; strict concavity makes that choice unique.
+the loop actually settles into.  :func:`select` is the one dispatcher from a
+:class:`SelectionRule` to the state it picks; a new rule is one branch there.
+``max_entropy`` maximizes the von Neumann entropy over the set; strict
+concavity makes that choice unique.
 ``min_entropy`` minimizes it instead, which in general is *not* unique; the
 implementation is deterministic but the state it lands on is one minimizer
 among possibly many.  ``constant_index`` pins fixed coefficients over the
@@ -49,13 +51,14 @@ _MIN_STEP = 1e-16
 _STEP_INIT = 1.0
 _BACKTRACK_FACTOR = 0.5
 _GRAD_TOL = 1e-10
+_MAX_ITERS = 10_000
 
 
 @dataclass
 class SelectionRule:
     kind: str = "max_entropy"
     coordinates: tuple = ()
-    max_iters: int = 10_000
+    max_iters: int = _MAX_ITERS
 
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
@@ -107,12 +110,11 @@ def _boundary_distance(particular, stacked, t, d):
     if not feasible(1e-12):
         return 0.0
     lo, hi = 1e-12, 1.0
-    doublings = 0
+    # ``d`` is a unit vector over an orthonormal traceless basis, so its matrix has
+    # an eigenvalue <= -1/sqrt(dim (dim - 1)) and the state leaves the PSD cone
+    # within a few doublings; a NaN spectrum reads as infeasible.
     while feasible(hi):
         lo, hi = hi, hi * 2.0
-        doublings += 1
-        if doublings > 60:
-            return lo
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -129,16 +131,11 @@ def _axis_directions(k):
     return np.concatenate((0.0 - eye, eye[::-1]))
 
 
-def _unique(fps):
-    """The state of a ``k == 0`` set, which every entropy rule selects."""
-    return SelectionResult(fps.particular, von_neumann_entropy(fps.particular), 0, True, 0.0)
-
-
-def _optimize(fps, rule, sense, start=None):
-    """Gradient iteration on ``f = sense * entropy``; ``sense=+1`` maximizes."""
+def _optimize(fps, max_iters, sense, start=None):
+    """At most ``max_iters`` gradient steps on ``f = sense * entropy``; ``sense=+1`` maximizes."""
     k = fps.k
-    if k == 0:
-        return _unique(fps)
+    if k == 0:  # the one state of the set, which every entropy rule selects
+        return SelectionResult(fps.particular, von_neumann_entropy(fps.particular), 0, True, 0.0)
     particular = fps.particular.matrix
     stacked = np.stack(fps.basis)
     kicks = _axis_directions(k) if sense < 0 else ()
@@ -185,7 +182,7 @@ def _optimize(fps, rule, sense, start=None):
     grad_norm = 0.0
     recent = deque(maxlen=5)
 
-    while iterations < rule.max_iters:
+    while iterations < max_iters:
         iterations += 1
         g = sense * _gradient(cur.evals, cur.evecs, stacked)
         grad_norm = float(np.linalg.norm(g))
@@ -208,16 +205,14 @@ def _optimize(fps, rule, sense, start=None):
     return SelectionResult(sigma, cur.entropy, iterations, converged, grad_norm)
 
 
-def max_entropy_state(fps, rule=None, start=None):
+def max_entropy_state(fps, start=None):
     """The unique entropy maximizer over the fixed-point set."""
-    rule = rule or SelectionRule("max_entropy")
-    return _optimize(fps, rule, +1.0, start=start)
+    return _optimize(fps, _MAX_ITERS, +1.0, start=start)
 
 
-def min_entropy_state(fps, rule=None):
+def min_entropy_state(fps):
     """A deterministic entropy minimizer (in general one of several)."""
-    rule = rule or SelectionRule("min_entropy")
-    return _optimize(fps, rule, -1.0)
+    return _optimize(fps, _MAX_ITERS, -1.0)
 
 
 def _constant_index(fps, rule):
@@ -230,15 +225,12 @@ def _constant_index(fps, rule):
 
 
 def select(fps, rule=None):
-    """Apply a selection rule to a fixed-point set."""
-    rule = rule or SelectionRule("max_entropy")
+    """Apply a selection rule to a fixed-point set; ``None`` means ``max_entropy``."""
+    if rule is None:
+        return _optimize(fps, _MAX_ITERS, +1.0)
     if rule.kind == "constant_index":
         return _constant_index(fps, rule)
-    if fps.k == 0:
-        return _unique(fps)
-    if rule.kind == "max_entropy":
-        return max_entropy_state(fps, rule)
-    return min_entropy_state(fps, rule)
+    return _optimize(fps, rule.max_iters, +1.0 if rule.kind == "max_entropy" else -1.0)
 
 
 def ctc_channel(u, rho, rule=None):

@@ -145,7 +145,7 @@ class UnitaryGate:
     def __init__(self, matrix, dim1, dim2):
         dim1, dim2 = _check_count("dim1", dim1, 1), _check_count("dim2", dim2, 1)
         d = dim1 * dim2
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)  # a copy: the gate freezes it, not the caller's array
         if m.shape != (d, d):
             raise ValueError(f"gate shape {m.shape} incompatible with dims ({dim1}, {dim2})")
         with np.errstate(invalid="ignore"):

@@ -265,3 +265,25 @@ def test_gray_zone_singular_values_are_reported():
     assert re.match(r"^singular values \[8\.66\d*e-09\] lie within a decade "
                     r"of the cutoff 1e-09$", fps.warnings[0])
     assert fps.to_json()["warnings"] == fps.warnings
+
+
+def test_accepted_origin_is_held_to_residual_tol():
+    # The refined origin meets the solver's inner thresholds, so no Cesaro
+    # state is built; its rounding-level residual still exceeds a zero bound.
+    rng = np.random.default_rng(0)
+    gate, rho = _random_gate(rng, 2, 2), DensityOperator(random_density(rng, 2))
+    with pytest.raises(deutsch.SolverDiagnostic,
+                       match=r"^fixed-point residual \S+ exceeds 0\.0$") as raised:
+        fixed_point_set(gate, rho, residual_tol=0.0)
+    residual = float(str(raised.value).split()[2])
+    assert 0.0 < residual < 1e-15
+    fps = fixed_point_set(gate, rho, residual_tol=1e-15)
+    assert fps.residuals["iterations"] == 0
+    assert fps.residuals["map_trace_distance"] == pytest.approx(residual, rel=1e-3)
+
+
+def test_residual_tol_must_not_be_nan():
+    rng = np.random.default_rng(0)
+    gate, rho = _random_gate(rng, 2, 2), DensityOperator(random_density(rng, 2))
+    with pytest.raises(ValueError, match=r"^residual_tol must not be NaN$"):
+        fixed_point_set(gate, rho, residual_tol=float("nan"))

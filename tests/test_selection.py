@@ -154,6 +154,24 @@ def test_optimizer_branches_keep_their_results(name, kind, entropy, iterations):
     assert sel.converged
 
 
+@pytest.mark.parametrize("name", sorted(BRANCH_SETS))
+def test_wrappers_equal_select_under_the_default_rules(name):
+    dims, perm, rho = BRANCH_SETS[name]
+    fps = fixed_point_set(UnitaryGate.from_permutation(*dims, perm), rho)
+    for sel, other in [(select(fps), max_entropy_state(fps)),
+                       (select(fps, SelectionRule("min_entropy")), min_entropy_state(fps))]:
+        assert sel.sigma.matrix.tobytes() == other.sigma.matrix.tobytes()
+        assert (sel.entropy, sel.iterations, sel.converged, sel.gradient_norm) == (
+            other.entropy, other.iterations, other.converged, other.gradient_norm)
+
+
+def test_a_rule_sets_the_step_budget():
+    dims, perm, rho = BRANCH_SETS["A"]
+    fps = fixed_point_set(UnitaryGate.from_permutation(*dims, perm), rho)
+    sel = select(fps, SelectionRule(max_iters=2))
+    assert (sel.iterations, sel.converged) == (2, False)
+
+
 class TestConstantIndex:
     def test_coordinates_pick_a_member(self):
         fps = center_fps()

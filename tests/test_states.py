@@ -158,6 +158,13 @@ class TestUnitaryGate:
         with pytest.raises(ValueError, match="dim[12] must be"):
             UnitaryGate.from_permutation(*dims, range(4))
 
+    def test_keeps_a_read_only_copy_of_the_callers_matrix(self):
+        m = np.eye(2, dtype=complex)
+        g = UnitaryGate(m, 1, 2)
+        assert m.flags.writeable and not g.matrix.flags.writeable
+        m[0, 0] = -1.0
+        assert g.matrix[0, 0] == 1.0
+
     def test_integral_float_dims_read_as_ints(self):
         g = UnitaryGate(np.eye(4), 2.0, 2)
         assert (g.dim1, g.dim2) == (2, 2) and type(g.dim1) is int
