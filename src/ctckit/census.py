@@ -54,7 +54,7 @@ class CensusConfig:
     dim2: int
     mode: str = "exhaustive"
     sample_size: int = 0
-    seed: int = 0
+    seed: int = 0  # draws the sample; probe families are not random
     strategy: str = "vertex_pairs"
     epsilons: tuple = DEFAULT_EPSILONS
     jump_tol: float = JUMP_TOL
@@ -159,7 +159,6 @@ def _classify_one(perm, config):
         strategy=config.strategy,
         epsilons=config.epsilons,
         jump_tol=config.jump_tol,
-        seed=config.seed,
         max_refinements=config.max_refinements,
     )
     wall = time.perf_counter() - t0

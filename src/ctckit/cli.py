@@ -153,13 +153,12 @@ def _gate_from_args(args):
 
 
 def _strategy_from_args(args):
-    """``(strategy, seed)`` of the probe flags; ``--paper-example`` fixes both."""
+    """The probe strategy of the flags; ``--paper-example`` fixes it."""
     if args.paper_example:
-        for flag, value in (("--strategy", args.strategy), ("--seed", args.seed)):
-            if value is not None:
-                raise CLIInputError(f"{flag} applies only without --paper-example")
-        return "paper_example", 0
-    return args.strategy or "vertex_pairs", args.seed or 0
+        if args.strategy is not None:
+            raise CLIInputError("--strategy applies only without --paper-example")
+        return "paper_example"
+    return args.strategy or "vertex_pairs"
 
 
 def cmd_fixed_points(args):
@@ -204,10 +203,10 @@ def cmd_evolve(args):
 def cmd_probe(args):
     gate = _gate_from_args(args)
     rule = parse_rule(None, args.rule)
-    strategy, seed = _strategy_from_args(args)
+    strategy = _strategy_from_args(args)
     epsilons = _parse_epsilons(args.epsilons)
     rows = [["path", "direction", "epsilon", "k", "entropy", "sigma", "rho_hat"]]
-    jobs = [(fam, epsilons) for fam in generate_probe_families(gate, strategy, seed=seed)]
+    jobs = [(fam, epsilons) for fam in generate_probe_families(gate, strategy)]
     results = _probe(gate, jobs, rule, {})
     # center state -> its fixed-point set; the paths of a vertex share one
     centers = {fam.center: result.center_fps for (fam, _), result in zip(jobs, results)}
@@ -228,7 +227,7 @@ def cmd_probe(args):
 def cmd_classify(args):
     gate = _gate_from_args(args)
     rule = parse_rule(None, args.rule)
-    strategy, seed = _strategy_from_args(args)
+    strategy = _strategy_from_args(args)
     epsilons = _parse_epsilons(args.epsilons)
     cls = classify(
         gate,
@@ -236,7 +235,6 @@ def cmd_classify(args):
         epsilons=epsilons,
         jump_tol=args.jump_tol,
         rule=rule,
-        seed=seed,
     )
     report = {
         "verdict": cls.verdict,
@@ -332,7 +330,6 @@ def build_parser():
                          help="use the bundled reference gate and path")
         p.add_argument("--strategy", choices=STRATEGIES, help="default: vertex_pairs")
         p.add_argument("--epsilons", help="comma-separated decreasing grid")
-        p.add_argument("--seed", type=int, help="default: 0")
         p.add_argument("--rule", choices=_RULE_NAMES)
 
     p = sub.add_parser("probe", help="per-epsilon records along probe paths (CSV)")

@@ -32,9 +32,14 @@ its rows from one batched trace distance each.
 
 Generated states are built once per process.  :func:`generate_probe_families`
 returns new :class:`PathFamily` objects on every call, but their centers and
-direction states come from a bounded table keyed by value, ``(strategy, d1,
-seed)`` and then ``eps``, with read-only matrices, so the gates of a census
-share them.  A given direction is memoised for one call, then dropped.
+direction states come from a bounded table keyed by value, ``(strategy, d1)``
+and then ``eps``, with read-only matrices, so the gates of a census share
+them.  A given direction is memoised for one call, then dropped.
+
+No strategy draws random states, so generation takes no seed.  A jump needs
+a center whose fixed-point set is degenerate, and a random pure center
+almost never has one; non-vertex directions belong in a strategy that aims
+at degenerate centers.
 """
 
 import hashlib
@@ -56,7 +61,6 @@ __all__ = [
     "LIMIT_MEMBERSHIP_TOL",
     "VERDICTS",
     "STRATEGIES",
-    "RANDOM_PATHS",
     "ROW_COLUMNS",
     "PathFamily",
     "ProbeRecord",
@@ -72,9 +76,8 @@ DEFAULT_EPSILONS = (0.2, 0.1, 0.05, 0.01, 0.001)
 JUMP_TOL = 0.1
 LIMIT_MEMBERSHIP_TOL = 0.05
 VERDICTS = ("continuous_witnessed_none", "ephemeral", "physical")
-STRATEGIES = ("paper_example", "vertex_pairs", "random_seeded")
-RANDOM_PATHS = 4
-_GENERATED_TABLES = 8  # (strategy, d1, seed) keys whose generated states are kept
+STRATEGIES = ("paper_example", "vertex_pairs")
+_GENERATED_TABLES = 8  # (strategy, d1) keys whose generated states are kept
 _EPS_PER_DIRECTION = 16  # states a generated direction keeps, one per eps
 ROW_COLUMNS = (
     "epsilon",
@@ -229,11 +232,6 @@ def _probe(u, jobs, rule, solved):
     ]
 
 
-def _haar_pure(dim, rng):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def _mix_toward(center, other, eps):
     return DensityOperator((1.0 - eps) * center.matrix + eps * other.matrix)
 
@@ -248,7 +246,7 @@ def _check_strategy(strategy, dim1, dim2):
         raise ValueError(f"vertex_pairs paths need dim1 >= 2, got {dim1}")
 
 
-def generate_probe_families(u, strategy, seed=0):
+def generate_probe_families(u, strategy):
     """Probe-path families for a gate, by strategy.
 
     ``paper_example``
@@ -262,16 +260,12 @@ def generate_probe_families(u, strategy, seed=0):
         sqrt(eps)|w>`` - and one path per unordered pair of directions.
         Directions are shared between the paths of a vertex, so
         :func:`classify` solves each only once.
-    ``random_seeded``
-        :data:`RANDOM_PATHS` seeded paths with Haar-random pure centers,
-        each mixed toward two independent random pure states.
 
     The families are new on every call, but their states are built once per
     process (see :func:`_generated_paths`).
     """
     _check_strategy(strategy, u.dim1, u.dim2)
-    seed = _check_count("seed", seed)
-    return [PathFamily(*path) for path in _generated_paths(strategy, u.dim1, seed)]
+    return [PathFamily(*path) for path in _generated_paths(strategy, u.dim1)]
 
 
 def _shared(direction):
@@ -280,7 +274,7 @@ def _shared(direction):
 
 
 @lru_cache(maxsize=_GENERATED_TABLES)
-def _generated_paths(strategy, d1, seed):
+def _generated_paths(strategy, d1):
     """``(center, family_a, family_b, label)`` of each family that ``strategy``
     generates on first-factor dimension ``d1``.  The table is keyed by value
     and bounded: centers are built once and each direction keeps its states,
@@ -288,43 +282,32 @@ def _generated_paths(strategy, d1, seed):
     if strategy == "paper_example":
         return ((reference_center(), _shared(mixed_second_qubit),
                  _shared(mixed_first_qubit), "reference"),)
-    if strategy == "vertex_pairs":
 
-        def mix_family(center, w):
-            other = DensityOperator.basis_state(d1, w)
-            return _shared(lambda e: _mix_toward(center, other, e))
+    def mix_family(center, w):
+        other = DensityOperator.basis_state(d1, w)
+        return _shared(lambda e: _mix_toward(center, other, e))
 
-        def sup_family(v, w):
-            def fam(e):
-                amps = np.zeros(d1, dtype=complex)
-                amps[v] = np.sqrt(1.0 - e)
-                amps[w] = np.sqrt(e)
-                return DensityOperator.pure(amps)
+    def sup_family(v, w):
+        def fam(e):
+            amps = np.zeros(d1, dtype=complex)
+            amps[v] = np.sqrt(1.0 - e)
+            amps[w] = np.sqrt(e)
+            return DensityOperator.pure(amps)
 
-            return _shared(fam)
+        return _shared(fam)
 
-        paths = []
-        for v in range(d1):
-            center = DensityOperator.basis_state(d1, v)
-            directions = []
-            for w in range(d1):
-                if w == v:
-                    continue
-                directions.append((f"mix{w}", mix_family(center, w)))
-                directions.append((f"sup{w}", sup_family(v, w)))
-            for i, (name_a, fam_a) in enumerate(directions):
-                for name_b, fam_b in directions[i + 1:]:
-                    paths.append((center, fam_a, fam_b, f"vertex{v}:{name_a}|{name_b}"))
-        return tuple(paths)
-    rng = np.random.default_rng(seed)
     paths = []
-    for i in range(RANDOM_PATHS):
-        center = DensityOperator.pure(_haar_pure(d1, rng))
-        other_a = DensityOperator.pure(_haar_pure(d1, rng))
-        other_b = DensityOperator.pure(_haar_pure(d1, rng))
-        fam_a = _shared(lambda e, c=center, o=other_a: _mix_toward(c, o, e))
-        fam_b = _shared(lambda e, c=center, o=other_b: _mix_toward(c, o, e))
-        paths.append((center, fam_a, fam_b, f"random{i}"))
+    for v in range(d1):
+        center = DensityOperator.basis_state(d1, v)
+        directions = []
+        for w in range(d1):
+            if w == v:
+                continue
+            directions.append((f"mix{w}", mix_family(center, w)))
+            directions.append((f"sup{w}", sup_family(v, w)))
+        for i, (name_a, fam_a) in enumerate(directions):
+            for name_b, fam_b in directions[i + 1:]:
+                paths.append((center, fam_a, fam_b, f"vertex{v}:{name_a}|{name_b}"))
     return tuple(paths)
 
 
@@ -442,20 +425,21 @@ def classify(
 ):
     """Classify a gate by probing for discontinuities of the induced map.
 
-    The families are generated by ``strategy`` and ``seed``, or given as
-    ``families`` (witness strategy ``"user_paths"``; those two must then keep
-    their defaults).  Each is probed on ``epsilons`` and refined (next eps =
+    The families are generated by ``strategy``, or given as ``families``
+    (witness strategy ``"user_paths"``; ``strategy`` must then keep its
+    default).  Each is probed on ``epsilons`` and refined (next eps =
     finest / 10) up to ``max_refinements`` times per gate, in family order,
     while its measured jump lies within a factor of two of ``jump_tol``.
+    ``seed`` is accepted and read nowhere, for callers that still pass one;
+    no strategy draws random states.
     """
     base_eps = _epsilon_grid(epsilons)
     _check_refinement(jump_tol, max_refinements)
     if families is None:
-        families = generate_probe_families(u, strategy, seed=seed)
+        families = generate_probe_families(u, strategy)
     else:
-        for name, value, default in (("strategy", strategy, "vertex_pairs"), ("seed", seed, 0)):
-            if value != default:
-                raise ValueError(f"{name}={value!r} applies only to generated families")
+        if strategy != "vertex_pairs":
+            raise ValueError(f"strategy={strategy!r} applies only to generated families")
         families = _check_user_families(families, base_eps)
         strategy = "user_paths"
 

@@ -54,8 +54,10 @@ _GRAD_TOL = 1e-10
 _MAX_ITERS = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionRule:
+    """A checked rule; frozen, so no field can leave the checks behind."""
+
     kind: str = "max_entropy"
     coordinates: tuple = ()
     max_iters: int = _MAX_ITERS
@@ -63,8 +65,8 @@ class SelectionRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown selection rule {self.kind!r}; expected one of {RULE_KINDS}")
-        self.max_iters = _check_count("max_iters", self.max_iters, 1)
-        self.coordinates = tuple(float(c) for c in self.coordinates)
+        object.__setattr__(self, "max_iters", _check_count("max_iters", self.max_iters, 1))
+        object.__setattr__(self, "coordinates", tuple(float(c) for c in self.coordinates))
 
 
 @dataclass
@@ -173,6 +175,8 @@ def _optimize(fps, max_iters, sense, start=None):
     t = np.zeros(k) if start is None else np.asarray(start, dtype=float).copy()
     if t.shape != (k,):
         raise ValueError(f"start must have {k} coefficients, got {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"start coefficients must be finite, got {t.tolist()}")
     cur = point(t, require_feasible=True)
     if cur is None:
         raise ValueError("start coefficients give a non-PSD state")

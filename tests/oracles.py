@@ -409,12 +409,12 @@ def _analyze_path_loop(result, jump_tol):
 
 
 def classify_loop(u, strategy="vertex_pairs", families=None, epsilons=DEFAULT_EPSILONS,
-                  jump_tol=JUMP_TOL, rule=None, seed=0, max_refinements=2):
+                  jump_tol=JUMP_TOL, rule=None, max_refinements=2):
     """``discontinuity.classify`` one family at a time, refining each in turn."""
     base_eps = sorted({float(e) for e in epsilons}, reverse=True)
     strategy_name = strategy if families is None else "user_paths"
     if families is None:
-        families = generate_probe_families(u, strategy, seed=seed)
+        families = generate_probe_families(u, strategy)
     analyses = []
     refinements_used = 0
     solved = {}

@@ -31,7 +31,7 @@ from ctckit.deutsch import (
     evolve_out,
     fixed_point_set,
 )
-from ctckit.discontinuity import classify, generate_probe_families
+from ctckit.discontinuity import PathFamily, classify, generate_probe_families
 from ctckit.reference import reference_center, reference_gate
 from ctckit.states import DensityOperator, UnitaryGate
 
@@ -346,6 +346,27 @@ def test_emission_matches_kron(dim1, dim2):
 GATE_3X3 = (7, 0, 1, 2, 4, 6, 3, 8, 5)
 GATE_3X3_DIAGNOSTIC = (6, 3, 4, 8, 1, 7, 0, 2, 5)
 
+
+def _haar_pure_families(dim1, seed, count=4):
+    """Given families on non-vertex centers: each center is a seeded
+    Haar-random pure state, mixed toward two more along its directions."""
+    rng = np.random.default_rng(seed)
+
+    def haar_pure():
+        v = rng.standard_normal(dim1) + 1j * rng.standard_normal(dim1)
+        return DensityOperator.pure(v / np.linalg.norm(v))
+
+    def mix(center, other):
+        return lambda e: DensityOperator((1.0 - e) * center.matrix + e * other.matrix)
+
+    families = []
+    for i in range(count):
+        center, other_a, other_b = haar_pure(), haar_pure(), haar_pure()
+        families.append(PathFamily(center, mix(center, other_a), mix(center, other_b),
+                                   f"haar{i}"))
+    return families
+
+
 # (gate, classify keyword arguments) pairs for the witness-digest comparison.
 CLASSIFY_CASES = {
     "reference_vertex_pairs": (reference_gate, {}),
@@ -355,7 +376,7 @@ CLASSIFY_CASES = {
     # The first path takes all three refinements; its directions are shared
     # with paths whose base grids must not see the refined points.
     "vertex_pairs_refined": (reference_gate, dict(jump_tol=0.3, max_refinements=3)),
-    "random_seeded": (reference_gate, dict(strategy="random_seeded", seed=3)),
+    "haar_pure_centers": (reference_gate, dict(families=_haar_pure_families(4, seed=3))),
     # User families are refined like generated ones.
     "user_paths": (reference_gate, dict(
         families=generate_probe_families(reference_gate(), "vertex_pairs")[::7],

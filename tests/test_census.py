@@ -59,14 +59,16 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         dict(strategy="exhaustive"),
         dict(strategy="paper_example"),  # defined on dims (4, 2) only
+        dict(strategy="random_seeded", seed=5),  # retired: probe families are not random
         dict(dim1=1, dim2=2),  # vertex_pairs needs two vertices
         dict(jump_tol=0.0),
         dict(jump_tol=-1.0),
         dict(jump_tol=float("nan")),
         dict(jump_tol=float("inf")),
         dict(max_refinements=-1),
-    ], ids=["unknown-strategy", "paper-example-off-dims", "vertex-pairs-dim1", "jump-tol-0",
-            "jump-tol-negative", "jump-tol-nan", "jump-tol-inf", "max-refinements-negative"])
+    ], ids=["unknown-strategy", "paper-example-off-dims", "retired-random-strategy",
+            "vertex-pairs-dim1", "jump-tol-0", "jump-tol-negative", "jump-tol-nan",
+            "jump-tol-inf", "max-refinements-negative"])
     def test_rejects_unusable_settings_before_writing(self, tmp_path, overrides):
         with pytest.raises(ValueError):
             run_census(small_config(tmp_path, **overrides))

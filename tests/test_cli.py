@@ -289,9 +289,17 @@ class TestInputErrors:
         assert not (tmp_path / "rec.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["classify", "probe"])
-    @pytest.mark.parametrize("flag, value", [("--strategy", "random_seeded"), ("--seed", "7")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--strategy", "vertex_pairs"), ("--strategy", "random_seeded"), ("--seed", "7")])
     def test_paper_example_rejects_strategy_flags(self, capsys, command, flag, value):
-        code, out, err = run(capsys, command, "--paper-example", flag, value)
+        argv = [command, "--paper-example", flag, value]
+        if value == "vertex_pairs":
+            code, out, err = run(capsys, *argv)
+        else:  # no random strategy and no probe seed: argparse refuses them
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code = exc.value.code
+            out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert flag in err
 

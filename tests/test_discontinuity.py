@@ -92,9 +92,9 @@ class TestUserFamilies:
             classify(reference_gate(), families=families)
 
     @pytest.mark.parametrize("kwargs,name", [
-        (dict(strategy="bogus"), "strategy"), (dict(strategy="random_seeded"), "strategy"),
-        (dict(seed=99), "seed"), (dict(strategy="paper_example", seed=1), "strategy")],
-        ids=["unknown_strategy", "other_strategy", "seed", "both"])
+        (dict(strategy="bogus"), "strategy"), (dict(strategy="paper_example"), "strategy"),
+        (dict(strategy="paper_example", seed=1), "strategy")],
+        ids=["unknown_strategy", "other_strategy", "both"])
     def test_rejects_generation_settings_with_given_families(self, kwargs, name):
         # They would be dropped without a word: the families are not generated.
         with pytest.raises(ValueError, match=f"^{name}=.* applies only to generated families$"):
@@ -187,27 +187,14 @@ class TestGenerateFamilies:
         assert len({f.label for f in fams}) == len(fams)
         assert all(f.label.startswith("vertex") for f in fams)
 
-    def test_random_seeded_is_deterministic(self):
-        a = generate_probe_families(reference_gate(), "random_seeded", seed=5)
-        b = generate_probe_families(reference_gate(), "random_seeded", seed=5)
-        assert len(a) == 4
-        for fa, fb in zip(a, b):
-            assert trace_distance(fa.center.matrix, fb.center.matrix) < 1e-15
-
-    @pytest.mark.parametrize("seed", [-1, 2.5, True, None, [1, 2]])
-    def test_rejects_a_seed_that_is_not_a_count(self, seed):
-        # Generated states are kept by seed, so a seed must be a value key.
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            generate_probe_families(reference_gate(), "vertex_pairs", seed=seed)
-
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             generate_probe_families(reference_gate(), "exhaustive")
 
-    @pytest.mark.parametrize("strategy", ["paper_example", "vertex_pairs", "random_seeded"])
+    @pytest.mark.parametrize("strategy", ["paper_example", "vertex_pairs"])
     def test_generated_states_are_shared_and_read_only(self, strategy):
-        a = generate_probe_families(reference_gate(), strategy, seed=3)
-        b = generate_probe_families(reference_gate(), strategy, seed=3)
+        a = generate_probe_families(reference_gate(), strategy)
+        b = generate_probe_families(reference_gate(), strategy)
         states = []
         for fa, fb in zip(a, b):
             assert fa is not fb and fa.center is fb.center

@@ -58,6 +58,15 @@ class TestSelectionRule:
     def test_integral_max_iters_reads_as_an_int(self):
         assert type(SelectionRule(max_iters=5.0).max_iters) is int
 
+    @pytest.mark.parametrize("field, value", [("kind", "loudest"), ("max_iters", 0)])
+    def test_fields_cannot_be_set_past_the_checks(self, field, value):
+        # A set field would reach ``select`` unchecked: an unknown kind
+        # minimised, and a zero budget ran no iteration.
+        rule = SelectionRule()
+        with pytest.raises(AttributeError):
+            setattr(rule, field, value)
+        assert select(center_fps(), rule).entropy == pytest.approx(np.log(2), abs=1e-10)
+
 
 class TestMaxEntropy:
     def test_unique_set_returns_the_point(self):
@@ -88,6 +97,11 @@ class TestMaxEntropy:
     def test_start_needs_one_coefficient_per_basis_direction(self, start):
         with pytest.raises(ValueError, match="start must have 1 coefficients"):
             max_entropy_state(center_fps(), start=start)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_start_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="start coefficients must be finite"):
+            max_entropy_state(center_fps(), start=[value])
 
     def test_start_outside_the_cone_is_rejected(self):
         with pytest.raises(ValueError, match="start coefficients give a non-PSD state"):
