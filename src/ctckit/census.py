@@ -144,7 +144,7 @@ def _permutation_tuples(config):
     seen = set()
     out = []
     while len(out) < config.sample_size:
-        p = tuple(int(i) for i in rng.permutation(d))
+        p = tuple(rng.permutation(d).tolist())
         if p not in seen:
             seen.add(p)
             out.append(p)

@@ -212,9 +212,9 @@ def cmd_probe(args):
     centers = {fam.center: result.center_fps for (fam, _), result in zip(jobs, results)}
     emitted = dict(zip(centers, _select_and_emit(gate, list(centers.items()), rule)))
     for (fam, _), result in zip(jobs, results):
-        sel, rho_hat = emitted[fam.center]
-        rows.append([fam.label, "center", 0.0, result.center_fps.k, sel.entropy,
-                     json.dumps(sel.sigma.to_json()), json.dumps(rho_hat.to_json())])
+        sigma, entropy, rho_hat = emitted[fam.center]
+        rows.append([fam.label, "center", 0.0, result.center_fps.k, entropy,
+                     json.dumps(sigma.to_json()), json.dumps(rho_hat.to_json())])
         for rec in result.records:
             cells = (["", "", rec.error, ""] if rec.error is not None else
                      [rec.k, rec.entropy, json.dumps(rec.sigma.to_json()),

@@ -14,13 +14,15 @@ whose pseudoinverse refines candidates by a least-squares projection onto the
 affine solution subspace and serves :func:`membership` too.
 
 A solve has a core and a finish.  :func:`_cores` builds the cores of a
-stack of states at once: their maps, one stacked SVD and pseudoinverse, and
-their refined origins, checked as candidates with one ``eigvalsh``.  Each
+stack of states at once: their maps, one stacked SVD and pseudoinverse,
+their refined origins, checked as candidates with one ``eigvalsh``, and the
+singular values within a decade of the cutoff, found with one mask.  Each
 entry is bit for bit what the state's own solve computes, so the stack
 changes no output.  ``fixed_point_set`` finishes one state's solve from its
-core, or from a stack of one that it builds itself: it reports singular
-values near the cutoff, builds the null basis, and accepts the refined
-origin, exact for the common trivial null space, when it passes.  Otherwise
+core, or from a stack of one that it builds itself: it reports the core's
+singular values near the cutoff, builds the null basis unless the rank is
+full, and accepts the refined origin, exact for the common trivial null
+space, when it passes.  Otherwise
 the Cesaro fallback checks, at every 64th step of Cesaro-averaged
 iteration, the refined and then the raw running mean, in blocks of 1, 2, 4,
 ... up to 64 checkpoints, so a block runs at most as many steps past the
@@ -31,6 +33,9 @@ residual) is accepted with a warning or raises.  The particular is not
 validated again: ``from_traceless`` made it exactly Hermitian with unit
 trace, its spectrum passed the PSD check, and it is finite, as gates and
 states are.
+
+:func:`membership` tests one state against a solved set; :func:`_in_set`
+tests a list of states against one set as a stack, with the same bits.
 """
 
 import math
@@ -238,13 +243,15 @@ def _assess(linear, offset, b2, xs):
 
 def _cores(u, linear, offset):
     """Solve cores of the maps ``(N, n, n)``, ``(N, n)`` of :func:`_superoperators`,
-    one per map: ``(affine map, M - I, singular values, vt, rank,
-    pseudoinverse, refined origin)``, with the origin as a checked candidate.
+    one per map: ``(affine map, M - I, vt, rank, pseudoinverse, gray
+    singular values, refined origin)``, with the origin as a checked
+    candidate and the gray singular values those within a decade of
+    :data:`SV_TOL`, as a list that is empty for almost every map.
 
-    One SVD and one :func:`_assess` serve the stack.  The pseudoinverse
-    weights the singular vectors by ``1/s`` above :data:`SV_TOL` and by 0
-    below it, which adds only zero terms to each entry of the rank-truncated
-    product, so it needs no grouping by rank.
+    One SVD, one mask and one :func:`_assess` serve the stack.  The
+    pseudoinverse weights the singular vectors by ``1/s`` above
+    :data:`SV_TOL` and by 0 below it, which adds only zero terms to each
+    entry of the rank-truncated product, so it needs no grouping by rank.
     """
     b2 = hermitian_basis(u.dim2)
     gap = linear - _solve_constants(u.dim2)[1]
@@ -252,10 +259,13 @@ def _cores(u, linear, offset):
     kept = s > SV_TOL
     weights = 1.0 / np.where(kept, s, np.inf)  # ``vt.T / s`` would round differently
     pinv = (vt.swapaxes(1, 2) * weights[:, None, :]) @ left.swapaxes(1, 2)
+    near = (s > SV_TOL / 10) & (s < SV_TOL * 10)
+    grays = [s[i, near[i]].tolist() if hit else []
+             for i, hit in enumerate(near.any(axis=1).tolist())]
     xs = _refine(gap, pinv, offset, np.zeros(offset.shape))
     mats, spectra, los, tds = _assess(linear, offset, b2, xs)
     ranks, los, tds = kept.sum(axis=1).tolist(), los.tolist(), tds.tolist()
-    return [(AffineMapReal(linear[i], offset[i]), gap[i], s[i], vt[i], ranks[i], pinv[i],
+    return [(AffineMapReal(linear[i], offset[i]), gap[i], vt[i], ranks[i], pinv[i], grays[i],
              (0, xs[i], mats[i], spectra[i], los[i], tds[i])) for i in range(len(ranks))]
 
 
@@ -339,18 +349,15 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
         raise ValueError("residual_tol must not be NaN")
     if core is None:
         core, = _cores(u, *_superoperators(u, rho.matrix[None]))
-    aff, a, s, vt, rank, a_pinv, origin = core
+    aff, a, vt, rank, a_pinv, gray, origin = core
     d2 = u.dim2
     b2 = hermitian_basis(d2)
     warnings = []
+    if gray:
+        warnings.append(f"singular values {gray} lie within a decade of the cutoff {SV_TOL}")
 
-    gray = s[(s > SV_TOL / 10) & (s < SV_TOL * 10)]
-    if gray.size:
-        warnings.append(
-            f"singular values {gray.tolist()} lie within a decade of the cutoff {SV_TOL}"
-        )
-
-    basis_mats = [b2.from_traceless(_canonical_sign(v), trace=0.0) for v in vt[rank:]]
+    k = b2.n_traceless - rank
+    basis_mats = [b2.from_traceless(_canonical_sign(v), trace=0.0) for v in vt[rank:]] if k else []
 
     # The refined origin is exact for the common trivial null space; only when
     # it fails does the Cesaro fallback build its orbit.
@@ -368,7 +375,7 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
         dim2=d2,
         particular=DensityOperator._of(m, evals),
         basis=basis_mats,
-        k=b2.n_traceless - rank,
+        k=k,
         affine=aff,
         affine_gap=a,
         affine_pinv=a_pinv,
@@ -404,3 +411,20 @@ def membership(fps, sigma, tol=RESIDUAL_TOL):
         map_residual=map_residual,
         tol=tol,
     )
+
+
+def _in_set(fps, sigmas, tol):
+    """``membership(fps, sigma, tol).ok`` of each state of the list ``sigmas``,
+    from one stack.  Each product is a matrix-vector product and each sum of
+    squares a dot product, as in :func:`membership`, so every residual is
+    bit for bit its own; a stack of one would slow :func:`membership`, which
+    the Bloch slice calls once per cell."""
+    b2 = hermitian_basis(fps.dim2)
+    m = np.stack([sigma.matrix for sigma in sigmas])
+    xs = b2.traceless_coords(m)
+    r = (fps.affine_gap @ xs[..., None])[..., 0] + fps.affine.offset
+    v = (fps.affine_pinv @ r[..., None])[..., 0]
+    affine = np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0, 0]
+    images = (fps.affine.linear @ xs[..., None])[..., 0] + fps.affine.offset
+    moved = 0.5 * hermitian_trace_norm(b2.from_traceless(images) - m)
+    return ((affine <= tol) & (moved <= tol)).tolist()

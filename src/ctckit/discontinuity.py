@@ -26,9 +26,14 @@ and finishes each point's solve with its own ``fixed_point_set`` call, in
 the order the points were met, so a center's diagnostic stops it before
 any later point is solved.  One stage selects and emits as one stack: the
 new direction points of a ``_probe`` call, and the distinct centers of the
-``probe`` command.  A verdict reads a center's fixed-point set, never a
-state selected from it.  :func:`classify` takes the running jumps of all
-its rows from one batched trace distance each.
+``probe`` command.  A unique fixed state (k = 0), which is most points, is
+the state every rule selects, so it is its own selection and the entropies
+of all such points come from the spectra the solver kept, as one stack;
+only a degenerate set goes through ``select``.  A verdict reads a center's
+fixed-point set, never a state selected from it.  :func:`classify` stacks
+each distinct solved point once, takes the running jumps of all its rows
+from one batched trace distance of the indexed stacks each, and tests the
+new limits of each center against its set as one stack.
 
 Generated states are built once per process.  :func:`generate_probe_families`
 returns new :class:`PathFamily` objects on every call, but their centers and
@@ -49,11 +54,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .deutsch import (
-    SolverDiagnostic, _cores, _emit, _superoperators, fixed_point_set, membership)
+from .deutsch import SolverDiagnostic, _cores, _emit, _in_set, _superoperators, fixed_point_set
 from .reference import mixed_first_qubit, mixed_second_qubit, reference_center
 from .selection import select
-from .states import DensityOperator, _check_count, trace_distance
+from .states import DensityOperator, _check_count, _spectrum_entropy, trace_distance
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -176,12 +180,26 @@ def _check_user_families(families, eps):
 
 
 def _select_and_emit(u, points, rule):
-    """``(selection, rho_hat)`` of each ``(state, fps)`` point: each set is
-    selected on its own, then all the states are emitted as one stack."""
-    sels = [select(fps, rule) for _, fps in points]
+    """``(sigma, entropy, rho_hat)`` of each ``(state, fps)`` point, with all
+    the states emitted as one stack.
+
+    A unique fixed state (k = 0) is the state every rule selects, so its
+    sigma is the set's particular state, and the entropies of all such
+    points come from the spectra the solver kept, as one stack.  Only a
+    degenerate set is selected by its own ``select`` call.
+    """
+    unique = [fps.particular.eigenvalues for _, fps in points if fps.k == 0]
+    entropies = iter(_spectrum_entropy(np.stack(unique)).tolist() if unique else ())
+    picks = []
+    for _, fps in points:
+        if fps.k == 0:
+            picks.append((fps.particular, next(entropies)))
+        else:
+            sel = select(fps, rule)
+            picks.append((sel.sigma, sel.entropy))
     rho_hats = _emit(u, np.stack([state.matrix for state, _ in points]),
-                     np.stack([sel.sigma.matrix for sel in sels]))
-    return list(zip(sels, DensityOperator.from_stack(rho_hats)))
+                     np.stack([sigma.matrix for sigma, _ in picks]))
+    return [pick + (rho_hat,) for pick, rho_hat in zip(picks, DensityOperator.from_stack(rho_hats))]
 
 
 def _probe(u, jobs, rule, solved):
@@ -222,9 +240,9 @@ def _probe(u, jobs, rule, solved):
         except SolverDiagnostic as exc:
             solved[key] = (None, None, None, None, str(exc))
     if fresh:
-        for (key, (_, fps)), (sel, rho_hat) in zip(
+        for (key, (_, fps)), emitted in zip(
                 fresh.items(), _select_and_emit(u, list(fresh.values()), rule)):
-            solved[key] = (fps.k, sel.sigma, sel.entropy, rho_hat, None)
+            solved[key] = (fps.k, *emitted, None)
     return [
         ProbeResult(fam.label, solved[fam.center], [
             ProbeRecord(name, eps, *solved[direction, eps]) for name, direction, eps in table])
@@ -337,22 +355,32 @@ def _analyze(jobs, results, jump_tol, limits):
     The qualifying tail is the longest run of consecutive fine grid points
     where both directions pinned a unique fixed state cleanly; at least two
     such points are required before trusting its finest entry as a limit.
-    The running jumps of all rows come from one batched trace distance each.
+    Each distinct solved point is stacked once, and the running jumps of all
+    rows come from one batched trace distance of the indexed stack each.
     ``limits`` maps ``(center, sigma)`` to whether the limit ``sigma`` lies in
-    the center's fixed-point set, so each limit is tested once.
+    the center's fixed-point set, so each limit is tested once, and the new
+    limits of one center are tested as one stack.
     """
     tables = [result.pairs() for result in results]
-    clean = [(ra, rb) for pairs in tables for _, ra, rb in pairs
-             if ra.error is None and rb.error is None]
+    points = {}  # sigma -> (stack row, record) of each distinct solved point
+    rows_at = []  # stack rows of both sides of each row with both solved
+    for pairs in tables:
+        for _, ra, rb in pairs:
+            if ra.error is None and rb.error is None:
+                rows_at.append((points.setdefault(ra.sigma, (len(points), ra))[0],
+                                points.setdefault(rb.sigma, (len(points), rb))[0]))
     jumps = iter(())
-    if clean:
+    if rows_at:
+        at_a, at_b = np.array(rows_at).T
+        records = [r for _, r in points.values()]
         jumps = zip(*(
-            trace_distance(np.stack([getattr(ra, attr).matrix for ra, _ in clean]),
-                           np.stack([getattr(rb, attr).matrix for _, rb in clean])).tolist()
-            for attr in ("sigma", "rho_hat")
+            trace_distance(stack[at_a], stack[at_b]).tolist() for stack in (
+                np.stack([r.sigma.matrix for r in records]),
+                np.stack([r.rho_hat.matrix for r in records]))
         ))
 
-    analyses = []
+    paths = []
+    untested = {}  # center -> (its fixed-point set, {limit not yet tested: None})
     for (fam, _), result, pairs in zip(jobs, results, tables):
         rows, tail = [], []
         for eps, ra, rb in pairs:
@@ -365,7 +393,17 @@ def _analyze(jobs, results, jump_tol, limits):
                 tail.append((row, ra, rb))
             else:
                 tail = []
+        if len(tail) >= 2:
+            for r in tail[-1][1:]:
+                if (fam.center, r.sigma) not in limits:
+                    untested.setdefault(fam.center, (result.center_fps, {}))[1][r.sigma] = None
+        paths.append((fam, result, rows, tail))
+    for center, (fps, sigmas) in untested.items():
+        limits.update(zip([(center, sigma) for sigma in sigmas],
+                          _in_set(fps, list(sigmas), LIMIT_MEMBERSHIP_TOL)))
 
+    analyses = []
+    for fam, result, rows, tail in paths:
         notes = []
         verdict = "continuous_witnessed_none"
         sigma_jump = max((r["sigma_jump_running"] or 0.0 for r in rows), default=0.0)
@@ -377,10 +415,6 @@ def _analyze(jobs, results, jump_tol, limits):
             row, ra, rb = tail[-1]
             sigma_jump = row["sigma_jump_running"]
             rho_hat_jump = row["rho_hat_jump_running"]
-            for r in (ra, rb):
-                if (fam.center, r.sigma) not in limits:
-                    check = membership(result.center_fps, r.sigma, tol=LIMIT_MEMBERSHIP_TOL)
-                    limits[fam.center, r.sigma] = check.ok
             limits_in_set = [limits[fam.center, ra.sigma], limits[fam.center, rb.sigma]]
             near_threshold = (
                 jump_tol / 2 < sigma_jump < 2 * jump_tol

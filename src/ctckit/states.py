@@ -201,10 +201,17 @@ class UnitaryGate:
 
 
 def _spectrum_entropy(evals):
-    """Entropy -sum(p ln p) in nats of a spectrum clipped to [0, 1]."""
+    """Entropy -sum(p ln p) in nats of a spectrum clipped to [0, 1], or the
+    array of entropies of a stack ``(..., n)`` of spectra.
+
+    An entry that is not positive adds a +0 term, which a sum in order leaves
+    unchanged, so up to 7 eigenvalues the value is bit for bit the sum over
+    the positive entries alone; numpy sums 8 or more terms pairwise.
+    """
     p = np.clip(evals, 0.0, 1.0)
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz))) + 0.0
+    pos = p > 0.0
+    h = -np.where(pos, p * np.log(np.where(pos, p, 1.0)), 0.0).sum(axis=-1) + 0.0
+    return float(h) if h.ndim == 0 else h
 
 
 def von_neumann_entropy(state):

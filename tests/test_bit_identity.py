@@ -25,15 +25,19 @@ import pytest
 from ctckit import deutsch, discontinuity
 from ctckit.basis import HermitianBasis, hermitian_basis
 from ctckit.deutsch import (
+    RESIDUAL_TOL,
     SolverDiagnostic,
     build_superoperator,
     deutsch_map,
     evolve_out,
     fixed_point_set,
+    membership,
 )
-from ctckit.discontinuity import PathFamily, classify, generate_probe_families
+from ctckit.discontinuity import (
+    DEFAULT_EPSILONS, LIMIT_MEMBERSHIP_TOL, PathFamily, classify, generate_probe_families)
 from ctckit.reference import reference_center, reference_gate
-from ctckit.states import DensityOperator, UnitaryGate
+from ctckit.selection import RULE_KINDS, SelectionRule, select
+from ctckit.states import DensityOperator, UnitaryGate, _spectrum_entropy
 
 from oracles import (
     build_superoperator_loop,
@@ -328,6 +332,76 @@ def test_stacked_cores_finish_as_standalone_solves(case):
         assert raised[_raising_input()[1]] == (
             "no fixed-point candidate within tolerance after 100000 iterations "
             "(min eigenvalue 6.355e-07, residual 6.473e-07)")
+
+
+def _edge_spectra(d2):
+    """Seeded spectra of ``d2`` eigenvalues, most with entries that are zero,
+    tiny, slightly negative or slightly above 1, as rounding leaves them."""
+    rng = np.random.default_rng(40 + d2)
+    spectra = rng.dirichlet(np.ones(d2), 400)
+    edges = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-17, -5e-13, 1.0 + 2e-16, 1.0])
+    hit = rng.random(spectra.shape) < 0.4
+    spectra[hit] = rng.choice(edges, hit.sum())
+    return np.concatenate([spectra, np.eye(d2), np.zeros((1, d2)), np.full((1, d2), 1.0 / d2)])
+
+
+@pytest.mark.parametrize("d2", [2, 3, 4])
+def test_stacked_entropy_matches_each_spectrum(d2):
+    # The stack gives each spectrum's own value, which is the sum over its
+    # positive entries alone, signed zeros included.
+    spectra = _edge_spectra(d2)
+    stacked = _spectrum_entropy(spectra)
+    one_at_a_time = np.array([_spectrum_entropy(e) for e in spectra])
+    positive_only = []
+    for e in spectra:
+        p = np.clip(e, 0.0, 1.0)
+        nz = p[p > 0.0]
+        positive_only.append(float(-np.sum(nz * np.log(nz))) + 0.0)
+    assert stacked.shape == (len(spectra),)
+    assert stacked.tobytes() == one_at_a_time.tobytes() == np.array(positive_only).tobytes()
+    assert 0.0 in stacked and (stacked > 0.0).any()
+
+
+@pytest.mark.parametrize("kind", RULE_KINDS)
+@pytest.mark.parametrize("case", ["4x2", "3x3"])
+def test_unique_sets_select_their_particular_state(case, kind, monkeypatch):
+    # Each rule selects the one state of a unique set, so the stacked stage
+    # gives select's sigma bits and entropy without calling it.
+    gate = STACK_GATES[case]()
+    rule = SelectionRule(kind=kind, coordinates=(0.25,))
+    points = []
+    for state in _vertex_points(gate):
+        try:
+            fps = fixed_point_set(gate, state)
+        except SolverDiagnostic:
+            continue
+        if fps.k == 0:
+            points.append((state, fps))
+    refs = [select(fps, rule) for _, fps in points]
+    monkeypatch.setattr(discontinuity, "select", None)  # a call would raise
+    emitted = discontinuity._select_and_emit(gate, points, rule)
+    assert len(emitted) == len(points) > 50
+    for ref, (sigma, entropy, rho_hat) in zip(refs, emitted):
+        assert sigma.matrix.tobytes() == ref.sigma.matrix.tobytes()
+        assert sigma.eigenvalues.tobytes() == ref.sigma.eigenvalues.tobytes()
+        assert np.float64(entropy).tobytes() == np.float64(ref.entropy).tobytes()
+
+
+@pytest.mark.parametrize("case", ["reference", "identity_3x3"])
+def test_stacked_limit_test_matches_membership(case):
+    # Every solved point of every path is tested against its center's set,
+    # at the limit tolerance and at the solver's, as the limits are.
+    gate = reference_gate() if case == "reference" else UnitaryGate.identity(3, 3)
+    jobs = [(fam, list(DEFAULT_EPSILONS))
+            for fam in generate_probe_families(gate, "vertex_pairs")]
+    verdicts = set()
+    for result in discontinuity._probe(gate, jobs, None, {}):
+        sigmas = [r.sigma for r in result.records if r.error is None]
+        for tol in (LIMIT_MEMBERSHIP_TOL, RESIDUAL_TOL):
+            stacked = deutsch._in_set(result.center_fps, sigmas, tol)
+            assert stacked == [membership(result.center_fps, s, tol=tol).ok for s in sigmas]
+            verdicts.update(stacked)
+    assert verdicts == ({True, False} if case == "reference" else {True})
 
 
 @pytest.mark.parametrize("dim1,dim2", DIMS)

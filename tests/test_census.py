@@ -7,6 +7,7 @@ written so an interrupted run loses at most one partial line.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,13 @@ class TestEnumeration:
         a = _permutation_tuples(config)
         assert a == _permutation_tuples(config)
         assert len(set(a)) == 20
+
+    def test_pinned_sample_is_the_pinned_census_in_file_order(self):
+        pinned = Path(__file__).parent.parent / "results" / "census_sample500_seed42.jsonl"
+        header, *records = pinned.read_text(encoding="utf-8").splitlines()
+        sample = _permutation_tuples(CensusConfig.from_json(json.loads(header)["config"]))
+        assert sample == [tuple(json.loads(line)["permutation"]) for line in records]
+        assert all(type(i) is int for p in sample for i in p)
 
 
 class TestRunAndSummarize:

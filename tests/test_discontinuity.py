@@ -7,7 +7,6 @@ too.  "continuous_witnessed_none" is deliberately not a continuity proof —
 it only says no probed path witnessed a jump.
 """
 
-import dataclasses
 import gc
 import weakref
 
@@ -257,8 +256,10 @@ class TestClassify:
         assert len(calls) == d1 * (1 + 2 * (d1 - 1) * len(DEFAULT_EPSILONS))
 
     def test_only_direction_points_are_selected(self, monkeypatch):
-        # The 4 centers are solved but not selected (two of them have k > 0):
-        # 124 solves, 120 selections.
+        # The 4 centers are solved but not selected (two of them have k > 0),
+        # and a unique fixed state selects itself without a select call.  All
+        # 120 direction points of the reference gate have one: 124 solves, 0
+        # selections.
         choose = discontinuity.select
         calls = []
 
@@ -268,19 +269,20 @@ class TestClassify:
 
         monkeypatch.setattr(discontinuity, "select", counted)
         cls = classify(reference_gate(), "vertex_pairs", max_refinements=0)
-        assert len(calls) == 4 * 2 * 3 * len(DEFAULT_EPSILONS)
+        assert len(calls) == 0
+        assert {row["k_a"] for p in cls.witness["paths"] for row in p["rows"]} == {0}
         assert sorted({p["center_k"] for p in cls.witness["paths"]}) == [0, 1]
 
     def test_eigvalsh_calls_of_one_classify(self, empty_probe_table, monkeypatch):
         # The 124 solve cores of a probe call decompose their refined origins
         # and those origins' map residuals in one stacked call; a state keeps
         # its spectrum, so neither its validation nor the entropy of a unique
-        # fixed state decomposes it again.  The other 27 calls are the 24
-        # limit memberships, the stacked emission's validation and the two
-        # batched running jumps.  Centers are not selected, so their k > 0
-        # sets are not optimised.  The first call also validates the 136
-        # generated states (4 centers, 12 other vertices, 120 direction
-        # points), which later calls share.
+        # fixed state decomposes it again.  The other 7 calls are the 4
+        # stacked limit tests (one per center), the stacked emission's
+        # validation and the two batched running jumps.  Centers are not
+        # selected, so their k > 0 sets are not optimised.  The first call
+        # also validates the 136 generated states (4 centers, 12 other
+        # vertices, 120 direction points), which later calls share.
         eigvalsh = np.linalg.eigvalsh
         calls = []
 
@@ -294,7 +296,7 @@ class TestClassify:
             calls.clear()
             classify(reference_gate(), "vertex_pairs", max_refinements=0)
             counts.append(len(calls))
-        assert counts == [164, 28]
+        assert counts == [144, 8]
 
     def test_second_gate_builds_no_generated_state(self, monkeypatch):
         classify(reference_gate(), "vertex_pairs", max_refinements=0)
@@ -325,22 +327,26 @@ class TestClassify:
         classify(UnitaryGate.from_permutation(4, 2, (3, 4, 2, 7, 6, 1, 5, 0)), "vertex_pairs",
                  max_refinements=0)
         assert built == []
-        assert (len(solves), len(selections)) == (124, 120)
+        # Only the 20 direction points with a segment of fixed states are selected.
+        assert (len(solves), len(selections)) == (124, 20)
+        assert {fps.k for fps in selections} == {1}
 
     def test_each_limit_is_tested_for_membership_once(self, monkeypatch):
-        # 60 paths test 2 limits each; they share 4 vertices x 6 directions.
-        check = discontinuity.membership
+        # 60 paths test 2 limits each; they share 4 vertices x 6 directions,
+        # and the limits of each center are tested as one stack.
+        check = discontinuity._in_set
         calls = []
 
-        def counted(fps, sigma, **kwargs):
-            calls.append(sigma)
-            return check(fps, sigma, **kwargs)
+        def counted(fps, sigmas, tol):
+            calls.append((fps, sigmas))
+            return check(fps, sigmas, tol)
 
-        monkeypatch.setattr(discontinuity, "membership", counted)
+        monkeypatch.setattr(discontinuity, "_in_set", counted)
         cls = classify(reference_gate(), "vertex_pairs", max_refinements=0)
         assert sum(p["limits_in_set"] is not None for p in cls.witness["paths"]) == 60
-        assert len(calls) == 4 * 6
-        assert len({id(s) for s in calls}) == len(calls)
+        assert [len(sigmas) for _, sigmas in calls] == [6] * 4
+        assert len({id(fps) for fps, _ in calls}) == 4
+        assert len({id(s) for _, sigmas in calls for s in sigmas}) == 4 * 6
 
     @pytest.mark.parametrize("refinements", [0, 1, 2])
     def test_near_threshold_path_refines_its_grid(self, refinements):
@@ -428,15 +434,12 @@ class TestClassify:
 
     def test_limits_outside_the_center_set_are_no_witness(self, monkeypatch):
         # Both pools hold no such path above jump_tol, so one limit is rejected here.
-        check = discontinuity.membership
+        check = discontinuity._in_set
 
-        def reject_first(fps, sigma, **kwargs):
-            result = check(fps, sigma, **kwargs)
-            checked.append(sigma)
-            return dataclasses.replace(result, ok=result.ok and len(checked) > 1)
+        def reject_first(fps, sigmas, tol):
+            return [False] + check(fps, sigmas, tol)[1:]
 
-        checked = []
-        monkeypatch.setattr(discontinuity, "membership", reject_first)
+        monkeypatch.setattr(discontinuity, "_in_set", reject_first)
         cls = classify(reference_gate(), strategy="paper_example")
         (path,) = cls.witness["paths"]
         assert cls.verdict == path["verdict"] == "continuous_witnessed_none"
