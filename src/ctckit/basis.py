@@ -8,6 +8,18 @@ traceless elements are ``X/sqrt(2), Y/sqrt(2), Z/sqrt(2)``.
 
 Hermitian operators then correspond to real coordinate vectors, and any
 trace-preserving linear map becomes a real affine map on the traceless block.
+
+Each column of an element has at most one nonzero entry, so each diagonal
+entry of ``m @ B_i`` is one product ``m[r, c] * B_i[c, r]``, and
+:meth:`HermitianBasis.traceless_coords` gathers those entries of ``m`` and
+multiplies them by the element's, in place of the matrix product and its
+trace.  A column with no nonzero entry gathers any entry times 0, as the
+product does.  It adds the ``dim`` complex products in order, as ``np.trace``
+adds the complex diagonal, and only then takes the real part: adding real
+parts would change the sum order for ``dim >= 4``.  The gather is an
+``np.take`` on the flattened matrix, so the products are in C order and each
+sum runs over contiguous entries; a fancy-indexed view would not be, and for
+``dim >= 4`` its reduction adds in another order.
 """
 
 from functools import lru_cache
@@ -44,14 +56,25 @@ class HermitianBasis:
         self.elements = _gell_mann_elements(dim)
         self.traceless = self.elements[1:]
         self._identity = np.eye(dim, dtype=complex)
+        # Row of the one nonzero entry of each column of each traceless element,
+        # 0 where the column is zero: flat indices ``r * dim + c`` into ``m`` and
+        # the entries ``B_i[c, r]`` they meet, shape ``(n_traceless, dim)``.
+        rows = np.argmax(self.traceless != 0, axis=-2)
+        self._gather = np.arange(dim) * dim + rows
+        self._entries = np.take_along_axis(self.traceless, rows[:, None, :], axis=-2)[:, 0, :]
 
     @property
     def n_traceless(self):
         return self.dim * self.dim - 1
 
     def traceless_coords(self, m):
-        """Real coordinates ``x_i = Tr(m B_i)`` of a matrix or a stack ``(..., dim, dim)``."""
-        return np.trace(m[..., None, :, :] @ self.traceless, axis1=-2, axis2=-1).real
+        """Real coordinates ``x_i = Tr(m B_i)`` of a matrix or a stack ``(..., dim, dim)``,
+        one gathered product per diagonal entry (see the module docstring)."""
+        m = np.asarray(m)
+        if m.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"expected a {self.dim}x{self.dim} matrix or stack, got {m.shape}")
+        flat = m.reshape(m.shape[:-2] + (self.dim * self.dim,))
+        return (np.take(flat, self._gather, axis=-1) * self._entries).sum(axis=-1).real
 
     def from_traceless(self, x, trace=1.0):
         """Hermitian matrix with the given traceless coordinates and trace, or the

@@ -15,18 +15,19 @@ affine solution subspace and serves :func:`membership` too.
 
 A solve has a core and a finish.  :func:`_cores` builds the cores of a
 stack of states at once: their maps, one stacked SVD and pseudoinverse,
-their refined origins, checked as candidates with one ``eigvalsh``, and the
-singular values within a decade of the cutoff, found with one mask.  Each
-entry is bit for bit what the state's own solve computes, so the stack
-changes no output.  ``fixed_point_set`` finishes one state's solve from its
-core, or from a stack of one that it builds itself: it reports the core's
-singular values near the cutoff, builds the null basis unless the rank is
-full, and accepts the refined origin, exact for the common trivial null
-space, when it passes.  Otherwise
-the Cesaro fallback checks, at every 64th step of Cesaro-averaged
-iteration, the refined and then the raw running mean, in blocks of 1, 2, 4,
-... up to 64 checkpoints, so a block runs at most as many steps past the
-accepted checkpoint as the solve had run before it.  The first candidate
+their refined origins, checked as candidates with one ``eigvalsh`` and
+measured by one stacked affine norm, and the singular values within a
+decade of the cutoff, found with one mask.  Each entry is bit for bit what
+the state's own solve computes, so the stack changes no output.
+``fixed_point_set`` finishes one state's solve from its core, or from a
+stack of one that it builds itself: it reports the core's singular values
+near the cutoff, builds the null basis unless the rank is full, and accepts
+the refined origin with its norm, exact for the common trivial null space,
+when it passes.  Otherwise the Cesaro fallback checks, at every 64th step
+of Cesaro-averaged iteration, the refined and then the raw running mean, in
+blocks of 1, 2, 4, ... up to 64 checkpoints, so a block runs at most as many
+steps past the accepted checkpoint as the solve had run before it; the
+accepted candidate's norm is then ``np.linalg.norm``'s.  The first candidate
 within the inner tolerances is the particular solution, kept with the
 spectrum its check computed; failing that, the best by (negativity,
 residual) is accepted with a warning or raises.  The particular is not
@@ -244,9 +245,11 @@ def _assess(linear, offset, b2, xs):
 def _cores(u, linear, offset):
     """Solve cores of the maps ``(N, n, n)``, ``(N, n)`` of :func:`_superoperators`,
     one per map: ``(affine map, M - I, vt, rank, pseudoinverse, gray
-    singular values, refined origin)``, with the origin as a checked
-    candidate and the gray singular values those within a decade of
-    :data:`SV_TOL`, as a list that is empty for almost every map.
+    singular values, refined origin, its affine norm)``, with the origin as a
+    checked candidate, the gray singular values those within a decade of
+    :data:`SV_TOL`, as a list that is empty for almost every map, and the
+    norm ``|(M - I) x + c|`` of the origin ``x`` from matrix-vector products
+    and a dot product, as ``np.linalg.norm`` computes it.
 
     One SVD, one mask and one :func:`_assess` serve the stack.  The
     pseudoinverse weights the singular vectors by ``1/s`` above
@@ -264,9 +267,12 @@ def _cores(u, linear, offset):
              for i, hit in enumerate(near.any(axis=1).tolist())]
     xs = _refine(gap, pinv, offset, np.zeros(offset.shape))
     mats, spectra, los, tds = _assess(linear, offset, b2, xs)
+    r = (gap @ xs[..., None])[..., 0] + offset
+    norms = np.sqrt(r[:, None, :] @ r[:, :, None])[:, 0, 0].tolist()
     ranks, los, tds = kept.sum(axis=1).tolist(), los.tolist(), tds.tolist()
     return [(AffineMapReal(linear[i], offset[i]), gap[i], vt[i], ranks[i], pinv[i], grays[i],
-             (0, xs[i], mats[i], spectra[i], los[i], tds[i])) for i in range(len(ranks))]
+             (0, xs[i], mats[i], spectra[i], los[i], tds[i]), norms[i])
+            for i in range(len(ranks))]
 
 
 def _passes(candidate):
@@ -349,7 +355,7 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
         raise ValueError("residual_tol must not be NaN")
     if core is None:
         core, = _cores(u, *_superoperators(u, rho.matrix[None]))
-    aff, a, vt, rank, a_pinv, gray, origin = core
+    aff, a, vt, rank, a_pinv, gray, origin, origin_norm = core
     d2 = u.dim2
     b2 = hermitian_basis(d2)
     warnings = []
@@ -363,10 +369,12 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
     # it fails does the Cesaro fallback build its orbit.
     if _passes(origin):
         iterations, x, m, evals, lo, td = origin
+        affine_norm = origin_norm
     else:
         iterations, x, m, evals, lo, td = _cesaro_candidate(
             aff, b2, lambda ys: _refine(a, a_pinv, aff.offset, ys), origin, residual_tol,
             max_iterations, warnings)
+        affine_norm = float(np.linalg.norm(a @ x + aff.offset))
 
     if td > residual_tol:
         raise SolverDiagnostic(f"fixed-point residual {td:.3e} exceeds {residual_tol}")
@@ -381,7 +389,7 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
         affine_pinv=a_pinv,
         residuals={
             "map_trace_distance": td,
-            "affine_norm": float(np.linalg.norm(a @ x + aff.offset)),
+            "affine_norm": affine_norm,
             "min_eigenvalue": lo,
             "iterations": iterations,
         },

@@ -28,12 +28,15 @@ any later point is solved.  One stage selects and emits as one stack: the
 new direction points of a ``_probe`` call, and the distinct centers of the
 ``probe`` command.  A unique fixed state (k = 0), which is most points, is
 the state every rule selects, so it is its own selection and the entropies
-of all such points come from the spectra the solver kept, as one stack;
-only a degenerate set goes through ``select``.  A verdict reads a center's
-fixed-point set, never a state selected from it.  :func:`classify` stacks
-each distinct solved point once, takes the running jumps of all its rows
-from one batched trace distance of the indexed stacks each, and tests the
-new limits of each center against its set as one stack.
+of all such points come from the spectra the solver kept, as one stack.
+Under the maximum-entropy rule the degenerate sets take the optimizer's
+first step as one stack, which settles every set whose gradient vanishes
+at the start (all those of a pinned (4, 2) gate); only the others, and
+every degenerate set under another rule, go through ``select``.  A verdict
+reads a center's fixed-point set, never a state selected from it.
+:func:`classify` stacks each distinct solved point once, takes the running
+jumps of all its rows from one batched trace distance of the indexed stacks
+each, and tests the new limits of each center against its set as one stack.
 
 Generated states are built once per process.  :func:`generate_probe_families`
 returns new :class:`PathFamily` objects on every call, but their centers and
@@ -56,7 +59,7 @@ import numpy as np
 
 from .deutsch import SolverDiagnostic, _cores, _emit, _in_set, _superoperators, fixed_point_set
 from .reference import mixed_first_qubit, mixed_second_qubit, reference_center
-from .selection import select
+from .selection import _settle, select
 from .states import DensityOperator, _check_count, _spectrum_entropy, trace_distance
 
 __all__ = [
@@ -185,18 +188,27 @@ def _select_and_emit(u, points, rule):
 
     A unique fixed state (k = 0) is the state every rule selects, so its
     sigma is the set's particular state, and the entropies of all such
-    points come from the spectra the solver kept, as one stack.  Only a
-    degenerate set is selected by its own ``select`` call.
+    points come from the spectra the solver kept, as one stack.  Under the
+    maximum-entropy rule the degenerate sets take the optimizer's first step
+    as one stack (``selection._settle``), and those it settles are selected
+    there; only the other degenerate sets, and every one under another rule,
+    go through their own ``select`` call.
     """
     unique = [fps.particular.eigenvalues for _, fps in points if fps.k == 0]
     entropies = iter(_spectrum_entropy(np.stack(unique)).tolist() if unique else ())
+    degenerate = [fps for _, fps in points if fps.k]
+    max_entropy = rule is None or rule.kind == "max_entropy"
+    settled = iter(_settle(degenerate) if max_entropy else [None] * len(degenerate))
     picks = []
     for _, fps in points:
         if fps.k == 0:
             picks.append((fps.particular, next(entropies)))
-        else:
+            continue
+        pick = next(settled)
+        if pick is None:
             sel = select(fps, rule)
-            picks.append((sel.sigma, sel.entropy))
+            pick = sel.sigma, sel.entropy
+        picks.append(pick)
     rho_hats = _emit(u, np.stack([state.matrix for state, _ in points]),
                      np.stack([sigma.matrix for sigma, _ in picks]))
     return [pick + (rho_hat,) for pick, rho_hat in zip(picks, DensityOperator.from_stack(rho_hats))]

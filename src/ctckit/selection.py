@@ -20,6 +20,13 @@ the maximally mixed state), kicks along the lexicographically smallest
 coordinate direction that lowers the entropy.  ``gradient_norm`` reports the
 unconstrained gradient at the final iterate, so boundary solutions may
 legitimately report large values together with ``converged=True``.
+
+Many degenerate sets need no step: the gradient already vanishes at the
+zero start, and the maximizer stops after its first iteration.  For the
+sets of a probe call, ``discontinuity`` takes that first step as one stack
+per ``(dim2, k)`` with :func:`_settle`, which gives the sigma and entropy
+bits :func:`select` gives; only the maximum-entropy sets it does not settle,
+and every set under another rule, still reach :func:`select` one at a time.
 """
 
 from dataclasses import dataclass
@@ -97,9 +104,14 @@ class _Point(NamedTuple):
 
 
 def _gradient(evals, evecs, stacked):
+    """``dS/dt`` at a spectrum ``(..., d)`` with eigenvectors ``(..., d, d)`` over
+    directions ``(..., k, d, d)``.  Each entry is one ``einsum`` trace per
+    direction, so a stack gives each entry's own bits; one ``einsum`` over the
+    direction axis too would add in another order on a stack."""
     lam = np.clip(evals, _EVAL_FLOOR, None)
-    ln_sigma = (evecs * np.log(lam)) @ evecs.conj().T
-    return -np.einsum("kij,ji->k", stacked, ln_sigma).real
+    ln_sigma = (evecs * np.log(lam)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    traces = [np.einsum("...ij,...ji->...", b, ln_sigma) for b in np.moveaxis(stacked, -3, 0)]
+    return -np.stack(traces, axis=-1).real
 
 
 def _boundary_distance(particular, stacked, t, d):
@@ -207,6 +219,38 @@ def _optimize(fps, max_iters, sense, start=None):
 
     sigma = DensityOperator(particular + np.tensordot(cur.t, stacked, axes=1))
     return SelectionResult(sigma, cur.entropy, iterations, converged, grad_norm)
+
+
+def _settle(sets):
+    """``(sigma, entropy)`` that the maximizer returns from its zero start for
+    each degenerate set of ``sets`` it leaves after its first step, else
+    ``None``, in order.
+
+    The sets of one ``(dim2, k)`` take that first step as one stack: one
+    ``eigh`` of their start states, one stacked entropy, one gradient and one
+    dot-product norm, each entry bit for bit its set's own.  A set with a
+    feasible start and a gradient norm at most ``_GRAD_TOL`` stops there with
+    no kick to try, so its start state, validated as one stack, and the
+    entropy of its ``eigh`` spectrum are what :func:`select` gives.
+    """
+    picks = [None] * len(sets)
+    groups = {}
+    for i, fps in enumerate(sets):
+        groups.setdefault((fps.dim2, fps.k), []).append(i)
+    for (_, k), at in groups.items():
+        bases = np.stack([np.stack(sets[i].basis) for i in at])
+        starts = (np.stack([sets[i].particular.matrix for i in at])
+                  + np.tensordot(np.zeros(k), bases, axes=(0, 1)))
+        evals, evecs = np.linalg.eigh(starts)
+        g = _gradient(evals, evecs, bases)
+        norms = np.sqrt((g[:, None, :] @ g[:, :, None])[:, 0, 0])
+        done = (norms <= _GRAD_TOL) & ~(evals.min(axis=-1) < _FEAS_EIG)
+        if done.any():
+            settled = zip(DensityOperator.from_stack(starts[done]),
+                          _spectrum_entropy(evals[done]).tolist())
+            for i, pick in zip(np.flatnonzero(done).tolist(), settled):
+                picks[at[i]] = pick
+    return picks
 
 
 def max_entropy_state(fps, start=None):

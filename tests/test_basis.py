@@ -62,6 +62,14 @@ def test_coords_are_real_for_hermitian_input():
     assert x.dtype == np.float64
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3), (2,), (5, 1, 1), (4, 3, 2)])
+def test_coords_reject_a_matrix_that_is_not_dim_by_dim(shape):
+    # A gather reads fixed entries, so a wrong shape would give wrong numbers,
+    # not an error, unless it is checked.
+    with pytest.raises(ValueError, match="expected a 2x2 matrix or stack"):
+        hermitian_basis(2).traceless_coords(np.ones(shape, dtype=complex))
+
+
 def test_from_traceless_honors_trace_argument():
     b = hermitian_basis(2)
     m = b.from_traceless(np.zeros(3), trace=0.0)

@@ -115,26 +115,49 @@ def test_elements_match_loop(dim):
         assert np.array_equal(el, ref)
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def _chart_inputs(rng, dim):
+    """Seeded ``dim x dim`` matrices: density matrices, sparse complex ones with
+    signed zeros in both parts, real-diagonal ones and real ones with -0.0."""
+    out = [random_density(rng, dim) for _ in range(20)]
+    zeros = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)])
+    for _ in range(20):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        hit = rng.random((dim, dim)) < 0.6
+        m[hit] = rng.choice(zeros, hit.sum())
+        out.append(m)
+    for _ in range(10):
+        out.append(np.diag(rng.normal(size=dim)).astype(complex))
+        m = rng.normal(size=(dim, dim)).astype(complex)
+        m[rng.random((dim, dim)) < 0.4] = -0.0
+        out.append(m)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7])
 def test_charts_match_loops(dim):
+    # Bytes, so that a signed zero shows.
     rng = np.random.default_rng(dim)
     b = hermitian_basis(dim)
+    for m in _chart_inputs(rng, dim):
+        assert b.traceless_coords(m).tobytes() == traceless_coords_loop(b, m).tobytes()
     for _ in range(20):
-        m = random_density(rng, dim)
-        assert np.array_equal(b.traceless_coords(m), traceless_coords_loop(b, m))
         x = rng.normal(size=b.n_traceless)
         for trace in (1.0, 0.0):
             assert np.array_equal(b.from_traceless(x, trace=trace), from_traceless_loop(b, x, trace=trace))
 
 
 def test_stacked_coords_match_one_at_a_time():
-    rng = np.random.default_rng(4)
-    b = hermitian_basis(3)
-    stack = np.stack([random_density(rng, 3) for _ in range(5)])
-    coords = b.traceless_coords(stack)
-    assert coords.shape == (5, 8)
-    for m, x in zip(stack, coords):
-        assert np.array_equal(x, traceless_coords_loop(b, m))
+    # d = 4 is the first dim where summing real parts, or reducing a
+    # fancy-indexed gather, would add in another order; the stack has two
+    # leading axes.
+    for dim in (3, 4):
+        rng = np.random.default_rng(dim + 1)
+        b = hermitian_basis(dim)
+        stack = np.stack(_chart_inputs(rng, dim)[:60]).reshape(3, 4, 5, dim, dim)
+        coords = b.traceless_coords(stack)
+        assert coords.shape == (3, 4, 5, dim * dim - 1)
+        for m, x in zip(stack.reshape(-1, dim, dim), coords.reshape(-1, dim * dim - 1)):
+            assert x.tobytes() == traceless_coords_loop(b, m).tobytes()
 
 
 @pytest.mark.parametrize("dim1,dim2", DIMS)
@@ -385,6 +408,59 @@ def test_unique_sets_select_their_particular_state(case, kind, monkeypatch):
         assert sigma.matrix.tobytes() == ref.sigma.matrix.tobytes()
         assert sigma.eigenvalues.tobytes() == ref.sigma.eigenvalues.tobytes()
         assert np.float64(entropy).tobytes() == np.float64(ref.entropy).tobytes()
+
+
+# Pool gates whose direction points meet degenerate sets, and the k of those
+# sets: on (4, 2) the first step settles them all; on (3, 3) some k = 1 sets
+# have a gradient at the start that does not vanish.
+FIRST_STEP_GATES = {
+    "4x2": (4, 2, [(2, 5, 0, 7, 4, 1, 6, 3), (0, 2, 7, 1, 4, 5, 3, 6)], {1, 3}),
+    "3x3": (3, 3, [(7, 3, 2, 0, 4, 5, 1, 6, 8), (6, 1, 2, 0, 4, 3, 5, 7, 8)], {1, 3, 4}),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_STEP_GATES))
+def test_stacked_first_step_matches_select(case, monkeypatch):
+    # The sets the stacked first step settles get select's sigma bits,
+    # spectrum bits and entropy; the others, and every set under another
+    # rule, reach discontinuity.select.
+    dim1, dim2, perms, expected_ks = FIRST_STEP_GATES[case]
+    reached = []
+
+    def recording_select(fps, rule=None):
+        reached.append(fps)
+        return select(fps, rule)
+
+    monkeypatch.setattr(discontinuity, "select", recording_select)
+    ks, unsettled = set(), 0
+    for perm in perms:
+        gate = UnitaryGate.from_permutation(dim1, dim2, perm)
+        points = []
+        for state in _vertex_points(gate):
+            try:
+                fps = fixed_point_set(gate, state)
+            except SolverDiagnostic:
+                continue
+            if fps.k:
+                points.append((state, fps))
+        sets = [fps for _, fps in points]
+        refs = [select(fps) for fps in sets]
+        settled = [ref.iterations == 1 and ref.gradient_norm <= 1e-10 for ref in refs]
+        reached.clear()
+        emitted = discontinuity._select_and_emit(gate, points, None)
+        assert [id(fps) for fps in reached] == [
+            id(fps) for fps, done in zip(sets, settled) if not done]
+        for ref, (sigma, entropy, _) in zip(refs, emitted):
+            assert sigma.matrix.tobytes() == ref.sigma.matrix.tobytes()
+            assert sigma.eigenvalues.tobytes() == ref.sigma.eigenvalues.tobytes()
+            assert np.float64(entropy).tobytes() == np.float64(ref.entropy).tobytes()
+        reached.clear()
+        discontinuity._select_and_emit(gate, points, SelectionRule(kind="min_entropy"))
+        assert [id(fps) for fps in reached] == [id(fps) for fps in sets]
+        ks.update(fps.k for fps in sets)
+        unsettled += settled.count(False)
+    assert ks == expected_ks
+    assert (unsettled > 0) == (case == "3x3")
 
 
 @pytest.mark.parametrize("case", ["reference", "identity_3x3"])

@@ -300,9 +300,10 @@ class TestClassify:
 
     def test_second_gate_builds_no_generated_state(self, monkeypatch):
         classify(reference_gate(), "vertex_pairs", max_refinements=0)
-        built, solves, selections = [], [], []
+        built, solves, selections, settles = [], [], [], []
         pure, mix_toward = DensityOperator.pure.__func__, discontinuity._mix_toward
         solve, choose = discontinuity.fixed_point_set, discontinuity.select
+        settle = discontinuity._settle
 
         def counted_pure(cls, amplitudes):
             built.append(amplitudes)
@@ -320,16 +321,22 @@ class TestClassify:
             selections.append(fps)
             return choose(fps, rule)
 
+        def counted_settle(sets):
+            settles.append(sets)
+            return settle(sets)
+
         monkeypatch.setattr(DensityOperator, "pure", classmethod(counted_pure))
         monkeypatch.setattr(discontinuity, "_mix_toward", counted_mix)
         monkeypatch.setattr(discontinuity, "fixed_point_set", counted_solve)
         monkeypatch.setattr(discontinuity, "select", counted_select)
+        monkeypatch.setattr(discontinuity, "_settle", counted_settle)
         classify(UnitaryGate.from_permutation(4, 2, (3, 4, 2, 7, 6, 1, 5, 0)), "vertex_pairs",
                  max_refinements=0)
         assert built == []
-        # Only the 20 direction points with a segment of fixed states are selected.
-        assert (len(solves), len(selections)) == (124, 20)
-        assert {fps.k for fps in selections} == {1}
+        # The 20 direction points with a segment of fixed states take the
+        # optimizer's first step as one stack, which settles all of them.
+        assert (len(solves), len(selections)) == (124, 0)
+        assert [[fps.k for fps in sets] for sets in settles] == [[1] * 20]
 
     def test_each_limit_is_tested_for_membership_once(self, monkeypatch):
         # 60 paths test 2 limits each; they share 4 vertices x 6 directions,

@@ -10,7 +10,9 @@ the ``run_seconds`` of ``CHANGE``'s ``BENCHMARK.json``.  A run that exits
 non-zero or reports ``"correct": false`` stops the tool with its output and
 exit code 1.
 
-One line per pair gives each side's end-to-end metrics as the pair ends.
+One line per pair gives each side's round count, read from the run's
+``report`` line, and its end-to-end metrics as the pair ends; a run keeps
+every round, so a memory metric can move with the number of rounds that fit.
 Then, for each end-to-end metric of ``BENCHMARK.json``, one line gives the
 parent's and the change's median with their quartiles (inclusive method),
 the change of the median, and in how many pairs the change read better.
@@ -27,7 +29,8 @@ from pathlib import Path
 
 
 def run(checkout, workload, seed, seconds):
-    """The result line of one benchmark run in ``checkout``; exits on failure."""
+    """The result line of one benchmark run in ``checkout``, with the round
+    count of its ``report`` line as ``"rounds"``; exits on failure."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -39,6 +42,8 @@ def run(checkout, workload, seed, seconds):
         sys.stderr.write(proc.stderr)
         sys.exit(f"{checkout}: seed {seed} exited {proc.returncode}"
                  + ("" if result is None else " with \"correct\": false"))
+    report = next(line for line in lines if line.startswith("report "))
+    result["rounds"] = json.loads(report[len("report "):])["rounds"]
     return result
 
 
@@ -76,10 +81,11 @@ def main(argv):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             results[side].append(run(sides[side], args.workload, seed, bench["run_seconds"]))
-        print(f"pair {i + 1} seed {seed} {order[0]} first: " + "; ".join(
-            f"{name} {results['parent'][-1]['metrics'][name]['value']:.6g} -> "
-            f"{results['change'][-1]['metrics'][name]['value']:.6g}" for name, _ in metrics),
-            flush=True)
+        parent, change = results["parent"][-1], results["change"][-1]
+        print(f"pair {i + 1} seed {seed} {order[0]} first: "
+              f"rounds {parent['rounds']} -> {change['rounds']}; " + "; ".join(
+                  f"{name} {parent['metrics'][name]['value']:.6g} -> "
+                  f"{change['metrics'][name]['value']:.6g}" for name, _ in metrics), flush=True)
 
     for name, better in metrics:
         parent, change = ([r["metrics"][name]["value"] for r in results[side]]
