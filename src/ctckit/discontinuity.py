@@ -19,24 +19,35 @@ Verdicts, ordered by strength:
 
 The verdict is monotone in the path set: adding paths can only upgrade it.
 
-``_probe`` builds every :class:`ProbeResult`, for :func:`probe`,
-:func:`classify` and the ``probe`` command alike: it calls each direction
-for its states, builds the solve cores of all its new points as one stack,
-and finishes each point's solve with its own ``fixed_point_set`` call, in
-the order the points were met, so a center's diagnostic stops it before
-any later point is solved.  One stage selects and emits as one stack: the
-new direction points of a ``_probe`` call, and the distinct centers of the
-``probe`` command.  A unique fixed state (k = 0), which is most points, is
-the state every rule selects, so it is its own selection and the entropies
-of all such points come from the spectra the solver kept, as one stack.
-Under the maximum-entropy rule the degenerate sets take the optimizer's
-first step as one stack, which settles every set whose gradient vanishes
-at the start (all those of a pinned (4, 2) gate); only the others, and
-every degenerate set under another rule, go through ``select``.  A verdict
-reads a center's fixed-point set, never a state selected from it.
+``_solve`` solves the points of a probe call, for :func:`probe`,
+:func:`classify` and the ``probe`` command alike, into a table keyed by
+center state and by ``(direction, eps)``: it calls each direction for its
+states, builds the solve cores of all its new points as one stack, and
+finishes each point's solve with its own ``fixed_point_set`` call, in the
+order the points were met, so a center's diagnostic stops it before any
+later point is solved.  :func:`classify` reads its paths' rows straight
+from that table; only :func:`probe` and the ``probe`` command build
+:class:`ProbeResult` records from it (``_probe``).  One stage selects and
+emits as one stack: the new direction points of a ``_solve`` call, and the
+distinct centers of the ``probe`` command.  A unique fixed state (k = 0),
+which is most points, is the state every rule selects, so it is its own
+selection and the entropies of all such points come from the spectra the
+solver kept, as one stack.  Under the maximum-entropy rule the degenerate
+sets take the optimizer's first step as one stack, which settles every set
+whose gradient vanishes at the start (all those of a pinned (4, 2) gate);
+only the others, and every degenerate set under another rule, go through
+``select``.  A verdict reads a center's fixed-point set, never a state
+selected from it.
 :func:`classify` stacks each distinct solved point once, takes the running
 jumps of all its rows from one batched trace distance of the indexed stacks
 each, and tests the new limits of each center against its set as one stack.
+
+:meth:`GateClassification.witness_digest` hashes the witness with every
+float rounded to 9 decimals by one rule: the JSON of the classification
+with each path's rows replaced by its row count, then all rows as one
+float64 array.  Values that differ by rounding noise hash alike, so hosts
+whose floats differ only in that noise write the same census digest, unless
+a value lies within the noise of a rounding tie.
 
 Generated states are built once per process.  :func:`generate_probe_families`
 returns new :class:`PathFamily` objects on every call, but their centers and
@@ -54,6 +65,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,6 +98,7 @@ VERDICTS = ("continuous_witnessed_none", "ephemeral", "physical")
 STRATEGIES = ("paper_example", "vertex_pairs")
 _GENERATED_TABLES = 8  # (strategy, d1) keys whose generated states are kept
 _EPS_PER_DIRECTION = 16  # states a generated direction keeps, one per eps
+_DIGEST_DECIMALS = 9  # every float a witness digest hashes is rounded to these
 ROW_COLUMNS = (
     "epsilon",
     "k_a",
@@ -95,6 +108,7 @@ ROW_COLUMNS = (
     "entropy_a",
     "entropy_b",
 )
+_row_values = itemgetter(*ROW_COLUMNS)  # a witness row's values in column order
 
 
 @dataclass
@@ -214,34 +228,33 @@ def _select_and_emit(u, points, rule):
     return [pick + (rho_hat,) for pick, rho_hat in zip(picks, DensityOperator.from_stack(rho_hats))]
 
 
-def _probe(u, jobs, rule, solved):
-    """One :class:`ProbeResult` per ``(family, eps)`` job.
+def _solve(u, jobs, rule, solved):
+    """Solve every point of the ``(family, eps)`` jobs that ``solved`` lacks.
 
-    The solve cores of every new point, centers and direction points in
-    solve order, are built as one stack; then each point's solve is finished
-    by its own ``fixed_point_set(..., core=...)`` call, in the same order.
-    A center is solved but not selected: its fixed-point set is its outcome,
-    and a :class:`SolverDiagnostic` there is raised.  A diagnostic at a
-    direction point is recorded, and the solved ones go through
-    :func:`_select_and_emit`.  ``solved`` maps the center state and
-    ``(direction, eps)`` to outcomes, so a shared point is solved once; it
-    holds its keys, so no key can be reused by another object.
+    ``solved`` maps a center state to its fixed-point set, and a direction
+    point's ``(direction, eps)`` key to its outcome ``(k, sigma, entropy,
+    rho_hat, error)``; a shared point is solved once, and the table holds
+    its keys, so no key can be reused by another object.  The solve cores of
+    every new point, centers and direction points in solve order, are built
+    as one stack; then each point's solve is finished by its own
+    ``fixed_point_set(..., core=...)`` call, in the same order.  A center is
+    solved but not selected: its fixed-point set is its outcome, and a
+    :class:`SolverDiagnostic` there is raised.  A diagnostic at a direction
+    point is its ``error``, and the solved ones go through
+    :func:`_select_and_emit`.
     """
-    todo, tables = {}, []  # key -> state of each new point in solve order; a center is its key
+    todo = {}  # key -> state of each new point in solve order; a center is its key
     for fam, grid in jobs:
-        table = [(name, direction, eps) for name, direction in
-                 (("a", fam.family_a), ("b", fam.family_b)) for eps in grid]
-        tables.append(table)
         if fam.center not in solved:
             todo.setdefault(fam.center, fam.center)
-        for _, direction, eps in table:
-            key = direction, eps
-            if key not in solved and key not in todo:
-                todo[key] = direction(eps)
-    cores = []
-    if todo:
-        stack = np.stack([state.matrix for state in todo.values()])
-        cores = _cores(u, *_superoperators(u, stack))
+        for direction in (fam.family_a, fam.family_b):
+            for eps in grid:
+                key = direction, eps
+                if key not in solved and key not in todo:
+                    todo[key] = direction(eps)
+    if not todo:
+        return
+    cores = _cores(u, *_superoperators(u, np.stack([state.matrix for state in todo.values()])))
     fresh = {}  # (direction, eps) -> (state, fps) of each new direction point
     for (key, state), core in zip(todo.items(), cores):
         if key is state:
@@ -255,10 +268,18 @@ def _probe(u, jobs, rule, solved):
         for (key, (_, fps)), emitted in zip(
                 fresh.items(), _select_and_emit(u, list(fresh.values()), rule)):
             solved[key] = (fps.k, *emitted, None)
+
+
+def _probe(u, jobs, rule, solved):
+    """One :class:`ProbeResult` per ``(family, eps)`` job, read from
+    :func:`_solve` of the jobs; :func:`probe` and the ``probe`` command
+    call it, and :func:`classify` reads ``solved`` itself."""
+    _solve(u, jobs, rule, solved)
     return [
         ProbeResult(fam.label, solved[fam.center], [
-            ProbeRecord(name, eps, *solved[direction, eps]) for name, direction, eps in table])
-        for (fam, _), table in zip(jobs, tables)
+            ProbeRecord(name, eps, *solved[direction, eps])
+            for name, direction in (("a", fam.family_a), ("b", fam.family_b)) for eps in grid])
+        for fam, grid in jobs
     ]
 
 
@@ -357,65 +378,112 @@ class GateClassification:
         }
 
     def witness_digest(self):
-        blob = json.dumps(self.to_json(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """sha256 of :meth:`to_json`, with every float rounded to
+        :data:`_DIGEST_DECIMALS` decimals.
+
+        Two parts are hashed in turn: the ``sort_keys`` JSON of
+        :meth:`to_json` with each path's ``rows`` replaced by its row count,
+        then every row of every path, in order, as one little-endian float64
+        array over :data:`ROW_COLUMNS` (``None`` is NaN).  One rule,
+        :func:`_rounded`, rounds every float of both parts, wherever it sits
+        in the dict, so a new witness field enters the first part as it is.
+        Values that differ by rounding noise hash alike, unless they lie
+        within that noise of a rounding tie.
+        """
+        paths = self.witness["paths"]
+        rows = [_row_values(row) for path in paths for row in path["rows"]]
+        slots = []
+        head = _float_slots(dict(self.to_json(), witness=dict(
+            self.witness, paths=[dict(path, rows=len(path["rows"])) for path in paths])), slots)
+        for (container, key), value in zip(slots, _rounded([c[k] for c, k in slots]).tolist()):
+            container[key] = value
+        digest = hashlib.sha256(json.dumps(head, sort_keys=True).encode())
+        digest.update(_rounded(rows).astype("<f8").tobytes())
+        return digest.hexdigest()
 
 
-def _analyze(jobs, results, jump_tol, limits):
+def _rounded(values):
+    """``values`` as a float array rounded to :data:`_DIGEST_DECIMALS`
+    decimals, ``None`` as NaN; adding 0.0 makes a rounded -0.0 a 0.0."""
+    return np.round(np.asarray(values, dtype=float), _DIGEST_DECIMALS) + 0.0
+
+
+def _float_slots(tree, slots):
+    """A copy of ``tree``, nested plain dicts, lists and tuples, with new
+    dicts and lists; the ``(container, key)`` of each float in the copy is
+    appended to ``slots``."""
+    if type(tree) is dict:
+        copy, items = dict(tree), tree.items()
+    else:
+        copy, items = list(tree), enumerate(tree)
+    for key, value in items:
+        kind = type(value)
+        if kind is dict or kind is list or kind is tuple:
+            copy[key] = _float_slots(value, slots)
+        elif issubclass(kind, float):
+            slots.append((copy, key))
+    return copy
+
+
+def _analyze(jobs, solved, jump_tol, limits):
     """Per-path verdicts from the qualifying tail of each probe grid.
 
-    The qualifying tail is the longest run of consecutive fine grid points
-    where both directions pinned a unique fixed state cleanly; at least two
-    such points are required before trusting its finest entry as a limit.
-    Each distinct solved point is stacked once, and the running jumps of all
-    rows come from one batched trace distance of the indexed stack each.
-    ``limits`` maps ``(center, sigma)`` to whether the limit ``sigma`` lies in
-    the center's fixed-point set, so each limit is tested once, and the new
+    Each row reads the outcomes of its two direction points from ``solved``
+    (see :func:`_solve`) by their ``(direction, eps)`` keys.  The qualifying
+    tail is the longest run of consecutive fine grid points where both
+    directions pinned a unique fixed state cleanly; at least two such points
+    are required before trusting its finest entry as a limit.  Each distinct
+    solved point is stacked once, and the running jumps of all rows come
+    from one batched trace distance of the indexed stack each.  ``limits``
+    maps ``(center, sigma)`` to whether the limit ``sigma`` lies in the
+    center's fixed-point set, so each limit is tested once, and the new
     limits of one center are tested as one stack.
     """
-    tables = [result.pairs() for result in results]
-    points = {}  # sigma -> (stack row, record) of each distinct solved point
+    tables = [[(eps, solved[fam.family_a, eps], solved[fam.family_b, eps]) for eps in grid]
+              for fam, grid in jobs]
+    points = {}  # sigma -> (stack row, rho_hat) of each distinct solved point
     rows_at = []  # stack rows of both sides of each row with both solved
-    for pairs in tables:
-        for _, ra, rb in pairs:
-            if ra.error is None and rb.error is None:
-                rows_at.append((points.setdefault(ra.sigma, (len(points), ra))[0],
-                                points.setdefault(rb.sigma, (len(points), rb))[0]))
+    for table in tables:
+        for _, (_, sigma_a, _, rho_hat_a, error_a), (_, sigma_b, _, rho_hat_b, error_b) in table:
+            if error_a is None and error_b is None:
+                rows_at.append((points.setdefault(sigma_a, (len(points), rho_hat_a))[0],
+                                points.setdefault(sigma_b, (len(points), rho_hat_b))[0]))
     jumps = iter(())
     if rows_at:
         at_a, at_b = np.array(rows_at).T
-        records = [r for _, r in points.values()]
         jumps = zip(*(
             trace_distance(stack[at_a], stack[at_b]).tolist() for stack in (
-                np.stack([r.sigma.matrix for r in records]),
-                np.stack([r.rho_hat.matrix for r in records]))
+                np.stack([sigma.matrix for sigma in points]),
+                np.stack([rho_hat.matrix for _, rho_hat in points.values()]))
         ))
 
     paths = []
     untested = {}  # center -> (its fixed-point set, {limit not yet tested: None})
-    for (fam, _), result, pairs in zip(jobs, results, tables):
+    for (fam, _), table in zip(jobs, tables):
         rows, tail = [], []
-        for eps, ra, rb in pairs:
-            row = dict(zip(ROW_COLUMNS, (eps, ra.k, rb.k, None, None, ra.entropy, rb.entropy)))
-            both_solved = ra.error is None and rb.error is None
+        for eps, point_a, point_b in table:
+            k_a, sigma_a, entropy_a, _, error_a = point_a
+            k_b, sigma_b, entropy_b, _, error_b = point_b
+            row = dict(zip(ROW_COLUMNS, (eps, k_a, k_b, None, None, entropy_a, entropy_b)))
+            both_solved = error_a is None and error_b is None
             if both_solved:
                 row["sigma_jump_running"], row["rho_hat_jump_running"] = next(jumps)
             rows.append(row)
-            if both_solved and ra.k == 0 and rb.k == 0:
-                tail.append((row, ra, rb))
+            if both_solved and k_a == 0 and k_b == 0:
+                tail.append((row, sigma_a, sigma_b))
             else:
                 tail = []
         if len(tail) >= 2:
-            for r in tail[-1][1:]:
-                if (fam.center, r.sigma) not in limits:
-                    untested.setdefault(fam.center, (result.center_fps, {}))[1][r.sigma] = None
-        paths.append((fam, result, rows, tail))
+            for sigma in tail[-1][1:]:
+                if (fam.center, sigma) not in limits:
+                    untested.setdefault(fam.center, (solved[fam.center], {}))[1][sigma] = None
+        paths.append((fam, rows, tail))
     for center, (fps, sigmas) in untested.items():
         limits.update(zip([(center, sigma) for sigma in sigmas],
                           _in_set(fps, list(sigmas), LIMIT_MEMBERSHIP_TOL)))
 
     analyses = []
-    for fam, result, rows, tail in paths:
+    for fam, rows, tail in paths:
         notes = []
         verdict = "continuous_witnessed_none"
         sigma_jump = max((r["sigma_jump_running"] or 0.0 for r in rows), default=0.0)
@@ -424,10 +492,10 @@ def _analyze(jobs, results, jump_tol, limits):
         near_threshold = False
 
         if len(tail) >= 2:
-            row, ra, rb = tail[-1]
+            row, sigma_a, sigma_b = tail[-1]
             sigma_jump = row["sigma_jump_running"]
             rho_hat_jump = row["rho_hat_jump_running"]
-            limits_in_set = [limits[fam.center, ra.sigma], limits[fam.center, rb.sigma]]
+            limits_in_set = [limits[fam.center, sigma_a], limits[fam.center, sigma_b]]
             near_threshold = (
                 jump_tol / 2 < sigma_jump < 2 * jump_tol
                 or jump_tol / 2 < rho_hat_jump < 2 * jump_tol
@@ -445,11 +513,11 @@ def _analyze(jobs, results, jump_tol, limits):
             notes.append("no qualifying tail: directions did not both pin unique fixed states")
 
         analyses.append({
-            "label": result.label,
+            "label": fam.label,
             "verdict": verdict,
             "sigma_jump": sigma_jump,
             "rho_hat_jump": rho_hat_jump,
-            "center_k": result.center_fps.k,
+            "center_k": solved[fam.center].k,
             "tail_length": len(tail),
             "limits_in_set": limits_in_set,
             "near_threshold": near_threshold,
@@ -491,7 +559,8 @@ def classify(
 
     jobs = [(fam, base_eps) for fam in families]
     solved, limits = {}, {}
-    analyses = _analyze(jobs, _probe(u, jobs, rule, solved), jump_tol, limits)
+    _solve(u, jobs, rule, solved)
+    analyses = _analyze(jobs, solved, jump_tol, limits)
     refinements_used = 0
     # No base grid holds a refined eps, so refining after every family is
     # analysed gives the analyses of refining each family in turn.
@@ -500,7 +569,8 @@ def classify(
             eps = eps + [min(eps) / 10.0]
             refinements_used += 1
             job = [(fam, eps)]
-            analyses[i], = _analyze(job, _probe(u, job, rule, solved), jump_tol, limits)
+            _solve(u, job, rule, solved)
+            analyses[i], = _analyze(job, solved, jump_tol, limits)
 
     rank = {v: i for i, v in enumerate(VERDICTS)}
     best = max(analyses, key=lambda a: (rank[a["verdict"]], a["rho_hat_jump"], a["sigma_jump"]))

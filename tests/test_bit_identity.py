@@ -565,4 +565,5 @@ def test_classify_matches_the_loop_with_a_failing_direction_point(monkeypatch):
     ref = classify_loop(reference_gate())
     assert len(failed) == 2  # once per side
     assert sum(p["tail_length"] == 0 for p in new.witness["paths"]) == 5
+    assert new.to_json() == ref.to_json()
     assert new.witness_digest() == ref.witness_digest()

@@ -7,6 +7,7 @@ written so an interrupted run loses at most one partial line.
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from ctckit.census import (
     CensusConfig,
     CensusFileError,
     CensusRecord,
+    _classify_one,
     _permutation_tuples,
     run_census,
     summarize,
@@ -142,6 +144,15 @@ class TestEnumeration:
         sample = _permutation_tuples(CensusConfig.from_json(json.loads(header)["config"]))
         assert sample == [tuple(json.loads(line)["permutation"]) for line in records]
         assert all(type(i) is int for p in sample for i in p)
+
+    def test_pinned_records_reproduce_their_witness_digest(self):
+        pinned = Path(__file__).parent.parent / "results" / "census_sample500_seed42.jsonl"
+        header, *records = pinned.read_text(encoding="utf-8").splitlines()
+        config = CensusConfig.from_json(dict(json.loads(header)["config"], out_path=os.devnull))
+        for line in records[:20]:
+            rec = json.loads(line)
+            new = _classify_one(tuple(rec["permutation"]), config)
+            assert new.witness_digest == rec["witness_digest"], rec["permutation"]
 
 
 class TestRunAndSummarize:

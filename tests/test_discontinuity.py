@@ -7,6 +7,7 @@ too.  "continuous_witnessed_none" is deliberately not a continuity proof —
 it only says no probed path witnessed a jump.
 """
 
+import copy
 import gc
 import weakref
 
@@ -17,6 +18,7 @@ from ctckit import discontinuity
 from ctckit.deutsch import SolverDiagnostic
 from ctckit.discontinuity import (
     DEFAULT_EPSILONS,
+    GateClassification,
     PathFamily,
     classify,
     generate_probe_families,
@@ -498,6 +500,82 @@ class TestClassify:
         obj = classify(reference_gate(), strategy="paper_example").to_json()
         assert obj["verdict"] == "physical"
         assert set(obj) >= {"verdict", "sigma_jump", "rho_hat_jump", "witness"}
+
+
+def _moved(tree, toward):
+    """A copy of a JSON tree with every float moved by one ulp toward ``toward``."""
+    if isinstance(tree, dict):
+        return {key: _moved(value, toward) for key, value in tree.items()}
+    if isinstance(tree, list):
+        return [_moved(value, toward) for value in tree]
+    if isinstance(tree, float):
+        return float(np.nextafter(tree, toward))
+    return tree
+
+
+def _digest(obj):
+    return GateClassification(**obj).witness_digest()
+
+
+def _first_limits_path(obj):
+    return next(p for p in obj["witness"]["paths"] if p["limits_in_set"] is not None)
+
+
+def _jump_moved(obj):
+    _first_limits_path(obj)["sigma_jump"] += 1e-6
+
+
+def _row_jump_moved(obj):
+    obj["witness"]["paths"][0]["rows"][-1]["rho_hat_jump_running"] += 1e-6
+
+
+def _limit_flipped(obj):
+    limits = _first_limits_path(obj)["limits_in_set"]
+    limits[0] = not limits[0]
+
+
+def _path_renamed(obj):
+    obj["witness"]["paths"][0]["label"] += "'"
+
+
+def _row_moved(obj):
+    # The rows, in order, are unchanged; only the two paths' row counts move.
+    paths = obj["witness"]["paths"]
+    paths[1]["rows"].insert(0, paths[0]["rows"].pop())
+
+
+class TestWitnessDigest:
+    """What the witness digest guarantees: floats count to 9 decimals, and
+    every other part of the witness counts as it is."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return classify(reference_gate()).to_json()
+
+    @pytest.mark.parametrize("toward", [np.inf, -np.inf])
+    def test_one_ulp_on_every_float_leaves_the_digest(self, reference, toward):
+        moved = _moved(reference, toward)
+        assert moved != reference
+        assert _digest(moved) == _digest(reference)
+
+    @pytest.mark.parametrize("change", [
+        _jump_moved, _row_jump_moved, _limit_flipped, _path_renamed, _row_moved])
+    def test_a_change_of_the_witness_moves_the_digest(self, reference, change):
+        changed = copy.deepcopy(reference)
+        change(changed)
+        assert changed != reference
+        assert _digest(changed) != _digest(reference)
+
+    def test_a_missing_row_value_is_not_zero(self, reference):
+        missing, zero = copy.deepcopy(reference), copy.deepcopy(reference)
+        missing["witness"]["paths"][0]["rows"][0]["sigma_jump_running"] = None
+        zero["witness"]["paths"][0]["rows"][0]["sigma_jump_running"] = 0.0
+        assert _digest(missing) != _digest(zero)
+
+    def test_the_digest_leaves_the_witness_alone(self, reference):
+        cls = GateClassification(**copy.deepcopy(reference))
+        cls.witness_digest()
+        assert cls.to_json() == reference
 
 
 class TestWitnessCsv:

@@ -13,11 +13,14 @@ probe states.
 The first lines give the wall time per gate of each of ``R`` plain rounds
 (default 3) and of one round under cProfile.  Then one line per stage gives
 its cumulative milliseconds and its calls per gate under cProfile: the probe
-call, the coordinate chart ``HermitianBasis.traceless_coords`` (called by the
-superoperator build and the limit test), the stacked solve cores, the
-per-point finish, selection and emission, the stacked first step of the
-degenerate sets (``selection._settle``, 0 calls where the checkout has none),
-the optimiser's dispatcher, path analysis, the limit test and the witness
+call that builds probe records (``_probe``, 0 calls where ``classify`` reads
+the solved-point table itself), the solve of a probe call's new points
+(``_solve``, 0 calls where the checkout has none), the coordinate chart
+``HermitianBasis.traceless_coords`` (called by the superoperator build and
+the limit test), the stacked solve cores, the per-point finish, selection
+and emission, the stacked first step of the degenerate sets
+(``selection._settle``, 0 calls where the checkout has none), the
+optimiser's dispatcher, path analysis, the limit test and the witness
 digest.  The limit test is ``deutsch._in_set`` where the checkout has it,
 else ``deutsch.membership``.  Stages nest, so their times do not add up to
 the total.
@@ -41,7 +44,8 @@ PINNED = Path("results") / "census_sample500_seed42.jsonl"
 
 def stages(limit_test):
     """``(module, function)`` of each stage, in call order."""
-    return (("discontinuity", "_probe"), ("basis", "traceless_coords"), ("deutsch", "_cores"),
+    return (("discontinuity", "_probe"), ("discontinuity", "_solve"),
+            ("basis", "traceless_coords"), ("deutsch", "_cores"),
             ("deutsch", "fixed_point_set"), ("discontinuity", "_select_and_emit"),
             ("selection", "_settle"), ("selection", "select"), ("discontinuity", "_analyze"),
             ("deutsch", limit_test), ("discontinuity", "witness_digest"))

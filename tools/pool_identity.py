@@ -7,9 +7,11 @@ ctckit checkout; the package is imported from its ``src/`` and the pools are
 read, never written, from its ``perfbench/reference/census_4x2.json`` and
 ``census_3x3.json``.  Each pool gate goes through ``census._classify_one``
 under the pool's census semantics, with one BLAS thread.  Output is one JSON
-line per gate: the verdict, ``repr`` of both jumps, the witness digest and
-the text of every ``SolverDiagnostic`` its solves raised, recorded by
-wrapping ``discontinuity.fixed_point_set``; then one line per pool with the
+line per gate: the verdict, ``repr`` of both jumps, the witness digest, the
+``witness_sha`` (sha256 of the ``sort_keys`` JSON of the classification's
+``to_json()``, computed here by wrapping ``census.classify``) and the text of
+every ``SolverDiagnostic`` its solves raised, recorded by wrapping
+``discontinuity.fixed_point_set``; then one line per pool with the
 config hash of its semantics next to the hash the reference holds.  Then the
 first :data:`REFINING_GATES` gates of each pool are classified again at
 ``jump_tol`` 0.3 with ``max_refinements`` 2, where paths near the threshold
@@ -30,7 +32,11 @@ the parent checkout and of the change are equal:
     python3 tools/pool_identity.py > change.jsonl
     diff parent.jsonl change.jsonl
 
-Digests hash full-precision floats, so compare outputs of one host only.
+A ``witness_sha`` hashes the witness's full-precision floats, so compare
+outputs of one host only.  The witness digest rounds them to 9 decimals; a
+change that moves only how the digest is taken moves the ``witness_digest``
+fields, and the CLI runs that print or write a digest, while every
+``witness_sha`` stays equal.
 The pools take about a minute on one core, the refining gates about 7 s
 and the CLI runs about 15 s.
 """
@@ -109,6 +115,11 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _witness_sha(cls):
+    """sha256 of the full-precision ``sort_keys`` JSON of a classification."""
+    return _sha(json.dumps(cls.to_json(), sort_keys=True).encode())
+
+
 def run_cli(root):
     env = {k: v for k, v in os.environ.items() if k != "CTCKIT_LOG"}
     env.update(PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
@@ -148,18 +159,30 @@ def main(argv):
             diagnostics.append(str(exc))
             raise
 
+    witness_shas = []
+    classify = census.classify
+
+    def recording_classify(*args, **kwargs):
+        cls = classify(*args, **kwargs)
+        witness_shas.append(_witness_sha(cls))
+        return cls
+
     discontinuity.fixed_point_set = recording_solve
+    census.classify = recording_classify
     refs = {name: json.loads((root / "perfbench" / "reference" / f"{name}.json").read_text())
             for name in POOLS}
     for name, ref in refs.items():
         config = census.CensusConfig(**ref["semantics"])
         for perm, *_ in ref["records"]:
             diagnostics.clear()
+            witness_shas.clear()
             rec = census._classify_one(tuple(perm), config)
+            witness_sha, = witness_shas  # one classification per gate
             print(json.dumps({
                 "pool": name, "permutation": perm, "verdict": rec.verdict,
                 "sigma_jump": repr(rec.sigma_jump), "rho_hat_jump": repr(rec.rho_hat_jump),
-                "witness_digest": rec.witness_digest, "diagnostics": diagnostics,
+                "witness_digest": rec.witness_digest, "witness_sha": witness_sha,
+                "diagnostics": diagnostics,
             }), flush=True)
         print(json.dumps({"pool": name, "config_hash": config.config_hash(),
                           "reference_hash": ref["config_hash"]}), flush=True)
@@ -174,11 +197,12 @@ def main(argv):
             print(json.dumps({
                 "refining_pool": name, "permutation": perm, "verdict": cls.verdict,
                 "sigma_jump": repr(cls.sigma_jump), "rho_hat_jump": repr(cls.rho_hat_jump),
-                "witness_digest": cls.witness_digest(),
+                "witness_digest": cls.witness_digest(), "witness_sha": _witness_sha(cls),
                 "refinements_used": cls.witness["refinements_used"],
                 "diagnostics": diagnostics,
             }), flush=True)
     discontinuity.fixed_point_set = solve
+    census.classify = classify
     run_cli(root)
 
 
