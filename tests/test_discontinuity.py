@@ -208,7 +208,7 @@ class TestGenerateFamilies:
             assert state.eigenvalues.flags.writeable is False
 
     def test_mutating_a_returned_family_leaves_the_next_call_alone(self):
-        before = classify(reference_gate(), "vertex_pairs").witness_digest()
+        before = classify(reference_gate(), "vertex_pairs")
         fams = generate_probe_families(reference_gate(), "vertex_pairs")
         center, family_a = fams[0].center, fams[0].family_a
         for fam in fams:
@@ -216,7 +216,9 @@ class TestGenerateFamilies:
         again = generate_probe_families(reference_gate(), "vertex_pairs")
         assert (again[0].center, again[0].family_a) == (center, family_a)
         assert again[0].label == "vertex0:mix1|sup1"
-        assert classify(reference_gate(), "vertex_pairs").witness_digest() == before
+        after = classify(reference_gate(), "vertex_pairs")
+        assert after.to_json() == before.to_json()
+        assert after.witness_digest() == before.witness_digest()
 
     def test_vertex_pairs_need_two_vertices(self):
         with pytest.raises(ValueError, match="vertex_pairs paths need dim1 >= 2"):
@@ -471,6 +473,7 @@ class TestClassify:
     def test_deterministic_witness_digest(self):
         a = classify(reference_gate(), strategy="paper_example")
         b = classify(reference_gate(), strategy="paper_example")
+        assert a.to_json() == b.to_json()
         assert a.witness_digest() == b.witness_digest()
 
     def test_needs_two_epsilons(self):
