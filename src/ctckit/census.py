@@ -175,8 +175,9 @@ def _classify_one(perm, config):
 def _read_census(path, repair=False):
     """``(header config hash, {permutation: record})`` of a census file.
 
-    The first record of a permutation wins.  A corrupt line or an unknown
-    verdict raises :class:`CensusFileError` with its line number; with
+    The first record of a permutation wins.  A corrupt line (a header whose
+    ``config_hash`` is not a string is one) or an unknown verdict raises
+    :class:`CensusFileError` with its line number; with
     ``repair=True`` only an unparseable final line (an interrupted append)
     is truncated away instead.
     """
@@ -188,6 +189,8 @@ def _read_census(path, repair=False):
         return None, {}
     try:
         header_hash = json.loads(lines[0])["config_hash"]
+        if type(header_hash) is not str:
+            raise TypeError(f"config_hash {header_hash!r} is not a string")
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise CensusFileError(f"{path} line 1: bad census header ({exc})") from exc
     records = {}

@@ -246,7 +246,7 @@ def cmd_classify(args):
     }
     if args.out:
         _write_csv(witness_csv_rows(cls), args.out)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit(report)
     return 0
 
 
@@ -265,7 +265,7 @@ def cmd_census(args):
         fractions = summary.to_json()
         del fractions["counts"]
         _write_csv([list(fractions), list(fractions.values())], args.summary_csv)
-    print(json.dumps(summary.to_json(), indent=2, sort_keys=True))
+    _emit(summary.to_json())
     return 0
 
 

@@ -38,9 +38,12 @@ whose gradient vanishes at the start (all those of a pinned (4, 2) gate);
 only the others, and every degenerate set under another rule, go through
 ``select``.  A verdict reads a center's fixed-point set, never a state
 selected from it.
-:func:`classify` stacks each distinct solved point once, takes the running
-jumps of all its rows from one batched trace distance of the indexed stacks
-each, and tests the new limits of each center against its set as one stack.
+:func:`classify` analyses its paths in one pre-pass and one walk over their
+rows: the pre-pass stacks each distinct solved point once and counts each
+path's qualifying tail; the running jumps of all rows come from one batched
+trace distance of the indexed stacks each, and the new limits of each
+center are tested against its set as one stack; the walk builds each
+witness row whole and decides each path from its last row.
 
 :meth:`GateClassification.witness_digest` hashes the witness with every
 float rounded to 9 decimals by one rule: the JSON of the classification
@@ -64,6 +67,7 @@ at degenerate centers.
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -169,9 +173,11 @@ def _epsilon_grid(epsilons):
 
 
 def _check_refinement(jump_tol, max_refinements):
-    """Raise unless ``jump_tol`` is finite and positive and ``max_refinements`` a count."""
-    if not 0.0 < float(jump_tol) < float("inf"):
-        raise ValueError(f"jump_tol must be a finite positive number, got {jump_tol}")
+    """Raise unless ``jump_tol`` is a finite positive real (a bool is not one)
+    and ``max_refinements`` a count."""
+    if (isinstance(jump_tol, bool) or not isinstance(jump_tol, numbers.Real)
+            or not 0.0 < jump_tol < float("inf")):
+        raise ValueError(f"jump_tol must be a finite positive number, got {jump_tol!r}")
     _check_count("max_refinements", max_refinements)
 
 
@@ -430,26 +436,36 @@ def _float_slots(tree, slots):
 def _analyze(jobs, solved, jump_tol, limits):
     """Per-path verdicts from the qualifying tail of each probe grid.
 
-    Each row reads the outcomes of its two direction points from ``solved``
-    (see :func:`_solve`) by their ``(direction, eps)`` keys.  The qualifying
-    tail is the longest run of consecutive fine grid points where both
-    directions pinned a unique fixed state cleanly; at least two such points
-    are required before trusting its finest entry as a limit.  Each distinct
-    solved point is stacked once, and the running jumps of all rows come
-    from one batched trace distance of the indexed stack each.  ``limits``
-    maps ``(center, sigma)`` to whether the limit ``sigma`` lies in the
-    center's fixed-point set, so each limit is tested once, and the new
-    limits of one center are tested as one stack.
+    Rows read the outcomes of their two direction points from ``solved``
+    (see :func:`_solve`) by ``(direction, eps)``.  A path's qualifying tail
+    counts its finest rows where both directions pinned a unique fixed state
+    cleanly; only a count of two or more trusts the last row as a limit.  A
+    pre-pass stacks each distinct solved point once, counts the tails and
+    queues the last row's two sigmas of each such path.  Then the running
+    jumps of all rows come from one batched trace distance of the indexed
+    stack each, and each center tests its queued limits as one stack into
+    ``limits``, keyed by ``(center, sigma)``, so no limit is tested twice.
+    A walk then builds each row whole, keeps the largest sigma jump for a
+    path without a tail, and decides each path from its last row.
     """
-    tables = [[(eps, solved[fam.family_a, eps], solved[fam.family_b, eps]) for eps in grid]
-              for fam, grid in jobs]
     points = {}  # sigma -> (stack row, rho_hat) of each distinct solved point
     rows_at = []  # stack rows of both sides of each row with both solved
-    for table in tables:
-        for _, (_, sigma_a, _, rho_hat_a, error_a), (_, sigma_b, _, rho_hat_b, error_b) in table:
+    tails = []  # qualifying tail count of each path
+    untested = {}  # center -> (its fixed-point set, {limit not yet tested: None})
+    for fam, grid in jobs:
+        tail = 0
+        for eps in grid:
+            k_a, sigma_a, _, rho_hat_a, error_a = solved[fam.family_a, eps]
+            k_b, sigma_b, _, rho_hat_b, error_b = solved[fam.family_b, eps]
             if error_a is None and error_b is None:
                 rows_at.append((points.setdefault(sigma_a, (len(points), rho_hat_a))[0],
                                 points.setdefault(sigma_b, (len(points), rho_hat_b))[0]))
+            tail = tail + 1 if k_a == k_b == 0 else 0  # k is None where a solve failed
+        tails.append(tail)
+        if tail >= 2:
+            for sigma in (sigma_a, sigma_b):  # the last row's
+                if (fam.center, sigma) not in limits:
+                    untested.setdefault(fam.center, (solved[fam.center], {}))[1][sigma] = None
     jumps = iter(())
     if rows_at:
         at_a, at_b = np.array(rows_at).T
@@ -458,45 +474,23 @@ def _analyze(jobs, solved, jump_tol, limits):
                 np.stack([sigma.matrix for sigma in points]),
                 np.stack([rho_hat.matrix for _, rho_hat in points.values()]))
         ))
-
-    paths = []
-    untested = {}  # center -> (its fixed-point set, {limit not yet tested: None})
-    for (fam, _), table in zip(jobs, tables):
-        rows, tail = [], []
-        for eps, point_a, point_b in table:
-            k_a, sigma_a, entropy_a, _, error_a = point_a
-            k_b, sigma_b, entropy_b, _, error_b = point_b
-            row = dict(zip(ROW_COLUMNS, (eps, k_a, k_b, None, None, entropy_a, entropy_b)))
-            both_solved = error_a is None and error_b is None
-            if both_solved:
-                row["sigma_jump_running"], row["rho_hat_jump_running"] = next(jumps)
-            rows.append(row)
-            if both_solved and k_a == 0 and k_b == 0:
-                tail.append((row, sigma_a, sigma_b))
-            else:
-                tail = []
-        if len(tail) >= 2:
-            for sigma in tail[-1][1:]:
-                if (fam.center, sigma) not in limits:
-                    untested.setdefault(fam.center, (solved[fam.center], {}))[1][sigma] = None
-        paths.append((fam, rows, tail))
     for center, (fps, sigmas) in untested.items():
         limits.update(zip([(center, sigma) for sigma in sigmas],
                           _in_set(fps, list(sigmas), LIMIT_MEMBERSHIP_TOL)))
 
     analyses = []
-    for fam, rows, tail in paths:
-        notes = []
-        verdict = "continuous_witnessed_none"
-        sigma_jump = max((r["sigma_jump_running"] or 0.0 for r in rows), default=0.0)
-        rho_hat_jump = 0.0
-        limits_in_set = None
-        near_threshold = False
-
-        if len(tail) >= 2:
-            row, sigma_a, sigma_b = tail[-1]
-            sigma_jump = row["sigma_jump_running"]
-            rho_hat_jump = row["rho_hat_jump_running"]
+    for (fam, grid), tail in zip(jobs, tails):
+        rows, sigma_jump = [], 0.0
+        for eps in grid:
+            k_a, sigma_a, entropy_a, _, error_a = solved[fam.family_a, eps]
+            k_b, sigma_b, entropy_b, _, error_b = solved[fam.family_b, eps]
+            jump = next(jumps) if error_a is None and error_b is None else (None, None)
+            rows.append(dict(zip(ROW_COLUMNS, (eps, k_a, k_b, *jump, entropy_a, entropy_b))))
+            sigma_jump = max(sigma_jump, jump[0] or 0.0)
+        notes, verdict = [], "continuous_witnessed_none"
+        rho_hat_jump, limits_in_set, near_threshold = 0.0, None, False
+        if tail >= 2:
+            sigma_jump, rho_hat_jump = jump  # the last row's
             limits_in_set = [limits[fam.center, sigma_a], limits[fam.center, sigma_b]]
             near_threshold = (
                 jump_tol / 2 < sigma_jump < 2 * jump_tol
@@ -520,7 +514,7 @@ def _analyze(jobs, solved, jump_tol, limits):
             "sigma_jump": sigma_jump,
             "rho_hat_jump": rho_hat_jump,
             "center_k": solved[fam.center].k,
-            "tail_length": len(tail),
+            "tail_length": tail,
             "limits_in_set": limits_in_set,
             "near_threshold": near_threshold,
             "notes": notes,

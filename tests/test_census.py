@@ -69,9 +69,11 @@ class TestConfig:
         dict(jump_tol=float("nan")),
         dict(jump_tol=float("inf")),
         dict(max_refinements=-1),
+        dict(jump_tol="0.1"),  # float() accepts it, but the string would be hashed
+        dict(jump_tol=True),
     ], ids=["unknown-strategy", "paper-example-off-dims", "retired-random-strategy",
             "vertex-pairs-dim1", "jump-tol-0", "jump-tol-negative", "jump-tol-nan",
-            "jump-tol-inf", "max-refinements-negative"])
+            "jump-tol-inf", "max-refinements-negative", "jump-tol-string", "jump-tol-true"])
     def test_rejects_unusable_settings_before_writing(self, tmp_path, overrides):
         with pytest.raises(ValueError):
             run_census(small_config(tmp_path, **overrides))
@@ -247,6 +249,18 @@ class TestResume:
         with pytest.raises(CensusFileError, match="line 1"):
             run_census(cfg, resume=True)
         with pytest.raises(CensusFileError, match="line 1"):
+            summarize(cfg.out_path)
+
+    @pytest.mark.parametrize("config_hash", [5, None])
+    def test_a_header_hash_that_is_not_a_string_is_a_bad_header(self, tmp_path, config_hash):
+        cfg = small_config(tmp_path, dim1=2, dim2=1)
+        run_census(cfg)
+        lines = open(cfg.out_path).read().splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), config_hash=config_hash))
+        open(cfg.out_path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(CensusFileError, match="line 1: bad census header"):
+            run_census(cfg, resume=True)
+        with pytest.raises(CensusFileError, match="line 1: bad census header"):
             summarize(cfg.out_path)
 
     @pytest.mark.parametrize("final", [False, True])

@@ -590,6 +590,29 @@ class TestCensusCommand:
         assert code == 0
         assert built == [(1, str(dest))]
 
+    def test_a_jump_tol_string_is_a_bad_config_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "dim1": 2, "dim2": 1, "mode": "exhaustive", "jump_tol": "0.1",
+            "out_path": str(tmp_path / "rec.jsonl"),
+        })
+        code, out, err = run(capsys, "census", "--config", cfg)
+        assert code == 2 and out == ""
+        assert "bad census config" in err and "jump_tol must be a finite positive number" in err
+        assert not (tmp_path / "rec.jsonl").exists()
+
+    @pytest.mark.parametrize("config_hash", [5, None])
+    def test_resume_of_a_header_hash_that_is_not_a_string(self, tmp_path, capsys, config_hash):
+        rec = tmp_path / "rec.jsonl"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "dim1": 2, "dim2": 1, "mode": "exhaustive", "out_path": str(rec)})
+        assert run(capsys, "census", "--config", cfg)[0] == 0
+        lines = rec.read_text().splitlines()
+        lines[0] = json.dumps(dict(json.loads(lines[0]), config_hash=config_hash))
+        rec.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "census", "--config", cfg, "--resume")
+        assert code == 2 and out == ""
+        assert "line 1: bad census header" in err
+
     def test_a_config_that_is_not_an_object_is_a_bad_config(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", [2, 1])
         code, out, err = run(capsys, "census", "--config", cfg, "--workers", "1")

@@ -489,7 +489,7 @@ class TestClassify:
         with pytest.raises(ValueError, match="at least one path family"):
             classify(reference_gate(), families=[])
 
-    @pytest.mark.parametrize("jump_tol", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("jump_tol", [0.0, -1.0, float("nan"), float("inf"), "0.1", True])
     def test_rejects_a_bad_jump_tol(self, jump_tol):
         with pytest.raises(ValueError, match="jump_tol must be a finite positive number"):
             classify(reference_gate(), strategy="paper_example", jump_tol=jump_tol)
