@@ -27,7 +27,7 @@ import numpy as np
 
 from .discontinuity import DEFAULT_EPSILONS, JUMP_TOL, VERDICTS, classify
 from .discontinuity import _check_refinement, _check_strategy, _epsilon_grid
-from .states import UnitaryGate, _check_count
+from .states import UnitaryGate, _check_count, _permutation
 
 __all__ = [
     "CensusConfig",
@@ -113,8 +113,10 @@ class CensusRecord:
 
     @classmethod
     def from_json(cls, obj):
+        """The record of a JSON object; :func:`_read_census` checks that its
+        permutation is a gate of the census."""
         return cls(
-            permutation=tuple(_check_count("permutation entry", i) for i in obj["permutation"]),
+            permutation=tuple(obj["permutation"]),
             verdict=str(obj["verdict"]),
             sigma_jump=float(obj["sigma_jump"]),
             rho_hat_jump=float(obj["rho_hat_jump"]),
@@ -175,11 +177,13 @@ def _classify_one(perm, config):
 def _read_census(path, repair=False):
     """``(header config hash, {permutation: record})`` of a census file.
 
-    The first record of a permutation wins.  A corrupt line (a header whose
-    ``config_hash`` is not a string is one) or an unknown verdict raises
-    :class:`CensusFileError` with its line number; with
-    ``repair=True`` only an unparseable final line (an interrupted append)
-    is truncated away instead.
+    The first record of a permutation wins.  A corrupt line raises
+    :class:`CensusFileError` with its line number: a header whose
+    ``config_hash`` is not a string or whose config lacks count dims, a
+    record that does not permute ``0..d-1`` for ``d = dim1 * dim2`` of the
+    header (checked by the rule of ``states._permutation``), or an unknown
+    verdict.  With ``repair=True`` only a final line that does not read as a
+    record (an interrupted append) is truncated away instead.
     """
     if not os.path.exists(path):
         raise CensusFileError(f"{path} does not exist")
@@ -188,10 +192,12 @@ def _read_census(path, repair=False):
     if not lines:
         return None, {}
     try:
-        header_hash = json.loads(lines[0])["config_hash"]
+        header = json.loads(lines[0])
+        header_hash, dims = header["config_hash"], header["config"]
         if type(header_hash) is not str:
             raise TypeError(f"config_hash {header_hash!r} is not a string")
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+        d = _check_count("dim1", dims["dim1"], 1) * _check_count("dim2", dims["dim2"], 1)
+    except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
         raise CensusFileError(f"{path} line 1: bad census header ({exc})") from exc
     records = {}
     for i, line in enumerate(lines[1:], start=2):
@@ -204,6 +210,10 @@ def _read_census(path, repair=False):
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write("\n".join(lines[:-1]) + "\n")
                 break
+            raise CensusFileError(f"{path} line {i}: corrupt record ({exc})") from exc
+        try:
+            rec.permutation = _permutation(rec.permutation, d)
+        except ValueError as exc:
             raise CensusFileError(f"{path} line {i}: corrupt record ({exc})") from exc
         if rec.verdict not in VERDICTS:
             raise CensusFileError(f"{path} line {i}: unknown verdict {rec.verdict!r}")

@@ -206,12 +206,12 @@ def cmd_probe(args):
     strategy = _strategy_from_args(args)
     epsilons = _parse_epsilons(args.epsilons)
     rows = [["path", "direction", "epsilon", "k", "entropy", "sigma", "rho_hat"]]
-    jobs = [(fam, epsilons) for fam in generate_probe_families(gate, strategy)]
-    results = _probe(gate, jobs, rule, {})
+    families = generate_probe_families(gate, strategy)
+    results = _probe(gate, families, epsilons, rule)
     # center state -> its fixed-point set; the paths of a vertex share one
-    centers = {fam.center: result.center_fps for (fam, _), result in zip(jobs, results)}
-    emitted = dict(zip(centers, _select_and_emit(gate, list(centers.items()), rule)))
-    for (fam, _), result in zip(jobs, results):
+    centers = {fam.center: result.center_fps for fam, result in zip(families, results)}
+    emitted = dict(zip(centers, _select_and_emit(gate, list(centers.items()), rule)[0]))
+    for fam, result in zip(families, results):
         sigma, entropy, rho_hat = emitted[fam.center]
         rows.append([fam.label, "center", 0.0, result.center_fps.k, entropy,
                      json.dumps(sigma.to_json()), json.dumps(rho_hat.to_json())])

@@ -20,13 +20,16 @@ Verdicts, ordered by strength:
 The verdict is monotone in the path set: adding paths can only upgrade it.
 
 ``_solve`` solves the points of a probe call, for :func:`probe`,
-:func:`classify` and the ``probe`` command alike, into a table keyed by
-center state and by ``(direction, eps)``: it calls each direction for its
-states, builds the solve cores of all its new points as one stack, and
-finishes each point's solve with its own ``fixed_point_set`` call, in the
-order the points were met, so a center's diagnostic stops it before any
-later point is solved.  :func:`classify` reads its paths' rows straight
-from that table; only :func:`probe` and the ``probe`` command build
+:func:`classify` and the ``probe`` command alike, into a table
+(``_Solved``): each center's fixed-point set, and each direction point's
+outcome under a point number, with its ``k`` and entropy as float columns
+and its sigma and emitted state in two stacks.  One walk over the families
+numbers the new points and gives each path's rows as point numbers; the
+solve cores of all new points are built as one stack, and each point's
+solve is finished by its own ``fixed_point_set`` call, in the order the
+points were met, so a center's diagnostic stops it before any later point
+is solved.  :func:`classify` reads its paths' rows straight from that
+table; only :func:`probe` and the ``probe`` command build
 :class:`ProbeResult` records from it (``_probe``).  One stage selects and
 emits as one stack: the new direction points of a ``_solve`` call, and the
 distinct centers of the ``probe`` command.  A unique fixed state (k = 0),
@@ -38,20 +41,23 @@ whose gradient vanishes at the start (all those of a pinned (4, 2) gate);
 only the others, and every degenerate set under another rule, go through
 ``select``.  A verdict reads a center's fixed-point set, never a state
 selected from it.
-:func:`classify` analyses its paths in one pre-pass and one walk over their
-rows: the pre-pass stacks each distinct solved point once and counts each
-path's qualifying tail; the running jumps of all rows come from one batched
-trace distance of the indexed stacks each, and the new limits of each
-center are tested against its set as one stack; the walk builds each
-witness row whole and decides each path from its last row.
+:func:`classify` fills the witness rows of its paths as one float table
+over :data:`ROW_COLUMNS`, column by column from the solved-point table: the
+running jumps of all rows come from one batched trace distance of the
+indexed stacks each, and the tails, limits and verdicts from the table's
+columns; the new limits of each center are tested against its set as one
+stack.  The row dicts are built only when the witness is read.
 
 :meth:`GateClassification.witness_digest` hashes the witness with every
 float rounded to 9 decimals by one rule: the JSON of the classification
 with each path's rows replaced by its row count, then all rows as one
-float64 array.  Values that differ by rounding noise hash alike, unless a
-value lies within the noise of a rounding tie: ``tools/digest_noise.py``
-moves every float of the 500 pinned witnesses by a relative 1e-14 without
-changing a digest, while 1e-13 changes 7.8 % of them and 1e-12 35.6 %.
+float64 array.  A classification from :func:`classify` hashes its row
+table as it is, so a census builds no row dict; the definition, and so
+every digest, is that of the witness dict.  Values that differ by rounding
+noise hash alike, unless a value lies within the noise of a rounding tie:
+``tools/digest_noise.py`` moves every float of the 500 pinned witnesses by
+a relative 1e-14 without changing a digest, while 1e-13 changes 7.8 % of
+them and 1e-12 35.6 %.
 
 Generated states are built once per process.  :func:`generate_probe_families`
 returns new :class:`PathFamily` objects on every call, but their centers and
@@ -77,7 +83,7 @@ import numpy as np
 from .deutsch import SolverDiagnostic, _cores, _emit, _in_set, _superoperators, fixed_point_set
 from .reference import mixed_first_qubit, mixed_second_qubit, reference_center
 from .selection import _settle, select
-from .states import DensityOperator, _check_count, _spectrum_entropy, trace_distance
+from .states import DensityOperator, _check_count, _spectrum_entropy, _validated, trace_distance
 
 __all__ = [
     "DEFAULT_EPSILONS",
@@ -114,6 +120,8 @@ ROW_COLUMNS = (
     "entropy_b",
 )
 _row_values = itemgetter(*ROW_COLUMNS)  # a witness row's values in column order
+# The digest's JSON; the witness holds no cycle, so the encoder need not look for one.
+_HEAD_JSON = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 @dataclass
@@ -161,7 +169,7 @@ class ProbeResult:
 def probe(u, family, epsilons, rule=None):
     """Solve the fixed-point problem along both directions of a family."""
     eps = _epsilon_grid(epsilons)
-    return _probe(u, [(fam, eps) for fam in _check_user_families([family], eps)], rule, {})[0]
+    return _probe(u, _check_user_families([family], eps), eps, rule)[0]
 
 
 def _epsilon_grid(epsilons):
@@ -204,8 +212,10 @@ def _check_user_families(families, eps):
 
 
 def _select_and_emit(u, points, rule):
-    """``(sigma, entropy, rho_hat)`` of each ``(state, fps)`` point, with all
-    the states emitted as one stack.
+    """``(emitted, sigmas, rho_hats)`` of the ``(state, fps)`` points: the
+    ``(sigma, entropy, rho_hat)`` of each point, with all the states emitted
+    as one stack, then the stack of the sigmas ``(N, d2, d2)`` and the
+    validated stack of the emitted states ``(N, d1, d1)``.
 
     A unique fixed state (k = 0) is the state every rule selects, so its
     sigma is the set's particular state, and the entropies of all such
@@ -230,63 +240,104 @@ def _select_and_emit(u, points, rule):
             sel = select(fps, rule)
             pick = sel.sigma, sel.entropy
         picks.append(pick)
-    rho_hats = _emit(u, np.stack([state.matrix for state, _ in points]),
-                     np.stack([sigma.matrix for sigma, _ in picks]))
-    return [pick + (rho_hat,) for pick, rho_hat in zip(picks, DensityOperator.from_stack(rho_hats))]
+    sigmas = np.stack([sigma.matrix for sigma, _ in picks])
+    rho_hats, spectra = _validated(_emit(u, np.stack([state.matrix for state, _ in points]),
+                                         sigmas), 3)
+    return ([pick + (DensityOperator._of(m, e),)
+             for pick, m, e in zip(picks, rho_hats, spectra)], sigmas, rho_hats)
 
 
-def _solve(u, jobs, rule, solved):
-    """Solve every point of the ``(family, eps)`` jobs that ``solved`` lacks.
+class _Solved:
+    """The points the probe calls of one :func:`classify`, :func:`probe` or
+    ``probe`` command have solved, each once, and the arrays that path
+    analysis reads.
 
-    ``solved`` maps a center state to its fixed-point set, and a direction
-    point's ``(direction, eps)`` key to its outcome ``(k, sigma, entropy,
-    rho_hat, error)``; a shared point is solved once, and the table holds
-    its keys, so no key can be reused by another object.  The solve cores of
-    every new point, centers and direction points in solve order, are built
-    as one stack; then each point's solve is finished by its own
-    ``fixed_point_set(..., core=...)`` call, in the same order.  A center is
-    solved but not selected: its fixed-point set is its outcome, and a
-    :class:`SolverDiagnostic` there is raised.  A diagnostic at a direction
-    point is its ``error``, and the solved ones go through
-    :func:`_select_and_emit`.
+    ``centers`` maps a center state to its fixed-point set.  ``number``
+    maps a direction point's ``(direction, eps)`` key to its place in
+    ``outcomes``, its ``(k, sigma, entropy, rho_hat, error)``, and in the
+    arrays: ``columns`` holds its ``k`` and ``entropy`` as floats, NaN where
+    its solve failed, and the stacks ``sigmas`` and ``rho_hats`` its two
+    matrices, zero where it failed.  The table holds its keys, so no key
+    can be reused by another object.
     """
-    todo = {}  # key -> state of each new point in solve order; a center is its key
-    for fam, grid in jobs:
-        if fam.center not in solved:
+
+    def __init__(self, u):
+        self.u = u
+        self.centers, self.number, self.outcomes = {}, {}, []
+        self.columns = np.empty((0, 2))
+        self.sigmas = np.empty((0, u.dim2, u.dim2), dtype=complex)
+        self.rho_hats = np.empty((0, u.dim1, u.dim1), dtype=complex)
+
+
+def _solve(families, grid, rule, solved):
+    """Solve every point of ``families`` on ``grid`` that ``solved`` lacks,
+    and return the point numbers of each family's rows as an int array
+    ``(families, 2, eps)``: direction a's, then b's.
+
+    One walk over the families numbers the new direction points and finds
+    the new centers.  The solve cores of every new point, centers and
+    direction points in walk order, are built as one stack; then each
+    point's solve is finished by its own ``fixed_point_set(..., core=...)``
+    call, in the same order.  A center is solved but not selected: its
+    fixed-point set is its outcome, and a :class:`SolverDiagnostic` there is
+    raised.  A diagnostic at a direction point is its ``error``, and the
+    solved ones go through :func:`_select_and_emit`.
+    """
+    u, number, first = solved.u, solved.number, len(solved.outcomes)
+    todo, at = {}, []  # todo: key -> state of each new point in walk order; a center is its key
+    for fam in families:
+        if fam.center not in solved.centers:
             todo.setdefault(fam.center, fam.center)
         for direction in (fam.family_a, fam.family_b):
             for eps in grid:
                 key = direction, eps
-                if key not in solved and key not in todo:
+                i = number.get(key)
+                if i is None:
+                    i = number[key] = len(number)
                     todo[key] = direction(eps)
+                at.append(i)
+    at = np.array(at).reshape(len(families), 2, len(grid))
     if not todo:
-        return
+        return at
     cores = _cores(u, *_superoperators(u, np.stack([state.matrix for state in todo.values()])))
-    fresh = {}  # (direction, eps) -> (state, fps) of each new direction point
+    fresh = []  # (number, state, fps) of each new direction point solved cleanly
     for (key, state), core in zip(todo.items(), cores):
         if key is state:
-            solved[key] = fixed_point_set(u, state, core=core)
+            solved.centers[key] = fixed_point_set(u, state, core=core)
             continue
         try:
-            fresh[key] = state, fixed_point_set(u, state, core=core)
+            fresh.append((len(solved.outcomes), state, fixed_point_set(u, state, core=core)))
+            solved.outcomes.append(None)
         except SolverDiagnostic as exc:
-            solved[key] = (None, None, None, None, str(exc))
+            solved.outcomes.append((None, None, None, None, str(exc)))
+    new = len(solved.outcomes) - first
+    columns = np.full((new, 2), np.nan)
+    sigmas = np.zeros((new, u.dim2, u.dim2), dtype=complex)
+    rho_hats = np.zeros((new, u.dim1, u.dim1), dtype=complex)
     if fresh:
-        for (key, (_, fps)), emitted in zip(
-                fresh.items(), _select_and_emit(u, list(fresh.values()), rule)):
-            solved[key] = (fps.k, *emitted, None)
+        ok = [i - first for i, _, _ in fresh]
+        emitted, sigmas[ok], rho_hats[ok] = _select_and_emit(
+            u, [(state, fps) for _, state, fps in fresh], rule)
+        for (i, _, fps), outcome in zip(fresh, emitted):
+            solved.outcomes[i] = (fps.k, *outcome, None)
+        columns[ok] = [(fps.k, entropy) for (_, _, fps), (_, entropy, _) in zip(fresh, emitted)]
+    solved.columns = np.concatenate([solved.columns, columns])
+    solved.sigmas = np.concatenate([solved.sigmas, sigmas])
+    solved.rho_hats = np.concatenate([solved.rho_hats, rho_hats])
+    return at
 
 
-def _probe(u, jobs, rule, solved):
-    """One :class:`ProbeResult` per ``(family, eps)`` job, read from
-    :func:`_solve` of the jobs; :func:`probe` and the ``probe`` command
-    call it, and :func:`classify` reads ``solved`` itself."""
-    _solve(u, jobs, rule, solved)
+def _probe(u, families, grid, rule):
+    """One :class:`ProbeResult` per family, read from :func:`_solve` of the
+    families on ``grid``; :func:`probe` and the ``probe`` command call it,
+    and :func:`classify` reads the solved points itself."""
+    solved = _Solved(u)
+    at = _solve(families, grid, rule, solved)
     return [
-        ProbeResult(fam.label, solved[fam.center], [
-            ProbeRecord(name, eps, *solved[direction, eps])
-            for name, direction in (("a", fam.family_a), ("b", fam.family_b)) for eps in grid])
-        for fam, grid in jobs
+        ProbeResult(fam.label, solved.centers[fam.center], [
+            ProbeRecord(name, eps, *solved.outcomes[i])
+            for name, numbers in zip("ab", side) for eps, i in zip(grid, numbers.tolist())])
+        for fam, side in zip(families, at)
     ]
 
 
@@ -371,10 +422,32 @@ def _generated_paths(strategy, d1):
 
 @dataclass
 class GateClassification:
+    """A gate's verdict, its two jumps and the witness behind them.
+
+    Built from a witness dict, as ``GateClassification(**cls.to_json())``,
+    it keeps that dict.  One that :func:`classify` returns holds the witness
+    with each path's ``rows`` as its row count, and the rows of all paths,
+    in order, as one float table over :data:`ROW_COLUMNS` (NaN where a side
+    failed); it builds the row dicts on the first read of ``witness``, so a
+    census, which reads the verdict, the jumps and the digest, builds none.
+    """
+
     verdict: str
     sigma_jump: float
     rho_hat_jump: float
     witness: dict
+
+    def __getattr__(self, name):
+        table = self.__dict__.get("_table")
+        if name != "witness" or table is None:
+            raise AttributeError(name)
+        rows, start, paths = _witness_rows(table), 0, []
+        for path in self._head["paths"]:  # new dicts: a copy may share the head
+            paths.append(dict(path, rows=rows[start:start + path["rows"]]))
+            start += path["rows"]
+        self.witness = dict(self._head, paths=paths)
+        del self._head, self._table  # from here on the digest reads the dict
+        return self.witness
 
     def to_json(self):
         return {
@@ -391,23 +464,42 @@ class GateClassification:
         Two parts are hashed in turn: the ``sort_keys`` JSON of
         :meth:`to_json` with each path's ``rows`` replaced by its row count,
         then every row of every path, in order, as one little-endian float64
-        array over :data:`ROW_COLUMNS` (``None`` is NaN).  One rule,
-        :func:`_rounded`, rounds every float of both parts, wherever it sits
-        in the dict, so a new witness field enters the first part as it is.
-        Values that differ by rounding noise hash alike, unless they lie
-        within that noise of a rounding tie.  The floats of the first part
-        are rounded as one array, not one by one, which takes half the time.
+        array over :data:`ROW_COLUMNS` (``None`` is NaN).  A classification
+        from :func:`classify` whose witness has not been read holds both
+        parts as they are, the second as its row table, and builds no row
+        dict; the digest of any other is taken from its witness dict, to the
+        same bytes.  One rule, :func:`_rounded`, rounds every float of both
+        parts, wherever it sits in the dict, so a new witness field enters
+        the first part as it is.  Values that differ by rounding noise hash
+        alike, unless they lie within that noise of a rounding tie.  The
+        floats of the first part are rounded as one array, not one by one,
+        which takes half the time.
         """
-        paths = self.witness["paths"]
-        rows = [_row_values(row) for path in paths for row in path["rows"]]
+        head, table = self.__dict__.get("_head"), self.__dict__.get("_table")
+        if table is None:
+            paths = self.witness["paths"]
+            head = dict(self.witness, paths=[dict(path, rows=len(path["rows"])) for path in paths])
+            table = [_row_values(row) for path in paths for row in path["rows"]]
         slots = []
-        head = _float_slots(dict(self.to_json(), witness=dict(
-            self.witness, paths=[dict(path, rows=len(path["rows"])) for path in paths])), slots)
+        head = _float_slots({"verdict": self.verdict, "sigma_jump": self.sigma_jump,
+                             "rho_hat_jump": self.rho_hat_jump, "witness": head}, slots)
         for (container, key), value in zip(slots, _rounded([c[k] for c, k in slots]).tolist()):
             container[key] = value
-        digest = hashlib.sha256(json.dumps(head, sort_keys=True).encode())
-        digest.update(_rounded(rows).astype("<f8").tobytes())
+        digest = hashlib.sha256(_HEAD_JSON(head).encode())
+        digest.update(_rounded(table).astype("<f8").tobytes())
         return digest.hexdigest()
+
+
+def _witness_rows(table):
+    """Row dicts of a witness table: NaN as ``None``, ``k_a`` and ``k_b`` as ints."""
+    rows = []
+    for values in table.tolist():
+        row = dict(zip(ROW_COLUMNS, [None if v != v else v for v in values]))
+        for key in ("k_a", "k_b"):
+            if row[key] is not None:
+                row[key] = int(row[key])
+        rows.append(row)
+    return rows
 
 
 def _rounded(values):
@@ -433,65 +525,52 @@ def _float_slots(tree, slots):
     return copy
 
 
-def _analyze(jobs, solved, jump_tol, limits):
-    """Per-path verdicts from the qualifying tail of each probe grid.
+def _analyze(families, grid, solved, at, jump_tol, limits):
+    """Per-path verdicts of ``families`` on ``grid`` from the qualifying tail
+    of each path, and the rows of all paths as one float table.
 
-    Rows read the outcomes of their two direction points from ``solved``
-    (see :func:`_solve`) by ``(direction, eps)``.  A path's qualifying tail
-    counts its finest rows where both directions pinned a unique fixed state
-    cleanly; only a count of two or more trusts the last row as a limit.  A
-    pre-pass stacks each distinct solved point once, counts the tails and
-    queues the last row's two sigmas of each such path.  Then the running
-    jumps of all rows come from one batched trace distance of the indexed
-    stack each, and each center tests its queued limits as one stack into
-    ``limits``, keyed by ``(center, sigma)``, so no limit is tested twice.
-    A walk then builds each row whole, keeps the largest sigma jump for a
-    path without a tail, and decides each path from its last row.
+    ``at`` holds the point numbers of each path's rows (see :func:`_solve`).
+    The table, one row per path and ``eps`` over :data:`ROW_COLUMNS`, is
+    filled column by column from ``solved``'s arrays: the running jumps of
+    all rows come from one batched trace distance of the indexed stacks
+    each, and a cell is NaN where a side's solve failed.  A path's
+    qualifying tail counts its finest rows where both directions pinned a
+    unique fixed state; only a count of two or more trusts the last row as
+    a limit.  The new limits of each center are tested against its set as
+    one stack into ``limits``, keyed by ``(center, point number)``, so no
+    limit is tested twice.  A path without a tail keeps its largest sigma
+    jump.  Each path's analysis holds its row count in ``rows``.
     """
-    points = {}  # sigma -> (stack row, rho_hat) of each distinct solved point
-    rows_at = []  # stack rows of both sides of each row with both solved
-    tails = []  # qualifying tail count of each path
-    untested = {}  # center -> (its fixed-point set, {limit not yet tested: None})
-    for fam, grid in jobs:
-        tail = 0
-        for eps in grid:
-            k_a, sigma_a, _, rho_hat_a, error_a = solved[fam.family_a, eps]
-            k_b, sigma_b, _, rho_hat_b, error_b = solved[fam.family_b, eps]
-            if error_a is None and error_b is None:
-                rows_at.append((points.setdefault(sigma_a, (len(points), rho_hat_a))[0],
-                                points.setdefault(sigma_b, (len(points), rho_hat_b))[0]))
-            tail = tail + 1 if k_a == k_b == 0 else 0  # k is None where a solve failed
-        tails.append(tail)
+    paths, n = len(families), len(grid)
+    at_a, at_b = at[:, 0].ravel(), at[:, 1].ravel()
+    (k_a, entropy_a), (k_b, entropy_b) = solved.columns[at_a].T, solved.columns[at_b].T
+    jumps = [trace_distance(stack[at_a], stack[at_b]) for stack in (solved.sigmas, solved.rho_hats)]
+    table = np.column_stack([np.tile(grid, paths), k_a, k_b, *jumps, entropy_a, entropy_b])
+    table[np.isnan(k_a) | np.isnan(k_b), 3:5] = np.nan
+    unique = ((k_a == 0) & (k_b == 0)).reshape(paths, n)
+    tails = np.cumprod(unique[:, ::-1], axis=1).sum(axis=1).tolist()
+    most = np.fmax.reduce(table[:, 3].reshape(paths, n), axis=1, initial=0.0).tolist()
+    last = table[n - 1::n, 3:5].tolist()
+    limit_at = at[:, :, -1].tolist()  # the last row's point numbers of each path
+
+    untested = {}  # center -> (its fixed-point set, {number of a limit not yet tested: sigma})
+    for fam, tail, numbers in zip(families, tails, limit_at):
         if tail >= 2:
-            for sigma in (sigma_a, sigma_b):  # the last row's
-                if (fam.center, sigma) not in limits:
-                    untested.setdefault(fam.center, (solved[fam.center], {}))[1][sigma] = None
-    jumps = iter(())
-    if rows_at:
-        at_a, at_b = np.array(rows_at).T
-        jumps = zip(*(
-            trace_distance(stack[at_a], stack[at_b]).tolist() for stack in (
-                np.stack([sigma.matrix for sigma in points]),
-                np.stack([rho_hat.matrix for _, rho_hat in points.values()]))
-        ))
+            for i in numbers:
+                if (fam.center, i) not in limits:
+                    sigmas = untested.setdefault(fam.center, (solved.centers[fam.center], {}))[1]
+                    sigmas[i] = solved.outcomes[i][1]
     for center, (fps, sigmas) in untested.items():
-        limits.update(zip([(center, sigma) for sigma in sigmas],
-                          _in_set(fps, list(sigmas), LIMIT_MEMBERSHIP_TOL)))
+        limits.update(zip([(center, i) for i in sigmas],
+                          _in_set(fps, list(sigmas.values()), LIMIT_MEMBERSHIP_TOL)))
 
     analyses = []
-    for (fam, grid), tail in zip(jobs, tails):
-        rows, sigma_jump = [], 0.0
-        for eps in grid:
-            k_a, sigma_a, entropy_a, _, error_a = solved[fam.family_a, eps]
-            k_b, sigma_b, entropy_b, _, error_b = solved[fam.family_b, eps]
-            jump = next(jumps) if error_a is None and error_b is None else (None, None)
-            rows.append(dict(zip(ROW_COLUMNS, (eps, k_a, k_b, *jump, entropy_a, entropy_b))))
-            sigma_jump = max(sigma_jump, jump[0] or 0.0)
+    for fam, tail, numbers, sigma_jump, jump in zip(families, tails, limit_at, most, last):
         notes, verdict = [], "continuous_witnessed_none"
         rho_hat_jump, limits_in_set, near_threshold = 0.0, None, False
         if tail >= 2:
-            sigma_jump, rho_hat_jump = jump  # the last row's
-            limits_in_set = [limits[fam.center, sigma_a], limits[fam.center, sigma_b]]
+            sigma_jump, rho_hat_jump = jump
+            limits_in_set = [limits[fam.center, i] for i in numbers]
             near_threshold = (
                 jump_tol / 2 < sigma_jump < 2 * jump_tol
                 or jump_tol / 2 < rho_hat_jump < 2 * jump_tol
@@ -513,14 +592,14 @@ def _analyze(jobs, solved, jump_tol, limits):
             "verdict": verdict,
             "sigma_jump": sigma_jump,
             "rho_hat_jump": rho_hat_jump,
-            "center_k": solved[fam.center].k,
+            "center_k": solved.centers[fam.center].k,
             "tail_length": tail,
             "limits_in_set": limits_in_set,
             "near_threshold": near_threshold,
             "notes": notes,
-            "rows": rows,
+            "rows": n,
         })
-    return analyses
+    return analyses, table
 
 
 def classify(
@@ -553,24 +632,31 @@ def classify(
         families = _check_user_families(families, base_eps)
         strategy = "user_paths"
 
-    jobs = [(fam, base_eps) for fam in families]
-    solved, limits = {}, {}
-    _solve(u, jobs, rule, solved)
-    analyses = _analyze(jobs, solved, jump_tol, limits)
+    solved, limits = _Solved(u), {}
+    at = _solve(families, base_eps, rule, solved)
+    analyses, table = _analyze(families, base_eps, solved, at, jump_tol, limits)
+    refined = {}  # path number -> its table, for each refined path
     refinements_used = 0
     # No base grid holds a refined eps, so refining after every family is
     # analysed gives the analyses of refining each family in turn.
-    for i, (fam, eps) in enumerate(jobs):
+    for i, fam in enumerate(families):
+        eps = base_eps
         while analyses[i]["near_threshold"] and refinements_used < max_refinements:
             eps = eps + [min(eps) / 10.0]
             refinements_used += 1
-            job = [(fam, eps)]
-            _solve(u, job, rule, solved)
-            analyses[i], = _analyze(job, solved, jump_tol, limits)
+            at = _solve([fam], eps, rule, solved)
+            (analyses[i],), refined[i] = _analyze([fam], eps, solved, at, jump_tol, limits)
+    if refined:
+        n = len(base_eps)
+        table = np.concatenate([refined.get(i, table[i * n:(i + 1) * n])
+                                for i in range(len(families))])
 
     rank = {v: i for i, v in enumerate(VERDICTS)}
     best = max(analyses, key=lambda a: (rank[a["verdict"]], a["rho_hat_jump"], a["sigma_jump"]))
-    witness = {
+    cls = GateClassification.__new__(GateClassification)
+    cls.verdict, cls.sigma_jump, cls.rho_hat_jump = (
+        best["verdict"], best["sigma_jump"], best["rho_hat_jump"])
+    cls._table, cls._head = table, {
         "strategy": strategy,
         "jump_tol": jump_tol,
         "limit_membership_tol": LIMIT_MEMBERSHIP_TOL,
@@ -579,12 +665,7 @@ def classify(
         "best_path": best["label"],
         "paths": analyses,
     }
-    return GateClassification(
-        verdict=best["verdict"],
-        sigma_jump=best["sigma_jump"],
-        rho_hat_jump=best["rho_hat_jump"],
-        witness=witness,
-    )
+    return cls
 
 
 def witness_csv_rows(classification):

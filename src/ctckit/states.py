@@ -10,8 +10,8 @@ particular state, which the solver in ``deutsch`` has already checked.
 
 The package's two input rules: ``linalg._check_count`` decides what a count
 is everywhere (an integral real, not a bool, at least a floor; ``2.0`` reads
-as 2), and :func:`_permutation_matrix` checks a permutation before any
-matrix is built from it.
+as 2), and :func:`_permutation_matrix` checks a permutation by the rule of
+:func:`_permutation` before any matrix is built from it.
 """
 
 import numpy as np
@@ -33,12 +33,22 @@ PSD_TOL = 1e-10
 UNITARY_TOL = 1e-12
 
 
+def _permutation(images, d):
+    """``images`` as a tuple of ints; raises unless it permutes ``0..d-1``
+    and each entry is a count (a bool is not one).  A list of exact ints
+    takes one sorted comparison."""
+    p = tuple(images)
+    if not set(map(type, p)) <= {int}:
+        p = tuple(_check_count("permutation entry", j) for j in p)
+    if sorted(p) != list(range(d)):
+        raise ValueError(f"{list(p)} is not a permutation of 0..{d - 1}")
+    return p
+
+
 def _permutation_matrix(images, d):
     """``(tuple of ints, 0/1 matrix with m[images[j], j] == 1)`` of ``images``;
     raises before building the matrix unless it permutes ``0..d-1``."""
-    p = tuple(_check_count("permutation entry", j) for j in images)
-    if sorted(p) != list(range(d)):
-        raise ValueError(f"{list(p)} is not a permutation of 0..{d - 1}")
+    p = _permutation(images, d)
     m = np.zeros((d, d), dtype=complex)
     m[p, range(d)] = 1.0
     return p, m

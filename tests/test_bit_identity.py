@@ -402,7 +402,7 @@ def test_unique_sets_select_their_particular_state(case, kind, monkeypatch):
             points.append((state, fps))
     refs = [select(fps, rule) for _, fps in points]
     monkeypatch.setattr(discontinuity, "select", None)  # a call would raise
-    emitted = discontinuity._select_and_emit(gate, points, rule)
+    emitted, _, _ = discontinuity._select_and_emit(gate, points, rule)
     assert len(emitted) == len(points) > 50
     for ref, (sigma, entropy, rho_hat) in zip(refs, emitted):
         assert sigma.matrix.tobytes() == ref.sigma.matrix.tobytes()
@@ -447,7 +447,7 @@ def test_stacked_first_step_matches_select(case, monkeypatch):
         refs = [select(fps) for fps in sets]
         settled = [ref.iterations == 1 and ref.gradient_norm <= 1e-10 for ref in refs]
         reached.clear()
-        emitted = discontinuity._select_and_emit(gate, points, None)
+        emitted, _, _ = discontinuity._select_and_emit(gate, points, None)
         assert [id(fps) for fps in reached] == [
             id(fps) for fps, done in zip(sets, settled) if not done]
         for ref, (sigma, entropy, _) in zip(refs, emitted):
@@ -468,10 +468,9 @@ def test_stacked_limit_test_matches_membership(case):
     # Every solved point of every path is tested against its center's set,
     # at the limit tolerance and at the solver's, as the limits are.
     gate = reference_gate() if case == "reference" else UnitaryGate.identity(3, 3)
-    jobs = [(fam, list(DEFAULT_EPSILONS))
-            for fam in generate_probe_families(gate, "vertex_pairs")]
+    families = generate_probe_families(gate, "vertex_pairs")
     verdicts = set()
-    for result in discontinuity._probe(gate, jobs, None, {}):
+    for result in discontinuity._probe(gate, families, list(DEFAULT_EPSILONS), None):
         sigmas = [r.sigma for r in result.records if r.error is None]
         for tol in (LIMIT_MEMBERSHIP_TOL, RESIDUAL_TOL):
             stacked = deutsch._in_set(result.center_fps, sigmas, tol)

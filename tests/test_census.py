@@ -344,6 +344,74 @@ class TestSummarize:
             summarize(cfg.out_path)
 
 
+NON_GATES = [[0, 0, 0, 0], [], [0, 1, 2, 9], [1, 0], [0, 1, 2, 3, 4]]
+
+
+class TestNonGateRecords:
+    """A record whose permutation does not permute 0..d-1, for d = dim1 * dim2
+    of the header, names no gate of the census and is a corrupt line."""
+
+    def _file(self, tmp_path, perm, final):
+        # A (2, 2) census file with two gate records and the non-gate one
+        # in the middle (line 3) or last (line 4).
+        cfg = small_config(tmp_path)
+        header = {"kind": "ctckit-census", "version": 1,
+                  "config_hash": cfg.config_hash(), "config": cfg.to_json()}
+        gates = [CensusRecord(p, "physical", 0.0, 0.0, 0.0, "").to_json()
+                 for p in [(0, 1, 2, 3), (1, 0, 2, 3)]]
+        bad = dict(gates[0], permutation=perm)
+        records = gates + [bad] if final else [gates[0], bad, gates[1]]
+        text = "\n".join(json.dumps(obj, sort_keys=True) for obj in [header, *records]) + "\n"
+        Path(cfg.out_path).write_text(text)
+        return cfg, text, 4 if final else 3
+
+    @pytest.mark.parametrize("final", [False, True], ids=["middle", "final"])
+    @pytest.mark.parametrize("perm", NON_GATES, ids=str)
+    def test_summarize_rejects_it_with_its_line(self, tmp_path, perm, final):
+        cfg, _, line = self._file(tmp_path, perm, final)
+        with pytest.raises(CensusFileError, match=f"line {line}: corrupt record"):
+            summarize(cfg.out_path)
+
+    @pytest.mark.parametrize("final", [False, True], ids=["middle", "final"])
+    @pytest.mark.parametrize("perm", NON_GATES, ids=str)
+    def test_resume_rejects_it_and_leaves_the_file(self, tmp_path, perm, final, monkeypatch):
+        # Rejected before any gate is classified; a whole final line that
+        # names no gate is not an interrupted append, so repair keeps it.
+        cfg, text, line = self._file(tmp_path, perm, final)
+        monkeypatch.setattr(discontinuity, "fixed_point_set", None)  # a solve would raise
+        with pytest.raises(CensusFileError, match=f"line {line}: corrupt record"):
+            run_census(cfg, resume=True)
+        assert Path(cfg.out_path).read_text() == text
+
+    def test_gate_records_still_read(self, tmp_path):
+        cfg, _, _ = self._file(tmp_path, [3, 2, 1, 0], final=True)
+        assert summarize(cfg.out_path).total == 3
+
+    @pytest.mark.parametrize("dims", [{"dim1": "2"}, {"dim2": 0}, {"dim1": True}])
+    def test_a_header_without_count_dims_is_a_bad_header(self, tmp_path, dims):
+        cfg, text, _ = self._file(tmp_path, [3, 2, 1, 0], final=True)
+        lines = text.splitlines()
+        header = json.loads(lines[0])
+        lines[0] = json.dumps(dict(header, config=dict(header["config"], **dims)))
+        Path(cfg.out_path).write_text("\n".join(lines) + "\n")
+        with pytest.raises(CensusFileError, match="line 1: bad census header"):
+            summarize(cfg.out_path)
+
+
+def test_a_census_builds_no_witness_row(tmp_path, monkeypatch):
+    # A census record keeps the witness only as its digest, so a census
+    # never builds the row dicts of a witness.
+    def refuse(table):
+        raise AssertionError("a census built witness rows")
+
+    monkeypatch.setattr(discontinuity, "_witness_rows", refuse)
+    cfg = CensusConfig(4, 2, mode="sample", sample_size=3, seed=5,
+                       out_path=str(tmp_path / "r.jsonl"))
+    assert run_census(cfg).total == 3
+    records = [json.loads(line) for line in open(cfg.out_path).read().splitlines()[1:]]
+    assert len(records) == 3 and all(len(r["witness_digest"]) == 64 for r in records)
+
+
 def test_solver_diagnostic_still_writes_the_gate_record(tmp_path, monkeypatch):
     def records(cfg):
         run_census(cfg)

@@ -613,6 +613,21 @@ class TestCensusCommand:
         assert code == 2 and out == ""
         assert "line 1: bad census header" in err
 
+    @pytest.mark.parametrize("perm", [[0, 0], [], [0, 9]], ids=str)
+    def test_resume_of_a_record_that_names_no_gate(self, tmp_path, capsys, perm):
+        rec = tmp_path / "rec.jsonl"
+        cfg = write_json(tmp_path / "cfg.json", {
+            "dim1": 2, "dim2": 1, "mode": "exhaustive", "out_path": str(rec)})
+        assert run(capsys, "census", "--config", cfg)[0] == 0
+        header, first, _ = rec.read_text().splitlines()
+        text = "\n".join([header, first, json.dumps(dict(json.loads(first),
+                                                         permutation=perm))]) + "\n"
+        rec.write_text(text)
+        code, out, err = run(capsys, "census", "--config", cfg, "--resume")
+        assert code == 2 and out == ""
+        assert "line 3: corrupt record" in err and "is not a permutation of 0..1" in err
+        assert rec.read_text() == text
+
     def test_a_config_that_is_not_an_object_is_a_bad_config(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", [2, 1])
         code, out, err = run(capsys, "census", "--config", cfg, "--workers", "1")

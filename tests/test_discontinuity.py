@@ -9,6 +9,7 @@ it only says no probed path witnessed a jump.
 
 import copy
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -579,6 +580,49 @@ class TestWitnessDigest:
         cls = GateClassification(**copy.deepcopy(reference))
         cls.witness_digest()
         assert cls.to_json() == reference
+
+
+def _classified(case, monkeypatch):
+    if case == "clean":
+        return classify(reference_gate(), max_refinements=0)
+    if case == "refining":
+        cls = classify(reference_gate(), jump_tol=0.3, max_refinements=3)
+        assert cls.__dict__["_head"]["refinements_used"] == 3
+        return cls
+    monkeypatch.setattr(discontinuity, "fixed_point_set",
+                        failing_at(mixed_second_qubit(PAPER_EPSILONS[-1]).matrix))
+    return classify(reference_gate(), families=[paper_family()], epsilons=PAPER_EPSILONS)
+
+
+class TestWitnessTable:
+    """A classification from classify holds its witness rows as one float
+    table, hashes that table as it is, and builds the row dicts on read."""
+
+    @pytest.mark.parametrize("case", ["clean", "refining", "failing_point"])
+    def test_the_table_digest_is_the_digest_of_the_witness_dict(self, case, monkeypatch):
+        cls = _classified(case, monkeypatch)
+        digest = cls.witness_digest()
+        assert "witness" not in vars(cls)  # the digest built no row dict
+        obj = json.loads(json.dumps(cls.to_json()))
+        jumps = [row["sigma_jump_running"] for path in obj["witness"]["paths"]
+                 for row in path["rows"]]
+        assert (None in jumps) == (case == "failing_point")  # NaN cells read as None
+        assert GateClassification(**obj).witness_digest() == digest
+        assert cls.witness_digest() == digest  # now taken from the witness read above
+
+    def test_rows_are_built_on_the_first_read_only(self):
+        cls = classify(reference_gate(), strategy="paper_example")
+        other = copy.copy(cls)  # shares the unread witness table
+        (path,) = cls.witness["paths"]
+        assert [type(row["k_a"]) for row in path["rows"]] == [int] * len(DEFAULT_EPSILONS)
+        assert cls.witness is cls.witness and cls.to_json()["witness"] is cls.witness
+        assert other.witness == cls.witness
+
+    def test_a_read_witness_is_what_the_digest_hashes(self):
+        cls = classify(reference_gate(), strategy="paper_example")
+        before = cls.witness_digest()
+        cls.witness["paths"][0]["rows"][-1]["rho_hat_jump_running"] += 1e-6
+        assert cls.witness_digest() != before
 
 
 class TestWitnessCsv:

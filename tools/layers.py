@@ -11,11 +11,15 @@ thread, in this process, after one untimed gate has built the generated
 probe states.
 
 The first lines give the wall time per gate of each of ``R`` plain rounds
-(default 3) and of one round under cProfile.  Then one line per stage gives
-its cumulative milliseconds and its calls per gate under cProfile: the probe
-call that builds probe records (``_probe``, 0 calls where ``classify`` reads
-the solved-point table itself), the solve of a probe call's new points
-(``_solve``, 0 calls where the checkout has none), the coordinate chart
+(default 3), then the time per gate of path analysis (``_analyze``) and of
+the witness digest in those rounds, timed by wrapping the two; cProfile
+roughly doubles these Python-bound stages, so their plain times are the
+ones to compare.  Then comes the wall time per gate of one round under
+cProfile, and one line per stage gives its cumulative milliseconds and its
+calls per gate under cProfile: the probe call that builds probe records
+(``_probe``, 0 calls where ``classify`` reads the solved-point table
+itself), the solve of a probe call's new points (``_solve``, 0 calls where
+the checkout has none), the coordinate chart
 ``HermitianBasis.traceless_coords`` (called by the superoperator build and
 the limit test), the stacked solve cores, the per-point finish, selection
 and emission, the stacked first step of the degenerate sets
@@ -33,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import cProfile  # noqa: E402
+import functools  # noqa: E402
 import json  # noqa: E402
 import pstats  # noqa: E402
 import sys  # noqa: E402
@@ -63,6 +68,27 @@ def stage_lines(stats, gates, wanted):
             for (module, func), (calls, cumulative) in totals.items()]
 
 
+def wrap(owner, name, spent):
+    """Replace ``owner.name`` by a wrapper that adds the seconds of each call
+    to ``spent[-1]``, and return the original."""
+    func = getattr(owner, name)
+
+    @functools.wraps(func)
+    def timed(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            spent[-1] += time.perf_counter() - t0
+
+    setattr(owner, name, timed)
+    return func
+
+
+def ms_line(values):
+    return " ".join(f"{ms:.3f}" for ms in values) + f" (best {min(values):.3f})"
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", nargs="?", type=Path, default=Path(__file__).parent.parent)
@@ -73,7 +99,7 @@ def main(argv):
         parser.error("--gates and --rounds must be at least 1")
     root = args.checkout.resolve()
     sys.path.insert(0, str(root / "src"))
-    from ctckit import census, deutsch
+    from ctckit import census, deutsch, discontinuity
 
     wanted = stages("_in_set" if hasattr(deutsch, "_in_set") else "membership")
     header = json.loads((root / PINNED).read_text(encoding="utf-8").splitlines()[0])
@@ -88,8 +114,19 @@ def main(argv):
         return 1e3 * (time.perf_counter() - t0) / len(perms)
 
     print(f"{root}: first {len(perms)} pinned gates, one BLAS thread")
-    plain = [one_round() for _ in range(args.rounds)]
-    print("plain ms/gate: " + " ".join(f"{ms:.3f}" for ms in plain) + f" (best {min(plain):.3f})")
+    timed = ((discontinuity, "_analyze"), (discontinuity.GateClassification, "witness_digest"))
+    spent = {name: [] for _, name in timed}  # seconds of each round
+    originals = [(owner, name, wrap(owner, name, spent[name])) for owner, name in timed]
+    plain = []
+    for _ in range(args.rounds):
+        for seconds in spent.values():
+            seconds.append(0.0)
+        plain.append(one_round())
+    print("plain ms/gate: " + ms_line(plain))
+    for name, seconds in spent.items():
+        print(f"plain {name} ms/gate: " + ms_line([1e3 * s / len(perms) for s in seconds]))
+    for owner, name, func in originals:
+        setattr(owner, name, func)
     profile = cProfile.Profile()
     profiled = profile.runcall(one_round)
     print(f"cProfile ms/gate: {profiled:.3f}")

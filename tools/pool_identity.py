@@ -11,7 +11,10 @@ line per gate: the verdict, ``repr`` of both jumps, the witness digest, the
 ``witness_sha`` (sha256 of the ``sort_keys`` JSON of the classification's
 ``to_json()``, computed here by wrapping ``census.classify``) and the text of
 every ``SolverDiagnostic`` its solves raised, recorded by wrapping
-``discontinuity.fixed_point_set``; then one line per pool with the
+``discontinuity.fixed_point_set``.  The ``census.classify`` wrapper also
+takes the witness digest before anything reads the witness, and the tool
+stops with an error unless it equals the record's, taken after the
+``witness_sha`` read the witness.  Then comes one line per pool with the
 config hash of its semantics next to the hash the reference holds.  Then the
 first :data:`REFINING_GATES` gates of each pool are classified again at
 ``jump_tol`` 0.3 with ``max_refinements`` 2, where paths near the threshold
@@ -159,11 +162,12 @@ def main(argv):
             diagnostics.append(str(exc))
             raise
 
-    witness_shas = []
+    witness_shas, unread_digests = [], []
     classify = census.classify
 
     def recording_classify(*args, **kwargs):
         cls = classify(*args, **kwargs)
+        unread_digests.append(cls.witness_digest())  # before the witness is read
         witness_shas.append(_witness_sha(cls))
         return cls
 
@@ -176,8 +180,12 @@ def main(argv):
         for perm, *_ in ref["records"]:
             diagnostics.clear()
             witness_shas.clear()
+            unread_digests.clear()
             rec = census._classify_one(tuple(perm), config)
             witness_sha, = witness_shas  # one classification per gate
+            if unread_digests != [rec.witness_digest]:
+                sys.exit(f"{name} {perm}: digest {unread_digests} before the witness was "
+                         f"read, {rec.witness_digest} after")
             print(json.dumps({
                 "pool": name, "permutation": perm, "verdict": rec.verdict,
                 "sigma_jump": repr(rec.sigma_jump), "rho_hat_jump": repr(rec.rho_hat_jump),
