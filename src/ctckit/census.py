@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CAP = 40_320  # 8!
+_DRAW_ROWS = 1024  # rows of one batch of sampled permutations
 _RUN_FIELDS = ("workers", "out_path", "exhaustive_cap")  # where and how, not what
 _COUNT_FLOORS = {"dim1": 1, "dim2": 1, "sample_size": 0, "seed": 0, "max_refinements": 0,
                  "workers": 1, "exhaustive_cap": 0}
@@ -138,19 +139,25 @@ class CensusSummary:
 
 
 def _permutation_tuples(config):
-    """Permutations a validated config enumerates, lexicographic or sampled."""
+    """Permutations a validated config enumerates, lexicographic or sampled.
+
+    A sample is the first ``sample_size`` distinct permutations that
+    ``rng.permutation(d)`` calls of a generator seeded by ``config.seed``
+    would draw, in draw order.  They are drawn as rows of
+    ``rng.permuted(..., axis=1)``, which shuffles each row as one
+    ``permutation`` call does and so reads the same stream, in batches of at
+    most :data:`_DRAW_ROWS` rows and never more than the sample still lacks.
+    """
     d = config.dim1 * config.dim2
     if config.mode == "exhaustive":
         return list(itertools.permutations(range(d)))
     rng = np.random.default_rng(config.seed)
-    seen = set()
-    out = []
-    while len(out) < config.sample_size:
-        p = tuple(rng.permutation(d).tolist())
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
+    drawn = {}  # each distinct permutation, in draw order
+    while len(drawn) < config.sample_size:
+        rows = min(config.sample_size - len(drawn), _DRAW_ROWS)
+        batch = rng.permuted(np.tile(np.arange(d), (rows, 1)), axis=1)
+        drawn.update(dict.fromkeys(map(tuple, batch.tolist())))
+    return list(drawn)
 
 
 def _classify_one(perm, config):

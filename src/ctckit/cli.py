@@ -210,7 +210,8 @@ def cmd_probe(args):
     results = _probe(gate, families, epsilons, rule)
     # center state -> its fixed-point set; the paths of a vertex share one
     centers = {fam.center: result.center_fps for fam, result in zip(families, results)}
-    emitted = dict(zip(centers, _select_and_emit(gate, list(centers.items()), rule)[0]))
+    emitted = dict(zip(centers, _select_and_emit(
+        gate, np.stack([center.matrix for center in centers]), list(centers.values()), rule)[0]))
     for fam, result in zip(families, results):
         sigma, entropy, rho_hat = emitted[fam.center]
         rows.append([fam.label, "center", 0.0, result.center_fps.k, entropy,

@@ -24,14 +24,16 @@ The verdict is monotone in the path set: adding paths can only upgrade it.
 (``_Solved``): each center's fixed-point set, and each direction point's
 outcome under a point number, with its ``k`` and entropy as float columns
 and its sigma and emitted state in two stacks.  One walk over the families
-numbers the new points and gives each path's rows as point numbers; the
-solve cores of all new points are built as one stack, and each point's
-solve is finished by its own ``fixed_point_set`` call, in the order the
-points were met, so a center's diagnostic stops it before any later point
-is solved.  :func:`classify` reads its paths' rows straight from that
-table; only :func:`probe` and the ``probe`` command build
-:class:`ProbeResult` records from it (``_probe``).  One stage selects and
-emits as one stack: the new direction points of a ``_solve`` call, and the
+(``_walk``) numbers the new points and gives each path's rows as point
+numbers, and ``_solve`` solves the points the walk found; the solve cores
+of all new points are built as one stack, and each point's solve is
+finished by its own ``fixed_point_set`` call, in the order the points were
+met, so a center's diagnostic stops it before any later point is solved.
+:func:`classify` reads its paths' rows straight from that table; only
+:func:`probe` and the ``probe`` command build :class:`ProbeResult` records
+from it (``_probe``).  One stage selects and
+emits as one stack: the new direction points of a ``_solve`` call, whose
+states it indexes from the stack their cores were built from, and the
 distinct centers of the ``probe`` command.  A unique fixed state (k = 0),
 which is most points, is the state every rule selects, so it is its own
 selection and the entropies of all such points come from the spectra the
@@ -63,7 +65,16 @@ Generated states are built once per process.  :func:`generate_probe_families`
 returns new :class:`PathFamily` objects on every call, but their centers and
 direction states come from a bounded table keyed by value, ``(strategy, d1)``
 and then ``eps``, with read-only matrices, so the gates of a census share
-them.  A given direction is memoised for one call, then dropped.
+them.  Each entry of that table also keeps the probe plan of the last grid
+it was asked for: the walk of the generated families on that grid against
+a fresh table, made once, with the read-only stack of the new points'
+states and what path analysis reads of the point numbers alone; another
+grid replaces it.  A generated :func:`classify` seeds its fresh table with
+the plan's numbers and solves the plan's points, so a census walks and
+stacks its probe points once per config, not once per gate; refinements,
+given families and :func:`probe` walk, by the same function.
+``_generated_paths.cache_clear()`` drops the plans with the states they
+hold.  A given direction is memoised for one call, then dropped.
 
 No strategy draws random states, so generation takes no seed.  A jump needs
 a center whose fixed-point set is degenerate, and a random pure center
@@ -211,11 +222,12 @@ def _check_user_families(families, eps):
     return families
 
 
-def _select_and_emit(u, points, rule):
-    """``(emitted, sigmas, rho_hats)`` of the ``(state, fps)`` points: the
-    ``(sigma, entropy, rho_hat)`` of each point, with all the states emitted
-    as one stack, then the stack of the sigmas ``(N, d2, d2)`` and the
-    validated stack of the emitted states ``(N, d1, d1)``.
+def _select_and_emit(u, rhos, sets, rule):
+    """``(emitted, sigmas, rho_hats)`` of the points whose states are the
+    stack ``rhos`` ``(N, d1, d1)`` and whose fixed-point sets are ``sets``:
+    the ``(sigma, entropy, rho_hat)`` of each point, with all the states
+    emitted as one stack, then the stack of the sigmas ``(N, d2, d2)`` and
+    the validated stack of the emitted states ``(N, d1, d1)``.
 
     A unique fixed state (k = 0) is the state every rule selects, so its
     sigma is the set's particular state, and the entropies of all such
@@ -225,13 +237,13 @@ def _select_and_emit(u, points, rule):
     there; only the other degenerate sets, and every one under another rule,
     go through their own ``select`` call.
     """
-    unique = [fps.particular.eigenvalues for _, fps in points if fps.k == 0]
+    unique = [fps.particular.eigenvalues for fps in sets if fps.k == 0]
     entropies = iter(_spectrum_entropy(np.stack(unique)).tolist() if unique else ())
-    degenerate = [fps for _, fps in points if fps.k]
+    degenerate = [fps for fps in sets if fps.k]
     max_entropy = rule is None or rule.kind == "max_entropy"
     settled = iter(_settle(degenerate) if max_entropy else [None] * len(degenerate))
     picks = []
-    for _, fps in points:
+    for fps in sets:
         if fps.k == 0:
             picks.append((fps.particular, next(entropies)))
             continue
@@ -241,8 +253,7 @@ def _select_and_emit(u, points, rule):
             pick = sel.sigma, sel.entropy
         picks.append(pick)
     sigmas = np.stack([sigma.matrix for sigma, _ in picks])
-    rho_hats, spectra = _validated(_emit(u, np.stack([state.matrix for state, _ in points]),
-                                         sigmas), 3)
+    rho_hats, spectra = _validated(_emit(u, rhos, sigmas), 3)
     return ([pick + (DensityOperator._of(m, e),)
              for pick, m, e in zip(picks, rho_hats, spectra)], sigmas, rho_hats)
 
@@ -258,7 +269,9 @@ class _Solved:
     arrays: ``columns`` holds its ``k`` and ``entropy`` as floats, NaN where
     its solve failed, and the stacks ``sigmas`` and ``rho_hats`` its two
     matrices, zero where it failed.  The table holds its keys, so no key
-    can be reused by another object.
+    can be reused by another object.  :func:`classify` seeds a fresh table
+    of generated families with the numbers of their probe plan
+    (:meth:`_Generated.plan`).
     """
 
     def __init__(self, u):
@@ -269,24 +282,35 @@ class _Solved:
         self.rho_hats = np.empty((0, u.dim1, u.dim1), dtype=complex)
 
 
-def _solve(families, grid, rule, solved):
-    """Solve every point of ``families`` on ``grid`` that ``solved`` lacks,
-    and return the point numbers of each family's rows as an int array
-    ``(families, 2, eps)``: direction a's, then b's.
+class _Layout:
+    """What one walk over the families of a probe call on a grid finds
+    (:func:`_walk`), and what :func:`_analyze` reads of it.
 
-    One walk over the families numbers the new direction points and finds
-    the new centers.  The solve cores of every new point, centers and
-    direction points in walk order, are built as one stack; then each
-    point's solve is finished by its own ``fixed_point_set(..., core=...)``
-    call, in the same order.  A center is solved but not selected: its
-    fixed-point set is its outcome, and a :class:`SolverDiagnostic` there is
-    raised.  A diagnostic at a direction point is its ``error``, and the
-    solved ones go through :func:`_select_and_emit`.
+    ``todo`` maps the key of each point the table lacked to its state, in
+    walk order (a center is its own key), and ``stack`` holds their
+    matrices ``(N, d1, d1)``, or is None if there are none.  ``number`` is
+    the map from a direction point's key to its point number that the walk
+    extended.  ``at`` holds the point numbers of each family's rows
+    ``(families, 2, eps)``: direction a's, then b's.  ``epsilon`` is the eps
+    of each row, ``at_a`` and ``at_b`` each row's point numbers on one side,
+    and ``limit_at`` those of each family's last row.
     """
-    u, number, first = solved.u, solved.number, len(solved.outcomes)
-    todo, at = {}, []  # todo: key -> state of each new point in walk order; a center is its key
+
+    def __init__(self, todo, number, at, grid):
+        self.todo, self.number, self.at = todo, number, at
+        self.stack = np.stack([state.matrix for state in todo.values()]) if todo else None
+        self.epsilon = np.tile(grid, len(at))
+        self.at_a, self.at_b = at[:, 0].ravel(), at[:, 1].ravel()
+        self.limit_at = at[:, :, -1].tolist()
+
+
+def _walk(families, grid, number, centers):
+    """The :class:`_Layout` of ``families`` on ``grid`` against a table whose
+    direction points ``number`` holds and whose centers ``centers`` holds:
+    each new direction point is numbered into ``number``, in walk order."""
+    todo, at = {}, []
     for fam in families:
-        if fam.center not in solved.centers:
+        if fam.center not in centers:
             todo.setdefault(fam.center, fam.center)
         for direction in (fam.family_a, fam.family_b):
             for eps in grid:
@@ -296,17 +320,34 @@ def _solve(families, grid, rule, solved):
                     i = number[key] = len(number)
                     todo[key] = direction(eps)
                 at.append(i)
-    at = np.array(at).reshape(len(families), 2, len(grid))
-    if not todo:
-        return at
-    cores = _cores(u, *_superoperators(u, np.stack([state.matrix for state in todo.values()])))
-    fresh = []  # (number, state, fps) of each new direction point solved cleanly
-    for (key, state), core in zip(todo.items(), cores):
+    return _Layout(todo, number, np.array(at).reshape(len(families), 2, len(grid)), grid)
+
+
+def _solve(layout, rule, solved):
+    """Solve into ``solved`` the new points of ``layout``, the
+    :class:`_Layout` of a walk against ``solved`` (:func:`_walk`, or the
+    probe plan of a fresh table that holds the plan's numbers).
+
+    The solve cores of every new point, centers and direction points in
+    walk order, are built as one stack from the layout's ``stack``; then
+    each point's solve is finished by its own ``fixed_point_set(...,
+    core=...)`` call, in the same order.  A center is solved but not
+    selected: its fixed-point set is its outcome, and a
+    :class:`SolverDiagnostic` there is raised.  A diagnostic at a direction
+    point is its ``error``, and the solved ones go through
+    :func:`_select_and_emit`.
+    """
+    u, first = solved.u, len(solved.outcomes)
+    if not layout.todo:
+        return
+    cores = _cores(u, *_superoperators(u, layout.stack))
+    fresh = []  # (number, row in the stack, fps) of each new direction point solved cleanly
+    for row, ((key, state), core) in enumerate(zip(layout.todo.items(), cores)):
         if key is state:
             solved.centers[key] = fixed_point_set(u, state, core=core)
             continue
         try:
-            fresh.append((len(solved.outcomes), state, fixed_point_set(u, state, core=core)))
+            fresh.append((len(solved.outcomes), row, fixed_point_set(u, state, core=core)))
             solved.outcomes.append(None)
         except SolverDiagnostic as exc:
             solved.outcomes.append((None, None, None, None, str(exc)))
@@ -317,14 +358,13 @@ def _solve(families, grid, rule, solved):
     if fresh:
         ok = [i - first for i, _, _ in fresh]
         emitted, sigmas[ok], rho_hats[ok] = _select_and_emit(
-            u, [(state, fps) for _, state, fps in fresh], rule)
+            u, layout.stack[[row for _, row, _ in fresh]], [fps for _, _, fps in fresh], rule)
         for (i, _, fps), outcome in zip(fresh, emitted):
             solved.outcomes[i] = (fps.k, *outcome, None)
         columns[ok] = [(fps.k, entropy) for (_, _, fps), (_, entropy, _) in zip(fresh, emitted)]
     solved.columns = np.concatenate([solved.columns, columns])
     solved.sigmas = np.concatenate([solved.sigmas, sigmas])
     solved.rho_hats = np.concatenate([solved.rho_hats, rho_hats])
-    return at
 
 
 def _probe(u, families, grid, rule):
@@ -332,12 +372,13 @@ def _probe(u, families, grid, rule):
     families on ``grid``; :func:`probe` and the ``probe`` command call it,
     and :func:`classify` reads the solved points itself."""
     solved = _Solved(u)
-    at = _solve(families, grid, rule, solved)
+    layout = _walk(families, grid, solved.number, solved.centers)
+    _solve(layout, rule, solved)
     return [
         ProbeResult(fam.label, solved.centers[fam.center], [
             ProbeRecord(name, eps, *solved.outcomes[i])
             for name, numbers in zip("ab", side) for eps, i in zip(grid, numbers.tolist())])
-        for fam, side in zip(families, at)
+        for fam, side in zip(families, layout.at)
     ]
 
 
@@ -374,7 +415,7 @@ def generate_probe_families(u, strategy):
     process (see :func:`_generated_paths`).
     """
     _check_strategy(strategy, u.dim1, u.dim2)
-    return [PathFamily(*path) for path in _generated_paths(strategy, u.dim1)]
+    return [PathFamily(*path) for path in _generated_paths(strategy, u.dim1).paths]
 
 
 def _shared(direction):
@@ -382,15 +423,37 @@ def _shared(direction):
     return lru_cache(maxsize=_EPS_PER_DIRECTION)(direction)
 
 
+class _Generated:
+    """An entry of :func:`_generated_paths`: ``paths`` holds the ``(center,
+    family_a, family_b, label)`` of each generated family, and ``layout``
+    the probe plan of the last grid planned, whose values ``grid`` holds."""
+
+    def __init__(self, paths):
+        self.paths, self.grid, self.layout = paths, None, None
+
+    def plan(self, families, grid):
+        """The :class:`_Layout` of ``families``, built from ``paths``, on
+        ``grid`` against a fresh :class:`_Solved`, from :func:`_walk`; it is
+        kept until another grid is planned, and its arrays are read-only."""
+        if self.grid != tuple(grid):
+            layout = _walk(families, grid, {}, {})
+            for array in (layout.stack, layout.at, layout.at_a, layout.at_b, layout.epsilon):
+                array.setflags(write=False)
+            self.grid, self.layout = tuple(grid), layout
+        return self.layout
+
+
 @lru_cache(maxsize=_GENERATED_TABLES)
 def _generated_paths(strategy, d1):
-    """``(center, family_a, family_b, label)`` of each family that ``strategy``
+    """The :class:`_Generated` entry of the families that ``strategy``
     generates on first-factor dimension ``d1``.  The table is keyed by value
     and bounded: centers are built once and each direction keeps its states,
-    whose matrices are read-only, so every gate of a census shares them."""
+    whose matrices are read-only, so every gate of a census shares them,
+    and the probe plan of their last grid, which :meth:`cache_clear` drops
+    with the states it holds."""
     if strategy == "paper_example":
-        return ((reference_center(), _shared(mixed_second_qubit),
-                 _shared(mixed_first_qubit), "reference"),)
+        return _Generated(((reference_center(), _shared(mixed_second_qubit),
+                            _shared(mixed_first_qubit), "reference"),))
 
     def mix_family(center, w):
         other = DensityOperator.basis_state(d1, w)
@@ -417,7 +480,7 @@ def _generated_paths(strategy, d1):
         for i, (name_a, fam_a) in enumerate(directions):
             for name_b, fam_b in directions[i + 1:]:
                 paths.append((center, fam_a, fam_b, f"vertex{v}:{name_a}|{name_b}"))
-    return tuple(paths)
+    return _Generated(tuple(paths))
 
 
 @dataclass
@@ -525,13 +588,14 @@ def _float_slots(tree, slots):
     return copy
 
 
-def _analyze(families, grid, solved, at, jump_tol, limits):
-    """Per-path verdicts of ``families`` on ``grid`` from the qualifying tail
-    of each path, and the rows of all paths as one float table.
+def _analyze(families, solved, layout, jump_tol, limits):
+    """Per-path verdicts of ``families`` from the qualifying tail of each
+    path, and the rows of all paths as one float table.
 
-    ``at`` holds the point numbers of each path's rows (see :func:`_solve`).
-    The table, one row per path and ``eps`` over :data:`ROW_COLUMNS`, is
-    filled column by column from ``solved``'s arrays: the running jumps of
+    ``layout`` is the :class:`_Layout` of ``families`` on their grid that
+    :func:`_solve` solved into ``solved``.  The table, one row per path and ``eps``
+    over :data:`ROW_COLUMNS`, is filled column by column from ``solved``'s
+    arrays: the running jumps of
     all rows come from one batched trace distance of the indexed stacks
     each, and a cell is NaN where a side's solve failed.  A path's
     qualifying tail counts its finest rows where both directions pinned a
@@ -541,17 +605,17 @@ def _analyze(families, grid, solved, at, jump_tol, limits):
     limit is tested twice.  A path without a tail keeps its largest sigma
     jump.  Each path's analysis holds its row count in ``rows``.
     """
-    paths, n = len(families), len(grid)
-    at_a, at_b = at[:, 0].ravel(), at[:, 1].ravel()
+    paths, _, n = layout.at.shape
+    at_a, at_b = layout.at_a, layout.at_b
     (k_a, entropy_a), (k_b, entropy_b) = solved.columns[at_a].T, solved.columns[at_b].T
     jumps = [trace_distance(stack[at_a], stack[at_b]) for stack in (solved.sigmas, solved.rho_hats)]
-    table = np.column_stack([np.tile(grid, paths), k_a, k_b, *jumps, entropy_a, entropy_b])
+    table = np.column_stack([layout.epsilon, k_a, k_b, *jumps, entropy_a, entropy_b])
     table[np.isnan(k_a) | np.isnan(k_b), 3:5] = np.nan
     unique = ((k_a == 0) & (k_b == 0)).reshape(paths, n)
     tails = np.cumprod(unique[:, ::-1], axis=1).sum(axis=1).tolist()
     most = np.fmax.reduce(table[:, 3].reshape(paths, n), axis=1, initial=0.0).tolist()
     last = table[n - 1::n, 3:5].tolist()
-    limit_at = at[:, :, -1].tolist()  # the last row's point numbers of each path
+    limit_at = layout.limit_at
 
     untested = {}  # center -> (its fixed-point set, {number of a limit not yet tested: sigma})
     for fam, tail, numbers in zip(families, tails, limit_at):
@@ -624,17 +688,21 @@ def classify(
     """
     base_eps = _epsilon_grid(epsilons)
     _check_refinement(jump_tol, max_refinements)
+    solved, limits = _Solved(u), {}
     if families is None:
         families = generate_probe_families(u, strategy)
+        # the walk of generated families against a fresh table is their plan
+        layout = _generated_paths(strategy, u.dim1).plan(families, base_eps)
+        solved.number.update(layout.number)
     else:
         if strategy != "vertex_pairs":
             raise ValueError(f"strategy={strategy!r} applies only to generated families")
         families = _check_user_families(families, base_eps)
         strategy = "user_paths"
+        layout = _walk(families, base_eps, solved.number, solved.centers)
 
-    solved, limits = _Solved(u), {}
-    at = _solve(families, base_eps, rule, solved)
-    analyses, table = _analyze(families, base_eps, solved, at, jump_tol, limits)
+    _solve(layout, rule, solved)
+    analyses, table = _analyze(families, solved, layout, jump_tol, limits)
     refined = {}  # path number -> its table, for each refined path
     refinements_used = 0
     # No base grid holds a refined eps, so refining after every family is
@@ -644,8 +712,9 @@ def classify(
         while analyses[i]["near_threshold"] and refinements_used < max_refinements:
             eps = eps + [min(eps) / 10.0]
             refinements_used += 1
-            at = _solve([fam], eps, rule, solved)
-            (analyses[i],), refined[i] = _analyze([fam], eps, solved, at, jump_tol, limits)
+            layout = _walk([fam], eps, solved.number, solved.centers)
+            _solve(layout, rule, solved)
+            (analyses[i],), refined[i] = _analyze([fam], solved, layout, jump_tol, limits)
     if refined:
         n = len(base_eps)
         table = np.concatenate([refined.get(i, table[i * n:(i + 1) * n])

@@ -402,7 +402,8 @@ def test_unique_sets_select_their_particular_state(case, kind, monkeypatch):
             points.append((state, fps))
     refs = [select(fps, rule) for _, fps in points]
     monkeypatch.setattr(discontinuity, "select", None)  # a call would raise
-    emitted, _, _ = discontinuity._select_and_emit(gate, points, rule)
+    emitted, _, _ = discontinuity._select_and_emit(
+        gate, np.stack([state.matrix for state, _ in points]), [fps for _, fps in points], rule)
     assert len(emitted) == len(points) > 50
     for ref, (sigma, entropy, rho_hat) in zip(refs, emitted):
         assert sigma.matrix.tobytes() == ref.sigma.matrix.tobytes()
@@ -443,11 +444,11 @@ def test_stacked_first_step_matches_select(case, monkeypatch):
                 continue
             if fps.k:
                 points.append((state, fps))
-        sets = [fps for _, fps in points]
+        rhos, sets = np.stack([state.matrix for state, _ in points]), [fps for _, fps in points]
         refs = [select(fps) for fps in sets]
         settled = [ref.iterations == 1 and ref.gradient_norm <= 1e-10 for ref in refs]
         reached.clear()
-        emitted, _, _ = discontinuity._select_and_emit(gate, points, None)
+        emitted, _, _ = discontinuity._select_and_emit(gate, rhos, sets, None)
         assert [id(fps) for fps in reached] == [
             id(fps) for fps, done in zip(sets, settled) if not done]
         for ref, (sigma, entropy, _) in zip(refs, emitted):
@@ -455,7 +456,7 @@ def test_stacked_first_step_matches_select(case, monkeypatch):
             assert sigma.eigenvalues.tobytes() == ref.sigma.eigenvalues.tobytes()
             assert np.float64(entropy).tobytes() == np.float64(ref.entropy).tobytes()
         reached.clear()
-        discontinuity._select_and_emit(gate, points, SelectionRule(kind="min_entropy"))
+        discontinuity._select_and_emit(gate, rhos, sets, SelectionRule(kind="min_entropy"))
         assert [id(fps) for fps in reached] == [id(fps) for fps in sets]
         ks.update(fps.k for fps in sets)
         unsettled += settled.count(False)

@@ -22,7 +22,7 @@ from ctckit.census import (
     run_census,
     summarize,
 )
-from ctckit import discontinuity
+from ctckit import census, discontinuity
 from ctckit.discontinuity import DEFAULT_EPSILONS, classify
 from ctckit.states import UnitaryGate
 
@@ -139,6 +139,44 @@ class TestEnumeration:
         a = _permutation_tuples(config)
         assert a == _permutation_tuples(config)
         assert len(set(a)) == 20
+
+    @pytest.mark.parametrize("dims, size, seed", [
+        ((2, 2), 24, 0),  # every gate: refill batches draw past duplicates
+        ((3, 2), 40, 0),
+        ((4, 2), 500, 42),  # the pinned census
+        ((3, 3), 240, 7),
+    ])
+    def test_sample_is_the_per_call_draw(self, dims, size, seed):
+        def per_call(config):  # one rng.permutation call per draw
+            rng = np.random.default_rng(config.seed)
+            seen, out = set(), []
+            while len(out) < config.sample_size:
+                p = tuple(rng.permutation(config.dim1 * config.dim2).tolist())
+                if p not in seen:
+                    seen.add(p)
+                    out.append(p)
+            return out
+
+        config = CensusConfig(*dims, mode="sample", sample_size=size, seed=seed)
+        assert _permutation_tuples(config) == per_call(config)
+
+    def test_a_sample_is_drawn_in_bounded_batches(self, monkeypatch):
+        rows = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def permuted(self, x, axis):
+                rows.append(len(x))
+                return self.rng.permuted(x, axis=axis)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        size = 2 * census._DRAW_ROWS + 5
+        sample = _permutation_tuples(CensusConfig(3, 3, mode="sample", sample_size=size))
+        assert len(set(sample)) == size
+        assert len(rows) >= 3 and max(rows) == census._DRAW_ROWS
 
     def test_pinned_sample_is_the_pinned_census_in_file_order(self):
         pinned = Path(__file__).parent.parent / "results" / "census_sample500_seed42.jsonl"

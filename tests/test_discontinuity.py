@@ -35,6 +35,8 @@ from ctckit.reference import (
 from ctckit.selection import SelectionRule
 from ctckit.states import DensityOperator, UnitaryGate, trace_distance
 
+from oracles import classify_loop
+
 
 def paper_family():
     return PathFamily(reference_center(), mixed_second_qubit, mixed_first_qubit, "golden")
@@ -224,6 +226,79 @@ class TestGenerateFamilies:
     def test_vertex_pairs_need_two_vertices(self):
         with pytest.raises(ValueError, match="vertex_pairs paths need dim1 >= 2"):
             classify(UnitaryGate.from_permutation(1, 2, (1, 0)), "vertex_pairs")
+
+
+GATE_4X2 = UnitaryGate.from_permutation(4, 2, (3, 4, 2, 7, 6, 1, 5, 0))
+
+
+class TestProbePlan:
+    """The walk of a generated probe call on a fresh table is done once per
+    ``(strategy, dim1, grid)`` and kept in the generated-state table."""
+
+    def test_gates_of_one_config_share_one_plan(self, empty_probe_table, monkeypatch):
+        classify(reference_gate(), max_refinements=0)
+        expected = classify_loop(GATE_4X2, max_refinements=0)
+
+        def walk(*args):
+            raise AssertionError("the base solve of a second gate walked its families")
+
+        monkeypatch.setattr(discontinuity, "_walk", walk)
+        got = classify(GATE_4X2, max_refinements=0)
+        assert got.to_json() == expected.to_json()
+        assert discontinuity._generated_paths("vertex_pairs", 4).grid == tuple(DEFAULT_EPSILONS)
+
+    def test_cache_clear_drops_the_plan(self, empty_probe_table):
+        before = classify(GATE_4X2)
+        entry = discontinuity._generated_paths("vertex_pairs", 4)
+        ref = weakref.ref(entry.layout)
+        del entry
+        discontinuity._generated_paths.cache_clear()
+        gc.collect()
+        assert ref() is None
+        after = classify(GATE_4X2)
+        assert after.to_json() == before.to_json()
+        assert after.witness_digest() == before.witness_digest()
+
+    def test_a_refined_classify_after_a_plan_served_one_matches_the_loop(self, empty_probe_table):
+        classify(GATE_4X2, max_refinements=0)
+        got = classify(reference_gate(), jump_tol=0.3, max_refinements=2)
+        expected = classify_loop(reference_gate(), jump_tol=0.3, max_refinements=2)
+        assert got.witness["refinements_used"] == 2
+        assert got.to_json() == expected.to_json()
+        assert got.witness_digest() == expected.witness_digest()
+
+    def test_plans_are_keyed_by_value(self, empty_probe_table):
+        # Equal grids given as other objects, and gates of another dim2,
+        # find the plan of their (strategy, dim1, grid); none is keyed by id().
+        gates = [UnitaryGate.from_permutation(2, 2, (1, 0, 3, 2)),
+                 UnitaryGate.from_permutation(2, 3, (5, 0, 1, 2, 3, 4))]
+        grids = [DEFAULT_EPSILONS, list(reversed(DEFAULT_EPSILONS)),
+                 [np.float64(e) for e in DEFAULT_EPSILONS] + [0.2]]
+        entry = discontinuity._generated_paths("vertex_pairs", 2)
+        classify(gates[0], max_refinements=0)
+        plan = entry.layout
+        for gate in gates:
+            for grid in grids:
+                classify(gate, epsilons=grid, max_refinements=0)
+                assert entry.layout is plan
+        assert entry.grid == tuple(DEFAULT_EPSILONS)
+        assert all(type(e) is float for e in entry.grid)
+
+    def test_another_grid_replaces_the_plan(self, empty_probe_table):
+        gate = UnitaryGate.from_permutation(2, 2, (1, 0, 3, 2))
+        entry = discontinuity._generated_paths("vertex_pairs", 2)
+        for grid in [(0.5, 0.1), (0.5, 0.05), (0.5, 0.1)]:
+            got = classify(gate, epsilons=grid, max_refinements=0)
+            assert entry.grid == grid
+            assert got.to_json() == classify_loop(gate, epsilons=grid,
+                                                  max_refinements=0).to_json()
+
+    def test_plan_arrays_are_read_only(self, empty_probe_table):
+        classify(GATE_4X2, max_refinements=0)
+        plan = discontinuity._generated_paths("vertex_pairs", 4).layout
+        for array in (plan.stack, plan.at, plan.at_a, plan.at_b, plan.epsilon):
+            assert array.flags.writeable is False
+        assert plan.stack.shape == (len(plan.todo), 4, 4)
 
 
 class TestClassify:

@@ -14,7 +14,11 @@ The first lines give the wall time per gate of each of ``R`` plain rounds
 (default 3), then the time per gate of path analysis (``_analyze``) and of
 the witness digest in those rounds, timed by wrapping the two; cProfile
 roughly doubles these Python-bound stages, so their plain times are the
-ones to compare.  Then comes the wall time per gate of one round under
+ones to compare.  Two more lines give, for each of ``R`` rounds, the plain
+milliseconds per call of the two census stages outside ``classify``: the
+draw of the pinned config's sample (``census._permutation_tuples``) and
+the read of the pinned file (``census._read_census``), each the mean of
+:data:`CALLS` calls.  Then comes the wall time per gate of one round under
 cProfile, and one line per stage gives its cumulative milliseconds and its
 calls per gate under cProfile: the probe call that builds probe records
 (``_probe``, 0 calls where ``classify`` reads the solved-point table
@@ -45,6 +49,7 @@ import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 PINNED = Path("results") / "census_sample500_seed42.jsonl"
+CALLS = 20  # calls per round of a census stage timed outside classify
 
 
 def stages(limit_test):
@@ -83,6 +88,14 @@ def wrap(owner, name, spent):
 
     setattr(owner, name, timed)
     return func
+
+
+def ms_per_call(call):
+    """Plain milliseconds per call of ``call()``, the mean of :data:`CALLS` calls."""
+    t0 = time.perf_counter()
+    for _ in range(CALLS):
+        call()
+    return 1e3 * (time.perf_counter() - t0) / CALLS
 
 
 def ms_line(values):
@@ -127,6 +140,10 @@ def main(argv):
         print(f"plain {name} ms/gate: " + ms_line([1e3 * s / len(perms) for s in seconds]))
     for owner, name, func in originals:
         setattr(owner, name, func)
+    for name, call in (("_permutation_tuples", lambda: census._permutation_tuples(config)),
+                       ("_read_census", lambda: census._read_census(root / PINNED))):
+        print(f"plain census.{name} ms/call: "
+              + ms_line([ms_per_call(call) for _ in range(args.rounds)]))
     profile = cProfile.Profile()
     profiled = profile.runcall(one_round)
     print(f"cProfile ms/gate: {profiled:.3f}")
