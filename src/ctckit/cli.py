@@ -30,6 +30,7 @@ from .discontinuity import (
     generate_probe_families,
     witness_csv_rows,
 )
+from .linalg import matrix_to_json
 from .reference import reference_center, reference_gate
 from .selection import SelectionRule, ctc_channel, select
 from .states import DensityOperator, UnitaryGate, from_bloch, von_neumann_entropy
@@ -210,12 +211,12 @@ def cmd_probe(args):
     results = _probe(gate, families, epsilons, rule)
     # center state -> its fixed-point set; the paths of a vertex share one
     centers = {fam.center: result.center_fps for fam, result in zip(families, results)}
-    emitted = dict(zip(centers, _select_and_emit(
-        gate, np.stack([center.matrix for center in centers]), list(centers.values()), rule)[0]))
+    emitted = dict(zip(centers, zip(*_select_and_emit(
+        gate, np.stack([center.matrix for center in centers]), list(centers.values()), rule))))
     for fam, result in zip(families, results):
-        sigma, entropy, rho_hat = emitted[fam.center]
+        entropy, sigma, rho_hat = emitted[fam.center]
         rows.append([fam.label, "center", 0.0, result.center_fps.k, entropy,
-                     json.dumps(sigma.to_json()), json.dumps(rho_hat.to_json())])
+                     json.dumps(matrix_to_json(sigma)), json.dumps(matrix_to_json(rho_hat))])
         for rec in result.records:
             cells = (["", "", rec.error, ""] if rec.error is not None else
                      [rec.k, rec.entropy, json.dumps(rec.sigma.to_json()),
@@ -237,12 +238,13 @@ def cmd_classify(args):
         jump_tol=args.jump_tol,
         rule=rule,
     )
+    witness = cls.witness
     report = {
         "verdict": cls.verdict,
         "sigma_jump": cls.sigma_jump,
         "rho_hat_jump": cls.rho_hat_jump,
-        "best_path": cls.witness["best_path"],
-        "refinements_used": cls.witness["refinements_used"],
+        "best_path": witness["best_path"],
+        "refinements_used": witness["refinements_used"],
         "witness_digest": cls.witness_digest(),
     }
     if args.out:

@@ -36,7 +36,7 @@ trace, its spectrum passed the PSD check, and it is finite, as gates and
 states are.
 
 :func:`membership` tests one state against a solved set; :func:`_in_set`
-tests a list of states against one set as a stack, with the same bits.
+tests a stack of states against one set, with the same bits.
 """
 
 import math
@@ -421,14 +421,13 @@ def membership(fps, sigma, tol=RESIDUAL_TOL):
     )
 
 
-def _in_set(fps, sigmas, tol):
-    """``membership(fps, sigma, tol).ok`` of each state of the list ``sigmas``,
-    from one stack.  Each product is a matrix-vector product and each sum of
-    squares a dot product, as in :func:`membership`, so every residual is
-    bit for bit its own; a stack of one would slow :func:`membership`, which
-    the Bloch slice calls once per cell."""
+def _in_set(fps, m, tol):
+    """``membership(fps, sigma, tol).ok`` of each state ``sigma`` of the
+    matrix stack ``m`` ``(N, d2, d2)``.  Each product is a matrix-vector
+    product and each sum of squares a dot product, as in :func:`membership`,
+    so every residual is bit for bit its own; a stack of one would slow
+    :func:`membership`, which the Bloch slice calls once per cell."""
     b2 = hermitian_basis(fps.dim2)
-    m = np.stack([sigma.matrix for sigma in sigmas])
     xs = b2.traceless_coords(m)
     r = (fps.affine_gap @ xs[..., None])[..., 0] + fps.affine.offset
     v = (fps.affine_pinv @ r[..., None])[..., 0]

@@ -21,45 +21,37 @@ The verdict is monotone in the path set: adding paths can only upgrade it.
 
 ``_solve`` solves the points of a probe call, for :func:`probe`,
 :func:`classify` and the ``probe`` command alike, into a table
-(``_Solved``): each center's fixed-point set, and each direction point's
-outcome under a point number, with its ``k`` and entropy as float columns
-and its sigma and emitted state in two stacks.  One walk over the families
+(``_Solved``), the only record of a solved point: each center's
+fixed-point set, and each direction point's row under a point number, its
+``k`` and entropy as float columns and its sigma and emitted state in two
+stacks, or its diagnostic if its solve failed.  One walk over the families
 (``_walk``) numbers the new points and gives each path's rows as point
-numbers, and ``_solve`` solves the points the walk found; the solve cores
-of all new points are built as one stack, and each point's solve is
-finished by its own ``fixed_point_set`` call, in the order the points were
-met, so a center's diagnostic stops it before any later point is solved.
-:func:`classify` reads its paths' rows straight from that table; only
-:func:`probe` and the ``probe`` command build :class:`ProbeResult` records
-from it (``_probe``).  One stage selects and
-emits as one stack: the new direction points of a ``_solve`` call, whose
-states it indexes from the stack their cores were built from, and the
-distinct centers of the ``probe`` command.  A unique fixed state (k = 0),
-which is most points, is the state every rule selects, so it is its own
-selection and the entropies of all such points come from the spectra the
-solver kept, as one stack.  Under the maximum-entropy rule the degenerate
-sets take the optimizer's first step as one stack, which settles every set
-whose gradient vanishes at the start (all those of a pinned (4, 2) gate);
-only the others, and every degenerate set under another rule, go through
-``select``.  A verdict reads a center's fixed-point set, never a state
+numbers; the solve cores of all new points are built as one stack, and
+each point's solve is finished by its own ``fixed_point_set`` call, in the
+order the points were met, so a center's diagnostic stops it before any
+later point is solved.  One stage, ``_select_and_emit``, selects and emits
+as one stack, for the new direction points of a ``_solve`` call and the
+distinct centers of the ``probe`` command.  Only :func:`probe` and the
+``probe`` command build :class:`ProbeResult` records from the table
+(``_probe``).  A verdict reads a center's fixed-point set, never a state
 selected from it.
 :func:`classify` fills the witness rows of its paths as one float table
 over :data:`ROW_COLUMNS`, column by column from the solved-point table: the
 running jumps of all rows come from one batched trace distance of the
 indexed stacks each, and the tails, limits and verdicts from the table's
 columns; the new limits of each center are tested against its set as one
-stack.  The row dicts are built only when the witness is read.
+stack of the table's sigmas.  A :class:`GateClassification` keeps that
+table beside the rest of the witness, and builds row dicts only when the
+witness is read.
 
 :meth:`GateClassification.witness_digest` hashes the witness with every
 float rounded to 9 decimals by one rule: the JSON of the classification
-with each path's rows replaced by its row count, then all rows as one
-float64 array.  A classification from :func:`classify` hashes its row
-table as it is, so a census builds no row dict; the definition, and so
-every digest, is that of the witness dict.  Values that differ by rounding
-noise hash alike, unless a value lies within the noise of a rounding tie:
-``tools/digest_noise.py`` moves every float of the 500 pinned witnesses by
-a relative 1e-14 without changing a digest, while 1e-13 changes 7.8 % of
-them and 1e-12 35.6 %.
+with each path's rows replaced by its row count, then the row table as one
+float64 array, so a census builds no row dict.  Values that differ by
+rounding noise hash alike, unless a value lies within the noise of a
+rounding tie: ``tools/digest_noise.py`` moves every float of the 500 pinned
+witnesses by a relative 1e-14 without changing a digest, while 1e-13
+changes 7.8 % of them and 1e-12 35.6 %.
 
 Generated states are built once per process.  :func:`generate_probe_families`
 returns new :class:`PathFamily` objects on every call, but their centers and
@@ -223,11 +215,11 @@ def _check_user_families(families, eps):
 
 
 def _select_and_emit(u, rhos, sets, rule):
-    """``(emitted, sigmas, rho_hats)`` of the points whose states are the
+    """``(entropies, sigmas, rho_hats)`` of the points whose states are the
     stack ``rhos`` ``(N, d1, d1)`` and whose fixed-point sets are ``sets``:
-    the ``(sigma, entropy, rho_hat)`` of each point, with all the states
-    emitted as one stack, then the stack of the sigmas ``(N, d2, d2)`` and
-    the validated stack of the emitted states ``(N, d1, d1)``.
+    the list of the selected states' entropies, the stack of the selected
+    states ``(N, d2, d2)``, and the validated stack of the states emitted
+    with them ``(N, d1, d1)``, emitted as one stack.
 
     A unique fixed state (k = 0) is the state every rule selects, so its
     sigma is the set's particular state, and the entropies of all such
@@ -244,39 +236,34 @@ def _select_and_emit(u, rhos, sets, rule):
     settled = iter(_settle(degenerate) if max_entropy else [None] * len(degenerate))
     picks = []
     for fps in sets:
-        if fps.k == 0:
-            picks.append((fps.particular, next(entropies)))
-            continue
-        pick = next(settled)
+        pick = (fps.particular, next(entropies)) if fps.k == 0 else next(settled)
         if pick is None:
             sel = select(fps, rule)
             pick = sel.sigma, sel.entropy
         picks.append(pick)
     sigmas = np.stack([sigma.matrix for sigma, _ in picks])
-    rho_hats, spectra = _validated(_emit(u, rhos, sigmas), 3)
-    return ([pick + (DensityOperator._of(m, e),)
-             for pick, m, e in zip(picks, rho_hats, spectra)], sigmas, rho_hats)
+    return [entropy for _, entropy in picks], sigmas, _validated(_emit(u, rhos, sigmas), 3)[0]
 
 
 class _Solved:
     """The points the probe calls of one :func:`classify`, :func:`probe` or
-    ``probe`` command have solved, each once, and the arrays that path
+    ``probe`` command have solved, each once, as the arrays that path
     analysis reads.
 
     ``centers`` maps a center state to its fixed-point set.  ``number``
-    maps a direction point's ``(direction, eps)`` key to its place in
-    ``outcomes``, its ``(k, sigma, entropy, rho_hat, error)``, and in the
-    arrays: ``columns`` holds its ``k`` and ``entropy`` as floats, NaN where
-    its solve failed, and the stacks ``sigmas`` and ``rho_hats`` its two
-    matrices, zero where it failed.  The table holds its keys, so no key
-    can be reused by another object.  :func:`classify` seeds a fresh table
-    of generated families with the numbers of their probe plan
-    (:meth:`_Generated.plan`).
+    maps a direction point's ``(direction, eps)`` key to its point number,
+    its row in the arrays: ``columns`` holds its ``k`` and entropy as
+    floats, NaN where its solve failed, and the stacks ``sigmas`` and
+    ``rho_hats`` its selected and emitted states, zero where it failed.
+    ``errors`` maps the number of each point whose solve failed to its
+    diagnostic.  The table holds its keys, so no key can be reused by
+    another object.  :func:`classify` seeds a fresh table of generated
+    families with the numbers of their probe plan (:meth:`_Generated.plan`).
     """
 
     def __init__(self, u):
         self.u = u
-        self.centers, self.number, self.outcomes = {}, {}, []
+        self.centers, self.number, self.errors = {}, {}, {}
         self.columns = np.empty((0, 2))
         self.sigmas = np.empty((0, u.dim2, u.dim2), dtype=complex)
         self.rho_hats = np.empty((0, u.dim1, u.dim1), dtype=complex)
@@ -334,34 +321,30 @@ def _solve(layout, rule, solved):
     core=...)`` call, in the same order.  A center is solved but not
     selected: its fixed-point set is its outcome, and a
     :class:`SolverDiagnostic` there is raised.  A diagnostic at a direction
-    point is its ``error``, and the solved ones go through
+    point goes into ``errors``, and the solved ones go through
     :func:`_select_and_emit`.
     """
-    u, first = solved.u, len(solved.outcomes)
+    u, first = solved.u, len(solved.columns)
     if not layout.todo:
         return
     cores = _cores(u, *_superoperators(u, layout.stack))
-    fresh = []  # (number, row in the stack, fps) of each new direction point solved cleanly
+    fresh = []  # (new row, stack row, fps) of each direction point solved cleanly
     for row, ((key, state), core) in enumerate(zip(layout.todo.items(), cores)):
         if key is state:
             solved.centers[key] = fixed_point_set(u, state, core=core)
             continue
         try:
-            fresh.append((len(solved.outcomes), row, fixed_point_set(u, state, core=core)))
-            solved.outcomes.append(None)
+            fresh.append((layout.number[key] - first, row, fixed_point_set(u, state, core=core)))
         except SolverDiagnostic as exc:
-            solved.outcomes.append((None, None, None, None, str(exc)))
-    new = len(solved.outcomes) - first
+            solved.errors[layout.number[key]] = str(exc)
+    new = len(layout.number) - first
     columns = np.full((new, 2), np.nan)
     sigmas = np.zeros((new, u.dim2, u.dim2), dtype=complex)
     rho_hats = np.zeros((new, u.dim1, u.dim1), dtype=complex)
     if fresh:
-        ok = [i - first for i, _, _ in fresh]
-        emitted, sigmas[ok], rho_hats[ok] = _select_and_emit(
-            u, layout.stack[[row for _, row, _ in fresh]], [fps for _, _, fps in fresh], rule)
-        for (i, _, fps), outcome in zip(fresh, emitted):
-            solved.outcomes[i] = (fps.k, *outcome, None)
-        columns[ok] = [(fps.k, entropy) for (_, _, fps), (_, entropy, _) in zip(fresh, emitted)]
+        ok, rows, sets = map(list, zip(*fresh))
+        entropies, sigmas[ok], rho_hats[ok] = _select_and_emit(u, layout.stack[rows], sets, rule)
+        columns[ok] = list(zip([fps.k for fps in sets], entropies))
     solved.columns = np.concatenate([solved.columns, columns])
     solved.sigmas = np.concatenate([solved.sigmas, sigmas])
     solved.rho_hats = np.concatenate([solved.rho_hats, rho_hats])
@@ -370,13 +353,29 @@ def _solve(layout, rule, solved):
 def _probe(u, families, grid, rule):
     """One :class:`ProbeResult` per family, read from :func:`_solve` of the
     families on ``grid``; :func:`probe` and the ``probe`` command call it,
-    and :func:`classify` reads the solved points itself."""
+    and :func:`classify` reads the solved points itself.  The spectra of a
+    record's two states come from one stacked ``eigvalsh`` of each of the
+    table's stacks."""
     solved = _Solved(u)
     layout = _walk(families, grid, solved.number, solved.centers)
     _solve(layout, rule, solved)
+    k, entropy = solved.columns.T.tolist()
+    states = []
+    for stack in (solved.sigmas, solved.rho_hats):
+        spectra = np.linalg.eigvalsh(stack)
+        stack.setflags(write=False)
+        spectra.setflags(write=False)
+        states.append([DensityOperator._of(m, e) for m, e in zip(stack, spectra)])
+    sigmas, rho_hats = states
+
+    def record(direction, eps, i):
+        if i in solved.errors:
+            return ProbeRecord(direction, eps, None, None, None, None, solved.errors[i])
+        return ProbeRecord(direction, eps, int(k[i]), sigmas[i], entropy[i], rho_hats[i], None)
+
     return [
         ProbeResult(fam.label, solved.centers[fam.center], [
-            ProbeRecord(name, eps, *solved.outcomes[i])
+            record(name, eps, i)
             for name, numbers in zip("ab", side) for eps, i in zip(grid, numbers.tolist())])
         for fam, side in zip(families, layout.at)
     ]
@@ -483,34 +482,33 @@ def _generated_paths(strategy, d1):
     return _Generated(tuple(paths))
 
 
-@dataclass
 class GateClassification:
     """A gate's verdict, its two jumps and the witness behind them.
 
-    Built from a witness dict, as ``GateClassification(**cls.to_json())``,
-    it keeps that dict.  One that :func:`classify` returns holds the witness
-    with each path's ``rows`` as its row count, and the rows of all paths,
-    in order, as one float table over :data:`ROW_COLUMNS` (NaN where a side
-    failed); it builds the row dicts on the first read of ``witness``, so a
-    census, which reads the verdict, the jumps and the digest, builds none.
+    The witness is kept in two parts: its head, the witness dict with each
+    path's ``rows`` as its row count, and the rows of all paths, in order,
+    as one float table over :data:`ROW_COLUMNS` (NaN where a value is
+    ``None``).  ``GateClassification(**cls.to_json())`` splits a witness
+    dict into them once; :func:`classify` builds them as they are.  Each
+    read of ``witness`` builds a new dict from them, which shares no
+    container with the classification, so a census, which reads the
+    verdict, the jumps and the digest, builds no row dict.
     """
 
-    verdict: str
-    sigma_jump: float
-    rho_hat_jump: float
-    witness: dict
+    def __init__(self, verdict, sigma_jump, rho_hat_jump, witness):
+        self.verdict, self.sigma_jump, self.rho_hat_jump = verdict, sigma_jump, rho_hat_jump
+        paths = witness["paths"]
+        self._head = dict(witness, paths=[dict(path, rows=len(path["rows"])) for path in paths])
+        self._table = np.array([_row_values(row) for path in paths for row in path["rows"]],
+                               dtype=float)
 
-    def __getattr__(self, name):
-        table = self.__dict__.get("_table")
-        if name != "witness" or table is None:
-            raise AttributeError(name)
-        rows, start, paths = _witness_rows(table), 0, []
-        for path in self._head["paths"]:  # new dicts: a copy may share the head
-            paths.append(dict(path, rows=rows[start:start + path["rows"]]))
-            start += path["rows"]
-        self.witness = dict(self._head, paths=paths)
-        del self._head, self._table  # from here on the digest reads the dict
-        return self.witness
+    @property
+    def witness(self):
+        witness = _float_slots(self._head, [])  # new containers all through
+        rows, start = _witness_rows(self._table), 0
+        for path in witness["paths"]:
+            path["rows"], start = rows[start:start + path["rows"]], start + path["rows"]
+        return witness
 
     def to_json(self):
         return {
@@ -524,32 +522,22 @@ class GateClassification:
         """sha256 of :meth:`to_json`, with every float rounded to
         :data:`_DIGEST_DECIMALS` decimals.
 
-        Two parts are hashed in turn: the ``sort_keys`` JSON of
-        :meth:`to_json` with each path's ``rows`` replaced by its row count,
-        then every row of every path, in order, as one little-endian float64
-        array over :data:`ROW_COLUMNS` (``None`` is NaN).  A classification
-        from :func:`classify` whose witness has not been read holds both
-        parts as they are, the second as its row table, and builds no row
-        dict; the digest of any other is taken from its witness dict, to the
-        same bytes.  One rule, :func:`_rounded`, rounds every float of both
-        parts, wherever it sits in the dict, so a new witness field enters
-        the first part as it is.  Values that differ by rounding noise hash
-        alike, unless they lie within that noise of a rounding tie.  The
-        floats of the first part are rounded as one array, not one by one,
-        which takes half the time.
+        The two parts of the witness are hashed in turn: the ``sort_keys``
+        JSON of :meth:`to_json` with the head in place of the witness, then
+        the row table as one little-endian float64 array.  One rule,
+        :func:`_rounded`, rounds every float of both parts, wherever it sits
+        in the head, so a new witness field enters the first part as it is.
+        Values that differ by rounding noise hash alike, unless they lie
+        within that noise of a rounding tie.  The floats of the first part
+        are rounded as one array, not one by one, which takes half the time.
         """
-        head, table = self.__dict__.get("_head"), self.__dict__.get("_table")
-        if table is None:
-            paths = self.witness["paths"]
-            head = dict(self.witness, paths=[dict(path, rows=len(path["rows"])) for path in paths])
-            table = [_row_values(row) for path in paths for row in path["rows"]]
         slots = []
         head = _float_slots({"verdict": self.verdict, "sigma_jump": self.sigma_jump,
-                             "rho_hat_jump": self.rho_hat_jump, "witness": head}, slots)
+                             "rho_hat_jump": self.rho_hat_jump, "witness": self._head}, slots)
         for (container, key), value in zip(slots, _rounded([c[k] for c, k in slots]).tolist()):
             container[key] = value
         digest = hashlib.sha256(_HEAD_JSON(head).encode())
-        digest.update(_rounded(table).astype("<f8").tobytes())
+        digest.update(_rounded(self._table).astype("<f8").tobytes())
         return digest.hexdigest()
 
 
@@ -593,15 +581,15 @@ def _analyze(families, solved, layout, jump_tol, limits):
     path, and the rows of all paths as one float table.
 
     ``layout`` is the :class:`_Layout` of ``families`` on their grid that
-    :func:`_solve` solved into ``solved``.  The table, one row per path and ``eps``
-    over :data:`ROW_COLUMNS`, is filled column by column from ``solved``'s
-    arrays: the running jumps of
-    all rows come from one batched trace distance of the indexed stacks
-    each, and a cell is NaN where a side's solve failed.  A path's
-    qualifying tail counts its finest rows where both directions pinned a
-    unique fixed state; only a count of two or more trusts the last row as
-    a limit.  The new limits of each center are tested against its set as
-    one stack into ``limits``, keyed by ``(center, point number)``, so no
+    :func:`_solve` solved into ``solved``.  The table, one row per path and
+    ``eps`` over :data:`ROW_COLUMNS`, is filled column by column from
+    ``solved``'s arrays: the running jumps of all rows come from one batched
+    trace distance of the indexed stacks each, and a cell is NaN where a
+    side's solve failed.  A path's qualifying tail counts its finest rows
+    where both directions pinned a unique fixed state; only a count of two
+    or more trusts the last row as a limit.  The new limits of each center,
+    their rows of ``solved.sigmas``, are tested against its set as one stack
+    (``_in_set``) into ``limits``, keyed by ``(center, point number)``, so no
     limit is tested twice.  A path without a tail keeps its largest sigma
     jump.  Each path's analysis holds its row count in ``rows``.
     """
@@ -617,16 +605,16 @@ def _analyze(families, solved, layout, jump_tol, limits):
     last = table[n - 1::n, 3:5].tolist()
     limit_at = layout.limit_at
 
-    untested = {}  # center -> (its fixed-point set, {number of a limit not yet tested: sigma})
+    untested = {}  # center -> {number of a limit not yet tested: None}, in order
     for fam, tail, numbers in zip(families, tails, limit_at):
         if tail >= 2:
             for i in numbers:
                 if (fam.center, i) not in limits:
-                    sigmas = untested.setdefault(fam.center, (solved.centers[fam.center], {}))[1]
-                    sigmas[i] = solved.outcomes[i][1]
-    for center, (fps, sigmas) in untested.items():
-        limits.update(zip([(center, i) for i in sigmas],
-                          _in_set(fps, list(sigmas.values()), LIMIT_MEMBERSHIP_TOL)))
+                    untested.setdefault(fam.center, {})[i] = None
+    for center, numbers in untested.items():
+        numbers = list(numbers)
+        limits.update(zip([(center, i) for i in numbers], _in_set(
+            solved.centers[center], solved.sigmas[numbers], LIMIT_MEMBERSHIP_TOL)))
 
     analyses = []
     for fam, tail, numbers, sigma_jump, jump in zip(families, tails, limit_at, most, last):
@@ -739,8 +727,8 @@ def classify(
 
 def witness_csv_rows(classification):
     """Rows of the witness CSV for the path behind the verdict."""
-    best_label = classification.witness["best_path"]
-    best = next(p for p in classification.witness["paths"] if p["label"] == best_label)
+    witness = classification.witness
+    best = next(p for p in witness["paths"] if p["label"] == witness["best_path"])
     out = [list(ROW_COLUMNS)]
     for row in best["rows"]:
         out.append([row[h] if row[h] is not None else "" for h in ROW_COLUMNS])

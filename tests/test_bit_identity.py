@@ -389,7 +389,8 @@ def test_stacked_entropy_matches_each_spectrum(d2):
 @pytest.mark.parametrize("case", ["4x2", "3x3"])
 def test_unique_sets_select_their_particular_state(case, kind, monkeypatch):
     # Each rule selects the one state of a unique set, so the stacked stage
-    # gives select's sigma bits and entropy without calling it.
+    # gives select's sigma bits and entropy without calling it.  The spectra
+    # of the states it selects are checked on probe records.
     gate = STACK_GATES[case]()
     rule = SelectionRule(kind=kind, coordinates=(0.25,))
     points = []
@@ -402,12 +403,11 @@ def test_unique_sets_select_their_particular_state(case, kind, monkeypatch):
             points.append((state, fps))
     refs = [select(fps, rule) for _, fps in points]
     monkeypatch.setattr(discontinuity, "select", None)  # a call would raise
-    emitted, _, _ = discontinuity._select_and_emit(
+    entropies, sigmas, _ = discontinuity._select_and_emit(
         gate, np.stack([state.matrix for state, _ in points]), [fps for _, fps in points], rule)
-    assert len(emitted) == len(points) > 50
-    for ref, (sigma, entropy, rho_hat) in zip(refs, emitted):
-        assert sigma.matrix.tobytes() == ref.sigma.matrix.tobytes()
-        assert sigma.eigenvalues.tobytes() == ref.sigma.eigenvalues.tobytes()
+    assert len(entropies) == len(sigmas) == len(points) > 50
+    for ref, sigma, entropy in zip(refs, sigmas, entropies):
+        assert sigma.tobytes() == ref.sigma.matrix.tobytes()
         assert np.float64(entropy).tobytes() == np.float64(ref.entropy).tobytes()
 
 
@@ -422,9 +422,9 @@ FIRST_STEP_GATES = {
 
 @pytest.mark.parametrize("case", list(FIRST_STEP_GATES))
 def test_stacked_first_step_matches_select(case, monkeypatch):
-    # The sets the stacked first step settles get select's sigma bits,
-    # spectrum bits and entropy; the others, and every set under another
-    # rule, reach discontinuity.select.
+    # The sets the stacked first step settles get select's sigma bits and
+    # entropy; the others, and every set under another rule, reach
+    # discontinuity.select.
     dim1, dim2, perms, expected_ks = FIRST_STEP_GATES[case]
     reached = []
 
@@ -448,12 +448,11 @@ def test_stacked_first_step_matches_select(case, monkeypatch):
         refs = [select(fps) for fps in sets]
         settled = [ref.iterations == 1 and ref.gradient_norm <= 1e-10 for ref in refs]
         reached.clear()
-        emitted, _, _ = discontinuity._select_and_emit(gate, rhos, sets, None)
+        entropies, sigmas, _ = discontinuity._select_and_emit(gate, rhos, sets, None)
         assert [id(fps) for fps in reached] == [
             id(fps) for fps, done in zip(sets, settled) if not done]
-        for ref, (sigma, entropy, _) in zip(refs, emitted):
-            assert sigma.matrix.tobytes() == ref.sigma.matrix.tobytes()
-            assert sigma.eigenvalues.tobytes() == ref.sigma.eigenvalues.tobytes()
+        for ref, sigma, entropy in zip(refs, sigmas, entropies, strict=True):
+            assert sigma.tobytes() == ref.sigma.matrix.tobytes()
             assert np.float64(entropy).tobytes() == np.float64(ref.entropy).tobytes()
         reached.clear()
         discontinuity._select_and_emit(gate, rhos, sets, SelectionRule(kind="min_entropy"))
@@ -474,10 +473,51 @@ def test_stacked_limit_test_matches_membership(case):
     for result in discontinuity._probe(gate, families, list(DEFAULT_EPSILONS), None):
         sigmas = [r.sigma for r in result.records if r.error is None]
         for tol in (LIMIT_MEMBERSHIP_TOL, RESIDUAL_TOL):
-            stacked = deutsch._in_set(result.center_fps, sigmas, tol)
+            stacked = deutsch._in_set(result.center_fps, np.stack([s.matrix for s in sigmas]), tol)
             assert stacked == [membership(result.center_fps, s, tol=tol).ok for s in sigmas]
             verdicts.update(stacked)
     assert verdicts == ({True, False} if case == "reference" else {True})
+
+
+# The reference gate, and a (4, 2) and a (3, 3) pool gate whose direction
+# points meet degenerate sets.
+PROBE_GATES = {
+    "reference": reference_gate,
+    "4x2": lambda: UnitaryGate.from_permutation(4, 2, FIRST_STEP_GATES["4x2"][2][0]),
+    "3x3": lambda: UnitaryGate.from_permutation(3, 3, FIRST_STEP_GATES["3x3"][2][0]),
+}
+
+
+@pytest.mark.parametrize("rule", [None, SelectionRule(kind="min_entropy")], ids=["none", "min"])
+@pytest.mark.parametrize("case", list(PROBE_GATES))
+def test_probe_records_match_the_per_point_chain(case, rule):
+    # Each record of probe() holds the bits of its point's own
+    # fixed_point_set -> select -> evolve_out chain: both states' matrices
+    # and spectra, the entropy as a float and k as an int.
+    gate = PROBE_GATES[case]()
+    chain = {}
+    for fam in generate_probe_families(gate, "vertex_pairs"):
+        if {(fam.family_a, DEFAULT_EPSILONS[0]), (fam.family_b, DEFAULT_EPSILONS[0])} <= set(chain):
+            continue  # both directions were probed with another family
+        result = discontinuity.probe(gate, fam, DEFAULT_EPSILONS, rule)
+        directions = [fam.family_a] * len(DEFAULT_EPSILONS) + [fam.family_b] * len(DEFAULT_EPSILONS)
+        for direction, rec in zip(directions, result.records, strict=True):
+            key = direction, rec.epsilon
+            if key not in chain:
+                state = direction(rec.epsilon)
+                fps = fixed_point_set(gate, state)
+                sel = select(fps, rule)
+                chain[key] = fps.k, sel, evolve_out(gate, state, sel.sigma)
+            k, sel, rho_hat = chain[key]
+            assert rec.error is None and type(rec.k) is int and rec.k == k
+            assert type(rec.entropy) is float
+            assert np.float64(rec.entropy).tobytes() == np.float64(sel.entropy).tobytes()
+            for got, want in ((rec.sigma, sel.sigma), (rec.rho_hat, rho_hat)):
+                assert got.matrix.tobytes() == want.matrix.tobytes()
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert any(k for k, _, _ in chain.values()) == (case != "reference")
+    # every vertex's directions: 6 on (4, 2), 4 on (3, 3)
+    assert len(chain) == {"reference": 120, "4x2": 120, "3x3": 60}[case]
 
 
 @pytest.mark.parametrize("dim1,dim2", DIMS)

@@ -431,9 +431,8 @@ class TestClassify:
         monkeypatch.setattr(discontinuity, "_in_set", counted)
         cls = classify(reference_gate(), "vertex_pairs", max_refinements=0)
         assert sum(p["limits_in_set"] is not None for p in cls.witness["paths"]) == 60
-        assert [len(sigmas) for _, sigmas in calls] == [6] * 4
+        assert [sigmas.shape for _, sigmas in calls] == [(6, 2, 2)] * 4
         assert len({id(fps) for fps, _ in calls}) == 4
-        assert len({id(s) for _, sigmas in calls for s in sigmas}) == 4 * 6
 
     @pytest.mark.parametrize("refinements", [0, 1, 2])
     def test_near_threshold_path_refines_its_grid(self, refinements):
@@ -503,6 +502,30 @@ class TestClassify:
         assert [p["label"] for p in cls.witness["paths"]] == ["one", "two"]
         assert sorted(built) == sorted(PAPER_EPSILONS)
         assert len(solves) == 1 + 2 * len(PAPER_EPSILONS)
+
+    def test_a_refinement_with_no_new_point_builds_no_solve_core(self, monkeypatch):
+        # Two families with the same directions: the first's refinement
+        # solves the refined eps, so the second's finds every point solved.
+        def tilted(e):
+            w = min(1.0, 300 * e)
+            return DensityOperator(np.diag([1 - e, e * (1 - w), e * w, 0.0]).astype(complex))
+
+        cores, stacks = discontinuity._cores, []
+
+        def counted_cores(u, linear, offset):
+            stacks.append(len(linear))
+            return cores(u, linear, offset)
+
+        monkeypatch.setattr(discontinuity, "_cores", counted_cores)
+        families = [PathFamily(reference_center(), mixed_second_qubit, tilted, label)
+                    for label in ("one", "two")]
+        cls = classify(reference_gate(), families=families, epsilons=(0.2, 0.1, 0.01, 0.001),
+                       jump_tol=0.15, max_refinements=2)
+        # each family's center and the 8 shared points, then the refined eps
+        assert stacks == [2 + 2 * 4, 2]
+        assert cls.witness["refinements_used"] == 2
+        one, two = cls.witness["paths"]
+        assert dict(one, label="two") == two
 
     @pytest.mark.parametrize("entry", ["probe", "classify"])
     def test_given_directions_are_not_kept_after_the_call(self, entry):
@@ -670,34 +693,45 @@ def _classified(case, monkeypatch):
 
 
 class TestWitnessTable:
-    """A classification from classify holds its witness rows as one float
-    table, hashes that table as it is, and builds the row dicts on read."""
+    """A classification holds its witness rows as one float table, hashes
+    that table as it is, and builds new row dicts on every read."""
 
     @pytest.mark.parametrize("case", ["clean", "refining", "failing_point"])
     def test_the_table_digest_is_the_digest_of_the_witness_dict(self, case, monkeypatch):
         cls = _classified(case, monkeypatch)
-        digest = cls.witness_digest()
-        assert "witness" not in vars(cls)  # the digest built no row dict
+        with monkeypatch.context() as patch:
+            patch.setattr(discontinuity, "_witness_rows", None)  # a row dict would raise
+            digest = cls.witness_digest()
         obj = json.loads(json.dumps(cls.to_json()))
         jumps = [row["sigma_jump_running"] for path in obj["witness"]["paths"]
                  for row in path["rows"]]
         assert (None in jumps) == (case == "failing_point")  # NaN cells read as None
         assert GateClassification(**obj).witness_digest() == digest
-        assert cls.witness_digest() == digest  # now taken from the witness read above
+        assert cls.witness_digest() == digest  # the witness read above changed nothing
 
-    def test_rows_are_built_on_the_first_read_only(self):
+    def test_each_read_builds_a_new_equal_witness(self):
         cls = classify(reference_gate(), strategy="paper_example")
-        other = copy.copy(cls)  # shares the unread witness table
-        (path,) = cls.witness["paths"]
+        first, second = cls.witness, cls.to_json()["witness"]
+        (path,) = first["paths"]
         assert [type(row["k_a"]) for row in path["rows"]] == [int] * len(DEFAULT_EPSILONS)
-        assert cls.witness is cls.witness and cls.to_json()["witness"] is cls.witness
-        assert other.witness == cls.witness
+        assert first == second and first is not second
+        assert first["paths"] is not second["paths"]
+        assert first["paths"][0]["notes"] is not second["paths"][0]["notes"]
+        assert first["paths"][0]["rows"][0] is not second["paths"][0]["rows"][0]
 
-    def test_a_read_witness_is_what_the_digest_hashes(self):
+    @pytest.mark.parametrize("built", ["classify", "to_json"])
+    def test_a_changed_witness_read_changes_nothing(self, built):
         cls = classify(reference_gate(), strategy="paper_example")
-        before = cls.witness_digest()
-        cls.witness["paths"][0]["rows"][-1]["rho_hat_jump_running"] += 1e-6
-        assert cls.witness_digest() != before
+        if built == "to_json":
+            cls = GateClassification(**cls.to_json())
+        before, digest = cls.to_json(), cls.witness_digest()
+        witness = cls.witness
+        witness["paths"][0]["rows"][-1]["rho_hat_jump_running"] += 1e-6
+        witness["paths"][0]["notes"].append("changed")
+        witness["paths"][0]["label"] += "'"
+        witness["epsilons"].append(1e-4)
+        assert cls.to_json() == before
+        assert cls.witness_digest() == digest
 
 
 class TestWitnessCsv:
