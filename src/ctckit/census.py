@@ -79,8 +79,7 @@ class CensusConfig:
             _check_count("sample_size", self.sample_size, 1)
             if self.sample_size > total:
                 raise ValueError(f"sample_size {self.sample_size} exceeds {total} gates")
-        self.epsilons = tuple(float(e) for e in self.epsilons)
-        _epsilon_grid(self.epsilons)
+        self.epsilons = tuple(_epsilon_grid(self.epsilons))  # hashed as classify reads it
         _check_refinement(self.jump_tol, self.max_refinements)
         _check_strategy(self.strategy, self.dim1, self.dim2)
 

@@ -53,20 +53,19 @@ rounding tie: ``tools/digest_noise.py`` moves every float of the 500 pinned
 witnesses by a relative 1e-14 without changing a digest, while 1e-13
 changes 7.8 % of them and 1e-12 35.6 %.
 
-Generated states are built once per process.  :func:`generate_probe_families`
-returns new :class:`PathFamily` objects on every call, but their centers and
-direction states come from a bounded table keyed by value, ``(strategy, d1)``
-and then ``eps``, with read-only matrices, so the gates of a census share
-them.  Each entry of that table also keeps the probe plan of the last grid
-it was asked for: the walk of the generated families on that grid against
-a fresh table, made once, with the read-only stack of the new points'
-states and what path analysis reads of the point numbers alone; another
-grid replaces it.  A generated :func:`classify` seeds its fresh table with
-the plan's numbers and solves the plan's points, so a census walks and
-stacks its probe points once per config, not once per gate; refinements,
-given families and :func:`probe` walk, by the same function.
-``_generated_paths.cache_clear()`` drops the plans with the states they
-hold.  A given direction is memoised for one call, then dropped.
+Each :func:`generate_probe_families` call builds new families with new
+states.  A generated :func:`classify` reads its families from the probe
+plan, the one process-wide memo of probe states (:func:`_plan`, bounded and
+keyed by value, ``(strategy, d1, grid)``): the generated families and their
+walk on the grid against a fresh table, made once, with the read-only stack
+of the new points' states and what path analysis reads of the point numbers
+alone.  It seeds its fresh table with the plan's numbers and solves the
+plan's points, so a census builds, walks and stacks its probe points once
+per config, not once per gate; refinements, given families and
+:func:`probe` walk, by the same function, and build their states anew on
+each call.  ``_plan.cache_clear()`` frees the plans with the states they
+hold.  A given direction is called once per ``eps`` of a call, by the walk,
+whose states the check that it approaches its center reads.
 
 No strategy draws random states, so generation takes no seed.  A jump needs
 a center whose fixed-point set is degenerate, and a random pure center
@@ -110,8 +109,7 @@ JUMP_TOL = 0.1
 LIMIT_MEMBERSHIP_TOL = 0.05
 VERDICTS = ("continuous_witnessed_none", "ephemeral", "physical")
 STRATEGIES = ("paper_example", "vertex_pairs")
-_GENERATED_TABLES = 8  # (strategy, d1) keys whose generated states are kept
-_EPS_PER_DIRECTION = 16  # states a generated direction keeps, one per eps
+_PLANS = 8  # (strategy, d1, grid) keys whose probe plans are kept
 _DIGEST_DECIMALS = 9  # every float a witness digest hashes is rounded to these
 ROW_COLUMNS = (
     "epsilon",
@@ -171,8 +169,7 @@ class ProbeResult:
 
 def probe(u, family, epsilons, rule=None):
     """Solve the fixed-point problem along both directions of a family."""
-    eps = _epsilon_grid(epsilons)
-    return _probe(u, _check_user_families([family], eps), eps, rule)[0]
+    return _probe(u, [family], _epsilon_grid(epsilons), rule)[0]
 
 
 def _epsilon_grid(epsilons):
@@ -192,26 +189,29 @@ def _check_refinement(jump_tol, max_refinements):
     _check_count("max_refinements", max_refinements)
 
 
-def _check_user_families(families, eps):
-    """Given ``families`` with each distinct direction memoised for this call;
-    raises unless they exist, have distinct labels and approach their centers."""
+def _check_user_families(families):
+    """Raise unless given ``families`` exist and have distinct labels."""
     if not families:
         raise ValueError("families must hold at least one path family")
     labels = [fam.label for fam in families]
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ValueError(f"family labels must be distinct; {label!r} repeats")
-    # One wrapper per distinct direction, so a shared one builds each eps once.
-    memo = {d: lru_cache(maxsize=None)(d) for fam in families for d in (fam.family_a, fam.family_b)}
-    families = [PathFamily(f.center, memo[f.family_a], memo[f.family_b], f.label) for f in families]
-    for fam in families:
-        for name, direction in (("direction_a", fam.family_a), ("direction_b", fam.family_b)):
-            dists = [trace_distance(direction(e), fam.center) for e in eps]
-            if any(b > a + 1e-12 for a, b in zip(dists, dists[1:])):
-                raise ValueError(
-                    f"{name} must approach the center monotonically in trace distance"
-                )
-    return families
+
+
+def _check_approach(families, grid, todo):
+    """Raise unless both directions of each of ``families`` approach its
+    center monotonically in trace distance on ``grid``, as one stack.  The
+    states are read from ``todo``, the walk of the families on ``grid``
+    against a fresh table (:func:`_walk`), so no direction is called again."""
+    states = np.stack([todo[direction, e].matrix for fam in families
+                       for direction in (fam.family_a, fam.family_b) for e in grid])
+    centers = np.repeat(np.stack([fam.center.matrix for fam in families]), 2 * len(grid), axis=0)
+    dists = trace_distance(states, centers).reshape(-1, len(grid))
+    away = (dists[:, 1:] > dists[:, :-1] + 1e-12).any(axis=1)  # per family and side
+    if away.any():
+        name = ("direction_a", "direction_b")[int(away.argmax()) % 2]
+        raise ValueError(f"{name} must approach the center monotonically in trace distance")
 
 
 def _select_and_emit(u, rhos, sets, rule):
@@ -258,7 +258,7 @@ class _Solved:
     ``errors`` maps the number of each point whose solve failed to its
     diagnostic.  The table holds its keys, so no key can be reused by
     another object.  :func:`classify` seeds a fresh table of generated
-    families with the numbers of their probe plan (:meth:`_Generated.plan`).
+    families with the numbers of their probe plan (:func:`_plan`).
     """
 
     def __init__(self, u):
@@ -352,12 +352,13 @@ def _solve(layout, rule, solved):
 
 def _probe(u, families, grid, rule):
     """One :class:`ProbeResult` per family, read from :func:`_solve` of the
-    families on ``grid``; :func:`probe` and the ``probe`` command call it,
-    and :func:`classify` reads the solved points itself.  The spectra of a
-    record's two states come from one stacked ``eigvalsh`` of each of the
-    table's stacks."""
+    families on ``grid`` once :func:`_check_approach` has passed them;
+    :func:`probe` and the ``probe`` command call it, and :func:`classify`
+    reads the solved points itself.  The spectra of a record's two states
+    come from one stacked ``eigvalsh`` of each of the table's stacks."""
     solved = _Solved(u)
     layout = _walk(families, grid, solved.number, solved.centers)
+    _check_approach(families, grid, layout.todo)
     _solve(layout, rule, solved)
     k, entropy = solved.columns.T.tolist()
     states = []
@@ -410,53 +411,40 @@ def generate_probe_families(u, strategy):
         Directions are shared between the paths of a vertex, so
         :func:`classify` solves each only once.
 
-    The families are new on every call, but their states are built once per
-    process (see :func:`_generated_paths`).
+    Each call returns new families with new states.
     """
     _check_strategy(strategy, u.dim1, u.dim2)
-    return [PathFamily(*path) for path in _generated_paths(strategy, u.dim1).paths]
+    return _generated_paths(strategy, u.dim1)
 
 
-def _shared(direction):
-    """``direction`` with the state of each ``eps`` built once and kept."""
-    return lru_cache(maxsize=_EPS_PER_DIRECTION)(direction)
+@lru_cache(maxsize=_PLANS)
+def _plan(strategy, d1, grid):
+    """``(families, layout)``: the families that ``strategy`` generates on
+    first-factor dimension ``d1``, and the :class:`_Layout` of their walk on
+    the tuple ``grid`` against a fresh :class:`_Solved` (:func:`_walk`),
+    with read-only arrays.
+
+    This is the one process-wide memo of probe states: keyed by value and
+    bounded, so every gate of a census config shares one plan, and
+    :meth:`cache_clear` frees the states it holds."""
+    families = tuple(_generated_paths(strategy, d1))
+    layout = _walk(families, grid, {}, {})
+    for array in (layout.stack, layout.at, layout.at_a, layout.at_b, layout.epsilon):
+        array.setflags(write=False)
+    return families, layout
 
 
-class _Generated:
-    """An entry of :func:`_generated_paths`: ``paths`` holds the ``(center,
-    family_a, family_b, label)`` of each generated family, and ``layout``
-    the probe plan of the last grid planned, whose values ``grid`` holds."""
-
-    def __init__(self, paths):
-        self.paths, self.grid, self.layout = paths, None, None
-
-    def plan(self, families, grid):
-        """The :class:`_Layout` of ``families``, built from ``paths``, on
-        ``grid`` against a fresh :class:`_Solved`, from :func:`_walk`; it is
-        kept until another grid is planned, and its arrays are read-only."""
-        if self.grid != tuple(grid):
-            layout = _walk(families, grid, {}, {})
-            for array in (layout.stack, layout.at, layout.at_a, layout.at_b, layout.epsilon):
-                array.setflags(write=False)
-            self.grid, self.layout = tuple(grid), layout
-        return self.layout
-
-
-@lru_cache(maxsize=_GENERATED_TABLES)
 def _generated_paths(strategy, d1):
-    """The :class:`_Generated` entry of the families that ``strategy``
-    generates on first-factor dimension ``d1``.  The table is keyed by value
-    and bounded: centers are built once and each direction keeps its states,
-    whose matrices are read-only, so every gate of a census shares them,
-    and the probe plan of their last grid, which :meth:`cache_clear` drops
-    with the states it holds."""
+    """New :class:`PathFamily` objects of the families that ``strategy``
+    generates on first-factor dimension ``d1``; a direction builds a new
+    state on each call."""
     if strategy == "paper_example":
-        return _Generated(((reference_center(), _shared(mixed_second_qubit),
-                            _shared(mixed_first_qubit), "reference"),))
+        return [PathFamily(reference_center(), mixed_second_qubit, mixed_first_qubit,
+                           "reference")]
 
     def mix_family(center, w):
         other = DensityOperator.basis_state(d1, w)
-        return _shared(lambda e: _mix_toward(center, other, e))
+        return lambda e: _mix_toward(center, other, e)
 
     def sup_family(v, w):
         def fam(e):
@@ -465,7 +453,7 @@ def _generated_paths(strategy, d1):
             amps[w] = np.sqrt(e)
             return DensityOperator.pure(amps)
 
-        return _shared(fam)
+        return fam
 
     paths = []
     for v in range(d1):
@@ -478,8 +466,8 @@ def _generated_paths(strategy, d1):
             directions.append((f"sup{w}", sup_family(v, w)))
         for i, (name_a, fam_a) in enumerate(directions):
             for name_b, fam_b in directions[i + 1:]:
-                paths.append((center, fam_a, fam_b, f"vertex{v}:{name_a}|{name_b}"))
-    return _Generated(tuple(paths))
+                paths.append(PathFamily(center, fam_a, fam_b, f"vertex{v}:{name_a}|{name_b}"))
+    return paths
 
 
 class GateClassification:
@@ -678,16 +666,17 @@ def classify(
     _check_refinement(jump_tol, max_refinements)
     solved, limits = _Solved(u), {}
     if families is None:
-        families = generate_probe_families(u, strategy)
+        _check_strategy(strategy, u.dim1, u.dim2)
         # the walk of generated families against a fresh table is their plan
-        layout = _generated_paths(strategy, u.dim1).plan(families, base_eps)
+        families, layout = _plan(strategy, u.dim1, tuple(base_eps))
         solved.number.update(layout.number)
     else:
         if strategy != "vertex_pairs":
             raise ValueError(f"strategy={strategy!r} applies only to generated families")
-        families = _check_user_families(families, base_eps)
+        _check_user_families(families)
         strategy = "user_paths"
         layout = _walk(families, base_eps, solved.number, solved.centers)
+        _check_approach(families, base_eps, layout.todo)
 
     _solve(layout, rule, solved)
     analyses, table = _analyze(families, solved, layout, jump_tol, limits)

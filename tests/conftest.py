@@ -5,9 +5,9 @@ from ctckit import discontinuity
 
 @pytest.fixture
 def empty_probe_table():
-    """Empty the process-wide table of generated probe states, so a count that
-    includes building them reads the same whatever ran before."""
-    discontinuity._generated_paths.cache_clear()
+    """Empty the probe plans, the one process-wide memo of probe states, so a
+    count that includes building them reads the same whatever ran before."""
+    discontinuity._plan.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -341,8 +341,8 @@ def test_stacked_cores_finish_as_standalone_solves(case):
         except SolverDiagnostic as exc:
             with pytest.raises(SolverDiagnostic) as new:
                 fixed_point_set(gate, state, core=core)
-            raised[state] = str(new.value)
-            assert raised[state] == str(exc)
+            raised[state.matrix.tobytes()] = str(new.value)
+            assert str(new.value) == str(exc)
             continue
         new = fixed_point_set(gate, state, core=core)
         _assert_same_fixed_point_set(new, ref)
@@ -352,7 +352,7 @@ def test_stacked_cores_finish_as_standalone_solves(case):
     assert 0 in ks and max(ks) > 0
     if case == "3x3":
         assert (len(raised), warned) == (3, 2)  # two gray-zone points at eps = 1e-4
-        assert raised[_raising_input()[1]] == (
+        assert raised[_raising_input()[1].matrix.tobytes()] == (
             "no fixed-point candidate within tolerance after 100000 iterations "
             "(min eigenvalue 6.355e-07, residual 6.473e-07)")
 

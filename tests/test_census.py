@@ -108,6 +108,15 @@ class TestConfig:
         assert b.config_hash() == a.config_hash()
         assert (b.sample_size, b.workers) == (10, 2) and type(b.seed) is int
 
+    def test_one_grid_hashes_alike_in_any_order_or_repeat(self):
+        # classify sorts and dedupes the grid, so the census stores and hashes it so.
+        a = CensusConfig(4, 2, mode="sample", sample_size=10)
+        for epsilons in (DEFAULT_EPSILONS[::-1], DEFAULT_EPSILONS + (0.2,),
+                         [np.float64(e) for e in DEFAULT_EPSILONS]):
+            b = CensusConfig(4, 2, mode="sample", sample_size=10, epsilons=epsilons)
+            assert b.config_hash() == a.config_hash()
+            assert b.epsilons == DEFAULT_EPSILONS and all(type(e) is float for e in b.epsilons)
+
     def test_hash_ignores_execution_fields(self):
         a = CensusConfig(4, 2, mode="sample", sample_size=10)
         b = CensusConfig(4, 2, mode="sample", sample_size=10, workers=8,

@@ -78,15 +78,26 @@ class TestProbe:
 class TestUserFamilies:
     """Families a caller passes in are checked before any solve."""
 
-    def test_rejects_paths_that_wander_from_center(self):
-        # distance to center must not increase as eps shrinks
-        wander = PathFamily(reference_center(), lambda e: mixed_second_qubit(0.3 - e),
-                            mixed_first_qubit)
-        for run in (lambda: probe(reference_gate(), wander, (0.2, 0.1)),
-                    lambda: classify(reference_gate(), families=[wander], epsilons=(0.2, 0.1))):
-            with pytest.raises(ValueError, match="direction_a must approach the center "
-                                                 "monotonically in trace distance"):
+    def test_rejects_paths_that_wander_from_center(self, monkeypatch):
+        # distance to center must not increase as eps shrinks; the check reads
+        # the states the walk built, so no direction is called twice for one
+        # eps, and it raises before any point is solved.
+        calls, solves = [], []
+
+        def wander(e):
+            calls.append(e)
+            return mixed_second_qubit(0.3 - e)
+
+        monkeypatch.setattr(discontinuity, "fixed_point_set",
+                            lambda *args, **kwargs: solves.append(args))
+        family = PathFamily(reference_center(), wander, mixed_first_qubit)
+        for run in (lambda: probe(reference_gate(), family, (0.2, 0.1)),
+                    lambda: classify(reference_gate(), families=[family], epsilons=(0.2, 0.1))):
+            calls.clear()
+            with pytest.raises(ValueError, match="^direction_a must approach the center "
+                                                 "monotonically in trace distance$"):
                 run()
+            assert (calls, solves) == ([0.2, 0.1], [])
 
     def test_rejects_duplicate_labels(self):
         # The witness CSV finds its path by label, so two "" labels would be ambiguous.
@@ -197,13 +208,21 @@ class TestGenerateFamilies:
 
     @pytest.mark.parametrize("strategy", ["paper_example", "vertex_pairs"])
     def test_generated_states_are_shared_and_read_only(self, strategy):
+        # The paths of a vertex share its center and direction objects within
+        # a call; each call builds new families with new, equal states.
         a = generate_probe_families(reference_gate(), strategy)
         b = generate_probe_families(reference_gate(), strategy)
+        assert len({id(f.center) for f in a}) == (1 if strategy == "paper_example" else 4)
+        assert len({id(d) for f in a for d in (f.family_a, f.family_b)}) == (
+            2 if strategy == "paper_example" else 4 * 6)
         states = []
         for fa, fb in zip(a, b):
-            assert fa is not fb and fa.center is fb.center
+            assert fa is not fb and fa.center is not fb.center and fa.label == fb.label
+            np.testing.assert_array_equal(fa.center.matrix, fb.center.matrix)
             for eps in DEFAULT_EPSILONS:
-                assert fa.family_a(eps) is fb.family_a(eps)
+                assert fa.family_a(eps) is not fa.family_a(eps)
+                np.testing.assert_array_equal(fa.family_a(eps).matrix, fb.family_a(eps).matrix)
+                np.testing.assert_array_equal(fa.family_b(eps).matrix, fb.family_b(eps).matrix)
                 states += [fa.family_a(eps), fa.family_b(eps)]
             states.append(fa.center)
         for state in states:
@@ -213,11 +232,12 @@ class TestGenerateFamilies:
     def test_mutating_a_returned_family_leaves_the_next_call_alone(self):
         before = classify(reference_gate(), "vertex_pairs")
         fams = generate_probe_families(reference_gate(), "vertex_pairs")
-        center, family_a = fams[0].center, fams[0].family_a
+        center = fams[0].center.matrix
         for fam in fams:
             fam.center, fam.family_a, fam.label = fam.family_b(0.5), fam.family_b, "moved"
         again = generate_probe_families(reference_gate(), "vertex_pairs")
-        assert (again[0].center, again[0].family_a) == (center, family_a)
+        np.testing.assert_array_equal(again[0].center.matrix, center)
+        assert again[0].family_a is not fams[0].family_a
         assert again[0].label == "vertex0:mix1|sup1"
         after = classify(reference_gate(), "vertex_pairs")
         assert after.to_json() == before.to_json()
@@ -232,8 +252,9 @@ GATE_4X2 = UnitaryGate.from_permutation(4, 2, (3, 4, 2, 7, 6, 1, 5, 0))
 
 
 class TestProbePlan:
-    """The walk of a generated probe call on a fresh table is done once per
-    ``(strategy, dim1, grid)`` and kept in the generated-state table."""
+    """The generated families of a ``(strategy, dim1, grid)`` and their walk
+    on a fresh table are made once and kept in ``_plan``, the one memo of
+    probe states."""
 
     def test_gates_of_one_config_share_one_plan(self, empty_probe_table, monkeypatch):
         classify(reference_gate(), max_refinements=0)
@@ -245,16 +266,20 @@ class TestProbePlan:
         monkeypatch.setattr(discontinuity, "_walk", walk)
         got = classify(GATE_4X2, max_refinements=0)
         assert got.to_json() == expected.to_json()
-        assert discontinuity._generated_paths("vertex_pairs", 4).grid == tuple(DEFAULT_EPSILONS)
+        info = discontinuity._plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_cache_clear_drops_the_plan(self, empty_probe_table):
+        # Clearing the memo frees the plan and every generated state it holds.
         before = classify(GATE_4X2)
-        entry = discontinuity._generated_paths("vertex_pairs", 4)
-        ref = weakref.ref(entry.layout)
-        del entry
-        discontinuity._generated_paths.cache_clear()
+        families, layout = discontinuity._plan("vertex_pairs", 4, tuple(DEFAULT_EPSILONS))
+        refs = [weakref.ref(obj) for obj in (layout, *layout.todo.values())]
+        refs += [weakref.ref(fam.center) for fam in families]
+        assert len(layout.todo) == 124
+        del families, layout
+        discontinuity._plan.cache_clear()
         gc.collect()
-        assert ref() is None
+        assert [ref for ref in refs if ref() is not None] == []
         after = classify(GATE_4X2)
         assert after.to_json() == before.to_json()
         assert after.witness_digest() == before.witness_digest()
@@ -267,35 +292,52 @@ class TestProbePlan:
         assert got.to_json() == expected.to_json()
         assert got.witness_digest() == expected.witness_digest()
 
-    def test_plans_are_keyed_by_value(self, empty_probe_table):
+    def test_plans_are_keyed_by_value(self, empty_probe_table, monkeypatch):
         # Equal grids given as other objects, and gates of another dim2,
         # find the plan of their (strategy, dim1, grid); none is keyed by id().
         gates = [UnitaryGate.from_permutation(2, 2, (1, 0, 3, 2)),
                  UnitaryGate.from_permutation(2, 3, (5, 0, 1, 2, 3, 4))]
         grids = [DEFAULT_EPSILONS, list(reversed(DEFAULT_EPSILONS)),
                  [np.float64(e) for e in DEFAULT_EPSILONS] + [0.2]]
-        entry = discontinuity._generated_paths("vertex_pairs", 2)
-        classify(gates[0], max_refinements=0)
-        plan = entry.layout
+        walk, planned = discontinuity._walk, []
+
+        def recorded(families, grid, number, centers):
+            planned.append(grid)
+            return walk(families, grid, number, centers)
+
+        monkeypatch.setattr(discontinuity, "_walk", recorded)
         for gate in gates:
             for grid in grids:
                 classify(gate, epsilons=grid, max_refinements=0)
-                assert entry.layout is plan
-        assert entry.grid == tuple(DEFAULT_EPSILONS)
-        assert all(type(e) is float for e in entry.grid)
+        assert planned == [tuple(DEFAULT_EPSILONS)]
+        assert all(type(e) is float for e in planned[0])
+        info = discontinuity._plan.cache_info()
+        assert (info.hits, info.misses) == (len(gates) * len(grids) - 1, 1)
 
-    def test_another_grid_replaces_the_plan(self, empty_probe_table):
+    def test_each_grid_has_its_own_plan(self, empty_probe_table):
         gate = UnitaryGate.from_permutation(2, 2, (1, 0, 3, 2))
-        entry = discontinuity._generated_paths("vertex_pairs", 2)
         for grid in [(0.5, 0.1), (0.5, 0.05), (0.5, 0.1)]:
             got = classify(gate, epsilons=grid, max_refinements=0)
-            assert entry.grid == grid
+            _, layout = discontinuity._plan("vertex_pairs", 2, grid)
+            assert layout.epsilon[:2].tolist() == list(grid)
             assert got.to_json() == classify_loop(gate, epsilons=grid,
                                                   max_refinements=0).to_json()
+        info = discontinuity._plan.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    def test_the_plan_past_the_bound_evicts_the_least_recently_used(self, empty_probe_table):
+        grids = [(0.5, 0.1 / (i + 1)) for i in range(discontinuity._PLANS + 1)]
+        first = [discontinuity._plan("vertex_pairs", 2, grid) for grid in grids[:-1]]
+        assert discontinuity._plan("vertex_pairs", 2, grids[0]) is first[0]  # now most recent
+        discontinuity._plan("vertex_pairs", 2, grids[-1])
+        assert discontinuity._plan.cache_info().currsize == discontinuity._PLANS
+        assert discontinuity._plan("vertex_pairs", 2, grids[0]) is first[0]
+        assert discontinuity._plan("vertex_pairs", 2, grids[2]) is first[2]
+        assert discontinuity._plan("vertex_pairs", 2, grids[1]) is not first[1]
 
     def test_plan_arrays_are_read_only(self, empty_probe_table):
         classify(GATE_4X2, max_refinements=0)
-        plan = discontinuity._generated_paths("vertex_pairs", 4).layout
+        _, plan = discontinuity._plan("vertex_pairs", 4, tuple(DEFAULT_EPSILONS))
         for array in (plan.stack, plan.at, plan.at_a, plan.at_b, plan.epsilon):
             assert array.flags.writeable is False
         assert plan.stack.shape == (len(plan.todo), 4, 4)

@@ -1,5 +1,6 @@
-"""Generated probe states are built once per process and shared by every
-gate; no gate's classification may depend on which gates ran before it."""
+"""The probe plan of a generated config is made once per process and shared
+by every gate; no gate's classification may depend on which gates ran
+before it."""
 
 import pytest
 
@@ -20,10 +21,10 @@ gates = st.sampled_from([(2, 2), (3, 2), (4, 2)]).flatmap(
 @hypothesis.given(gate=gates, others=st.lists(gates, max_size=2),
                   jump_tol=st.sampled_from([JUMP_TOL, 0.3]))
 def test_a_witness_does_not_depend_on_the_gates_before_it(gate, others, jump_tol):
-    discontinuity._generated_paths.cache_clear()
+    discontinuity._plan.cache_clear()
     cold = classify(gate, jump_tol=jump_tol)
     # At jump_tol 0.3 the reference gate refines twice, so its directions
-    # keep states at two eps that no base grid holds.
+    # build states at two eps that no plan holds.
     assert classify(reference_gate(), jump_tol=0.3).witness["refinements_used"] == 2
     for other in others:
         classify(other, jump_tol=jump_tol)

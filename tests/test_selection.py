@@ -215,6 +215,15 @@ class TestSampleFeasible:
             t = sample_feasible(fps, rng)
             fps.state_at(t)  # raises if infeasible
 
+    def test_a_zero_draw_gives_the_zero_vector(self):
+        # A draw of norm zero has no direction, so the sample stays at the origin.
+        class ZeroDraws:
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        t = sample_feasible(identity_fps(), ZeroDraws())
+        assert t.tolist() == [0.0] * identity_fps().k
+
     def test_unique_set_gives_empty_vector(self):
         fps = fixed_point_set(reference_gate(), mixed_second_qubit(0.2))
         assert sample_feasible(fps, np.random.default_rng(0)).size == 0

@@ -21,6 +21,9 @@ class TestDensityOperator:
         rho = DensityOperator(np.array([[0.5, 0.5], [0.5, 0.5]]))
         assert rho.dim == 2
 
+    def test_repr_names_the_dimension(self):
+        assert repr(DensityOperator.maximally_mixed(3)) == "DensityOperator(dim=3)"
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             DensityOperator(np.zeros((2, 3)))
@@ -133,6 +136,11 @@ class TestEigenvalues:
 
 
 class TestUnitaryGate:
+    def test_repr_names_the_dims_and_kind(self):
+        gate = UnitaryGate.from_permutation(2, 3, range(6))
+        assert repr(gate) == "UnitaryGate(dims=(2, 3), perm)"
+        assert repr(UnitaryGate(np.eye(4), 2, 2)) == "UnitaryGate(dims=(2, 2), dense)"
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             UnitaryGate(np.ones((2, 2)), 1, 2)

@@ -16,14 +16,22 @@ config hash of its semantics next to the hash the reference holds.  Then the
 first :data:`REFINING_GATES` gates of each pool are classified again at
 ``jump_tol`` 0.3 with ``max_refinements`` 2, where paths near the threshold
 refine their grids (no pool setting does): one line per gate with the same
-fields and the number of refinements used.
+fields and the number of refinements used.  After each such line come two
+routes a census does not take: ``classify`` of the same gate, at the same
+settings, given every seventh generated family (the same fields), and
+:func:`ctckit.probe` of one generated family on the pool's grid (its label
+and the sha256 of the result, :func:`_probe_sha`).  Then one line gives the
+error text of a given family whose direction wanders from its center, from
+``probe`` and from ``classify``, and the ``eps`` of each call either made
+to that direction.
 
 Then each of the 22 commands of :data:`CLI_RUNS` runs as ``ctckit`` in its
 own process, with one BLAS thread, in a temporary directory that holds the
 input files :func:`write_inputs` makes, on valid input only.  One JSON line
 per run gives its argv, exit code, and the sha256 of its stdout, its stderr
 and each file it wrote, with the census records' ``wall_time`` masked.  The
-output is 804 lines: 740 pool gates, 2 hashes, 40 refining gates and 22 runs.
+output is 885 lines: 740 pool gates, 2 hashes, 40 refining gates, 40 given
+and 40 probed gates, 1 wandering family and 22 runs.
 
 A change is bit-identical on valid census and CLI input when the outputs of
 the parent checkout and of the change are equal:
@@ -37,8 +45,9 @@ outputs of one host only.  The witness digest rounds them to 9 decimals; a
 change that moves only how the digest is taken moves the ``witness_digest``
 fields, and the CLI runs that print or write a digest, while every
 ``witness_sha`` stays equal.
-The pools take about a minute on one core, the refining gates about 7 s
-and the CLI runs about 15 s.
+The pools take about a minute on one core, the refining gates about 7 s,
+their given-family and probe runs about 6 s more, and the CLI runs about
+15 s.
 """
 
 import os
@@ -120,6 +129,49 @@ def _witness_sha(cls):
     return _sha(json.dumps(cls.to_json(), sort_keys=True).encode())
 
 
+def _probe_sha(result):
+    """sha256 of a :class:`ProbeResult`: its label, its center set's ``k`` and
+    particular state, and each record's fields, with every matrix and
+    spectrum as bytes."""
+    center = result.center_fps
+    digest = hashlib.sha256(json.dumps([result.label, center.k]).encode())
+    digest.update(center.particular.matrix.tobytes())
+    for r in result.records:
+        digest.update(json.dumps([r.direction, repr(r.epsilon), r.k, repr(r.entropy),
+                                  r.error]).encode())
+        for state in (r.sigma, r.rho_hat):
+            if state is not None:
+                digest.update(state.matrix.tobytes() + state.eigenvalues.tobytes())
+    return digest.hexdigest()
+
+
+def wandering_family(ctckit):
+    """The error text and direction calls of ``probe`` and ``classify`` given
+    a family whose second direction moves away from its center."""
+    from ctckit.reference import mixed_first_qubit, mixed_second_qubit, reference_center
+
+    out = {}
+    for entry in ("probe", "classify"):
+        calls = []
+
+        def wander(e):
+            calls.append(e)
+            return mixed_second_qubit(0.3 - e)
+
+        family = ctckit.PathFamily(reference_center(), mixed_first_qubit, wander, "wander")
+        try:
+            if entry == "probe":
+                ctckit.probe(ctckit.reference_gate(), family, (0.2, 0.1, 0.05))
+            else:
+                ctckit.classify(ctckit.reference_gate(), families=[family],
+                                epsilons=(0.2, 0.1, 0.05))
+            error = None
+        except ValueError as exc:
+            error = str(exc)
+        out[entry] = {"error": error, "calls": calls}
+    return out
+
+
 def run_cli(root):
     env = {k: v for k, v in os.environ.items() if k != "CTCKIT_LOG"}
     env.update(PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
@@ -145,6 +197,7 @@ def run_cli(root):
 def main(argv):
     root = Path(argv[0] if argv else Path(__file__).resolve().parent.parent).resolve()
     sys.path.insert(0, str(root / "src"))
+    import ctckit
     from ctckit import census, discontinuity
     from ctckit.deutsch import SolverDiagnostic
     from ctckit.states import UnitaryGate
@@ -188,21 +241,31 @@ def main(argv):
                           "reference_hash": ref["config_hash"]}), flush=True)
     for name, ref in refs.items():
         semantics = {**ref["semantics"], **REFINING}
-        for perm, *_ in ref["records"][:REFINING_GATES]:
-            diagnostics.clear()
+        for i, (perm, *_) in enumerate(ref["records"][:REFINING_GATES]):
             gate = UnitaryGate.from_permutation(semantics["dim1"], semantics["dim2"], perm)
-            cls = discontinuity.classify(
-                gate, strategy=semantics["strategy"], epsilons=semantics["epsilons"],
-                jump_tol=semantics["jump_tol"], max_refinements=semantics["max_refinements"])
-            print(json.dumps({
-                "refining_pool": name, "permutation": perm, "verdict": cls.verdict,
-                "sigma_jump": repr(cls.sigma_jump), "rho_hat_jump": repr(cls.rho_hat_jump),
-                "witness_digest": cls.witness_digest(), "witness_sha": _witness_sha(cls),
-                "refinements_used": cls.witness["refinements_used"],
-                "diagnostics": diagnostics,
-            }), flush=True)
+            families = discontinuity.generate_probe_families(gate, semantics["strategy"])
+            for kind, source in (("refining_pool", {"strategy": semantics["strategy"]}),
+                                 ("given_pool", {"families": families[::7]})):
+                diagnostics.clear()
+                cls = discontinuity.classify(
+                    gate, epsilons=semantics["epsilons"], jump_tol=semantics["jump_tol"],
+                    max_refinements=semantics["max_refinements"], **source)
+                print(json.dumps({
+                    kind: name, "permutation": perm, "verdict": cls.verdict,
+                    "sigma_jump": repr(cls.sigma_jump), "rho_hat_jump": repr(cls.rho_hat_jump),
+                    "witness_digest": cls.witness_digest(), "witness_sha": _witness_sha(cls),
+                    "refinements_used": cls.witness["refinements_used"],
+                    "diagnostics": diagnostics,
+                }), flush=True)
+            diagnostics.clear()
+            family = families[i % len(families)]
+            result = discontinuity.probe(gate, family, semantics["epsilons"])
+            print(json.dumps({"probe_pool": name, "permutation": perm, "label": family.label,
+                              "probe_sha": _probe_sha(result), "diagnostics": diagnostics}),
+                  flush=True)
     discontinuity.fixed_point_set = solve
     census.classify = classify
+    print(json.dumps({"wandering_family": wandering_family(ctckit)}), flush=True)
     run_cli(root)
 
 
