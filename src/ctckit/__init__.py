@@ -23,8 +23,6 @@ from .selection import (
     SelectionRule,
     SelectionResult,
     select,
-    max_entropy_state,
-    min_entropy_state,
     ctc_channel,
     sample_feasible,
 )
@@ -76,8 +74,6 @@ __all__ = [
     "SelectionRule",
     "SelectionResult",
     "select",
-    "max_entropy_state",
-    "min_entropy_state",
     "ctc_channel",
     "sample_feasible",
     "REFERENCE_PERMUTATION",

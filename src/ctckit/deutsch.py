@@ -21,7 +21,8 @@ decade of the cutoff, found with one mask.  Each entry is bit for bit what
 the state's own solve computes, so the stack changes no output.
 ``fixed_point_set`` finishes one state's solve from its core, or from a
 stack of one that it builds itself: it reports the core's singular values
-near the cutoff, builds the null basis unless the rank is full, and accepts
+near the cutoff, builds the null basis as one stack unless the rank is full
+(a unique set shares one empty stack per ``dim2``), and accepts
 the refined origin with its norm, exact for the common trivial null space,
 when it passes.  Otherwise the Cesaro fallback checks, at every 64th step
 of Cesaro-averaged iteration, the refined and then the raw running mean, in
@@ -110,14 +111,15 @@ class MembershipCheck:
 class FixedPointSet:
     """Fixed states of the induced map, as ``particular + span(basis)``.
 
-    ``basis`` holds ``k`` traceless Hermitian directions, orthonormal in the
-    Hilbert-Schmidt inner product; the set itself is the slice of the affine
-    subspace inside the PSD cone.  ``k == 0`` means the fixed state is unique.
+    ``basis`` is a read-only stack ``(k, dim2, dim2)`` of traceless Hermitian
+    directions, orthonormal in the Hilbert-Schmidt inner product; the set
+    itself is the slice of the affine subspace inside the PSD cone.
+    ``k == 0`` means the fixed state is unique, and its stack is empty.
     """
 
     dim2: int
     particular: DensityOperator
-    basis: list
+    basis: np.ndarray
     k: int
     affine: AffineMapReal
     affine_gap: np.ndarray  # ``linear - I``, the matrix the solve factored
@@ -175,13 +177,15 @@ def evolve_out(u, rho, sigma):
 @lru_cache(maxsize=None)
 def _solve_constants(d2):
     """Read-only input stack ``[I/d2, B_1, ...]`` of the superoperator of a
-    ``d2``-dimensional loop, and the identity that ``M - I`` subtracts."""
+    ``d2``-dimensional loop, the identity that ``M - I`` subtracts, and the
+    empty null basis ``(0, d2, d2)`` that every unique set shares."""
     inputs = np.concatenate([np.eye(d2, dtype=complex)[None] / d2,
                              hermitian_basis(d2).traceless])
     eye = np.eye(d2 * d2 - 1)
-    inputs.setflags(write=False)
-    eye.setflags(write=False)
-    return inputs, eye
+    empty = np.empty((0, d2, d2), dtype=complex)
+    for a in (inputs, eye, empty):
+        a.setflags(write=False)
+    return inputs, eye, empty
 
 
 def _superoperators(u, rhos):
@@ -363,7 +367,11 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
         warnings.append(f"singular values {gray} lie within a decade of the cutoff {SV_TOL}")
 
     k = b2.n_traceless - rank
-    basis_mats = [b2.from_traceless(_canonical_sign(v), trace=0.0) for v in vt[rank:]] if k else []
+    if k:
+        basis = b2.from_traceless(np.stack([_canonical_sign(v) for v in vt[rank:]]), trace=0.0)
+        basis.setflags(write=False)
+    else:
+        basis = _solve_constants(d2)[2]
 
     # The refined origin is exact for the common trivial null space; only when
     # it fails does the Cesaro fallback build its orbit.
@@ -382,7 +390,7 @@ def fixed_point_set(u, rho, residual_tol=RESIDUAL_TOL, max_iterations=MAX_ITERAT
     return FixedPointSet(
         dim2=d2,
         particular=DensityOperator._of(m, evals),
-        basis=basis_mats,
+        basis=basis,
         k=k,
         affine=aff,
         affine_gap=a,

@@ -223,17 +223,15 @@ def _select_and_emit(u, rhos, sets, rule):
 
     A unique fixed state (k = 0) is the state every rule selects, so its
     sigma is the set's particular state, and the entropies of all such
-    points come from the spectra the solver kept, as one stack.  Under the
-    maximum-entropy rule the degenerate sets take the optimizer's first step
-    as one stack (``selection._settle``), and those it settles are selected
-    there; only the other degenerate sets, and every one under another rule,
-    go through their own ``select`` call.
+    points come from the spectra the solver kept, as one stack.  The
+    degenerate sets go to ``selection._settle`` as one list with the rule,
+    and those it settles are selected there; only the others go through
+    their own ``select`` call.
     """
     unique = [fps.particular.eigenvalues for fps in sets if fps.k == 0]
     entropies = iter(_spectrum_entropy(np.stack(unique)).tolist() if unique else ())
     degenerate = [fps for fps in sets if fps.k]
-    max_entropy = rule is None or rule.kind == "max_entropy"
-    settled = iter(_settle(degenerate) if max_entropy else [None] * len(degenerate))
+    settled = iter(_settle(degenerate, rule))
     picks = []
     for fps in sets:
         pick = (fps.particular, next(entropies)) if fps.k == 0 else next(settled)

@@ -3,6 +3,7 @@
 When the fixed-point set has positive dimension a rule must pick the state
 the loop actually settles into.  :func:`select` is the one dispatcher from a
 :class:`SelectionRule` to the state it picks; a new rule is one branch there.
+A unique set (``k == 0``) selects its one state under every rule.
 ``max_entropy`` maximizes the von Neumann entropy over the set; strict
 concavity makes that choice unique.
 ``min_entropy`` minimizes it instead, which in general is *not* unique; the
@@ -23,10 +24,11 @@ legitimately report large values together with ``converged=True``.
 
 Many degenerate sets need no step: the gradient already vanishes at the
 zero start, and the maximizer stops after its first iteration.  For the
-sets of a probe call, ``discontinuity`` takes that first step as one stack
-per ``(dim2, k)`` with :func:`_settle`, which gives the sigma and entropy
-bits :func:`select` gives; only the maximum-entropy sets it does not settle,
-and every set under another rule, still reach :func:`select` one at a time.
+sets of a probe call, ``discontinuity`` passes the degenerate sets and the
+rule to :func:`_settle`, which under ``max_entropy`` takes that first step
+as one stack per ``(dim2, k)`` and gives the sigma and entropy bits
+:func:`select` gives; the sets it does not settle, and every set under
+another rule, still reach :func:`select` one at a time.
 """
 
 from dataclasses import dataclass
@@ -43,8 +45,6 @@ __all__ = [
     "SelectionRule",
     "SelectionResult",
     "select",
-    "max_entropy_state",
-    "min_entropy_state",
     "ctc_channel",
     "sample_feasible",
 ]
@@ -74,6 +74,9 @@ class SelectionRule:
             raise ValueError(f"unknown selection rule {self.kind!r}; expected one of {RULE_KINDS}")
         object.__setattr__(self, "max_iters", _check_count("max_iters", self.max_iters, 1))
         object.__setattr__(self, "coordinates", tuple(float(c) for c in self.coordinates))
+
+
+_DEFAULT_RULE = SelectionRule()
 
 
 @dataclass
@@ -146,12 +149,11 @@ def _axis_directions(k):
 
 
 def _optimize(fps, max_iters, sense, start=None):
-    """At most ``max_iters`` gradient steps on ``f = sense * entropy``; ``sense=+1`` maximizes."""
+    """At most ``max_iters`` gradient steps on ``f = sense * entropy`` over a
+    degenerate set; ``sense=+1`` maximizes."""
     k = fps.k
-    if k == 0:  # the one state of the set, which every entropy rule selects
-        return SelectionResult(fps.particular, von_neumann_entropy(fps.particular), 0, True, 0.0)
     particular = fps.particular.matrix
-    stacked = np.stack(fps.basis)
+    stacked = fps.basis
     kicks = _axis_directions(k) if sense < 0 else ()
 
     def point(t, require_feasible=False):
@@ -221,24 +223,28 @@ def _optimize(fps, max_iters, sense, start=None):
     return SelectionResult(sigma, cur.entropy, iterations, converged, grad_norm)
 
 
-def _settle(sets):
-    """``(sigma, entropy)`` that the maximizer returns from its zero start for
-    each degenerate set of ``sets`` it leaves after its first step, else
-    ``None``, in order.
+def _settle(sets, rule):
+    """``(sigma, entropy)`` that :func:`select` returns under ``rule`` for
+    each degenerate set of ``sets`` that the maximizer leaves after its first
+    step from the zero start, else ``None``, in order; all ``None`` unless
+    ``rule`` is ``max_entropy``.
 
     The sets of one ``(dim2, k)`` take that first step as one stack: one
     ``eigh`` of their start states, one stacked entropy, one gradient and one
     dot-product norm, each entry bit for bit its set's own.  A set with a
     feasible start and a gradient norm at most ``_GRAD_TOL`` stops there with
-    no kick to try, so its start state, validated as one stack, and the
-    entropy of its ``eigh`` spectrum are what :func:`select` gives.
+    no kick to try, whatever the step budget, so its start state, validated
+    as one stack, and the entropy of its ``eigh`` spectrum are what
+    :func:`select` gives.
     """
     picks = [None] * len(sets)
+    if rule is not None and rule.kind != "max_entropy":
+        return picks
     groups = {}
     for i, fps in enumerate(sets):
         groups.setdefault((fps.dim2, fps.k), []).append(i)
     for (_, k), at in groups.items():
-        bases = np.stack([np.stack(sets[i].basis) for i in at])
+        bases = np.stack([sets[i].basis for i in at])
         starts = (np.stack([sets[i].particular.matrix for i in at])
                   + np.tensordot(np.zeros(k), bases, axes=(0, 1)))
         evals, evecs = np.linalg.eigh(starts)
@@ -253,31 +259,17 @@ def _settle(sets):
     return picks
 
 
-def max_entropy_state(fps, start=None):
-    """The unique entropy maximizer over the fixed-point set."""
-    return _optimize(fps, _MAX_ITERS, +1.0, start=start)
-
-
-def min_entropy_state(fps):
-    """A deterministic entropy minimizer (in general one of several)."""
-    return _optimize(fps, _MAX_ITERS, -1.0)
-
-
-def _constant_index(fps, rule):
-    coords = np.zeros(fps.k)
-    given = np.asarray(rule.coordinates, dtype=float)
-    take = min(fps.k, given.size)
-    coords[:take] = given[:take]
-    sigma = fps.state_at(coords)
-    return SelectionResult(sigma, von_neumann_entropy(sigma), 0, True, 0.0)
-
-
 def select(fps, rule=None):
-    """Apply a selection rule to a fixed-point set; ``None`` means ``max_entropy``."""
-    if rule is None:
-        return _optimize(fps, _MAX_ITERS, +1.0)
+    """Apply a selection rule to a fixed-point set; ``None`` means ``SelectionRule()``."""
+    rule = _DEFAULT_RULE if rule is None else rule
+    if fps.k == 0:  # the one state of the set, which every rule selects
+        return SelectionResult(fps.particular, von_neumann_entropy(fps.particular), 0, True, 0.0)
     if rule.kind == "constant_index":
-        return _constant_index(fps, rule)
+        coords = np.zeros(fps.k)
+        take = min(fps.k, len(rule.coordinates))
+        coords[:take] = rule.coordinates[:take]
+        sigma = fps.state_at(coords)
+        return SelectionResult(sigma, von_neumann_entropy(sigma), 0, True, 0.0)
     return _optimize(fps, rule.max_iters, +1.0 if rule.kind == "max_entropy" else -1.0)
 
 
@@ -300,13 +292,11 @@ def sample_feasible(fps, rng):
     """
     if fps.k == 0:
         return np.zeros(0)
-    particular = fps.particular.matrix
-    stacked = np.stack(fps.basis)
     d = rng.standard_normal(fps.k)
     norm = np.linalg.norm(d)
     if norm == 0.0:
         return np.zeros(fps.k)
     d /= norm
-    s = _boundary_distance(particular, stacked, np.zeros(fps.k), d)
+    s = _boundary_distance(fps.particular.matrix, fps.basis, np.zeros(fps.k), d)
     radius = s * rng.uniform() ** (1.0 / fps.k)
     return radius * d

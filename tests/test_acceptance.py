@@ -27,7 +27,7 @@ from ctckit.reference import (
     reference_center,
     reference_gate,
 )
-from ctckit.selection import ctc_channel, max_entropy_state, sample_feasible
+from ctckit.selection import _MAX_ITERS, _optimize, ctc_channel, sample_feasible
 from ctckit.states import (
     DensityOperator,
     UnitaryGate,
@@ -186,7 +186,7 @@ def test_06_max_entropy_uniqueness():
     worst_margin = np.inf
     for i, fps in enumerate(scenarios):
         local = np.random.default_rng(1000 + i)
-        sols = [max_entropy_state(fps, start=sample_feasible(fps, local))
+        sols = [_optimize(fps, _MAX_ITERS, +1.0, start=sample_feasible(fps, local))
                 for _ in range(10)]
         mats = [s.sigma.matrix for s in sols]
         worst_spread = max(

@@ -36,7 +36,7 @@ from ctckit.deutsch import (
 from ctckit.discontinuity import (
     DEFAULT_EPSILONS, LIMIT_MEMBERSHIP_TOL, PathFamily, classify, generate_probe_families)
 from ctckit.reference import reference_center, reference_gate
-from ctckit.selection import RULE_KINDS, SelectionRule, select
+from ctckit.selection import RULE_KINDS, SelectionRule, ctc_channel, select
 from ctckit.states import DensityOperator, UnitaryGate, _spectrum_entropy
 
 from oracles import (
@@ -368,21 +368,51 @@ def _edge_spectra(d2):
     return np.concatenate([spectra, np.eye(d2), np.zeros((1, d2)), np.full((1, d2), 1.0 / d2)])
 
 
-@pytest.mark.parametrize("d2", [2, 3, 4])
+@pytest.mark.parametrize("d2", [2, 3, 4, 8, 9, 16])
 def test_stacked_entropy_matches_each_spectrum(d2):
-    # The stack gives each spectrum's own value, which is the sum over its
-    # positive entries alone, signed zeros included.
+    # The stack gives each spectrum's own value.  Up to 7 eigenvalues that is
+    # the sum over its positive entries alone, signed zeros included; numpy
+    # sums 8 or more terms pairwise, so there the zero terms may move the
+    # last bit against that sum, but not against the spectrum's own call.
     spectra = _edge_spectra(d2)
     stacked = _spectrum_entropy(spectra)
     one_at_a_time = np.array([_spectrum_entropy(e) for e in spectra])
-    positive_only = []
-    for e in spectra:
-        p = np.clip(e, 0.0, 1.0)
-        nz = p[p > 0.0]
-        positive_only.append(float(-np.sum(nz * np.log(nz))) + 0.0)
     assert stacked.shape == (len(spectra),)
-    assert stacked.tobytes() == one_at_a_time.tobytes() == np.array(positive_only).tobytes()
+    assert stacked.tobytes() == one_at_a_time.tobytes()
+    if d2 < 8:
+        positive_only = []
+        for e in spectra:
+            p = np.clip(e, 0.0, 1.0)
+            nz = p[p > 0.0]
+            positive_only.append(float(-np.sum(nz * np.log(nz))) + 0.0)
+        assert stacked.tobytes() == np.array(positive_only).tobytes()
+    assert (spectra == 0.0).any(axis=1).sum() > 80  # spectra with a zero term
     assert 0.0 in stacked and (stacked > 0.0).any()
+
+
+@pytest.mark.parametrize("dim1,dim2", [(1, 8), (2, 8), (1, 9)])
+def test_wide_loops_select_and_emit_as_the_channel_does(dim1, dim2):
+    # With 8 or more loop levels numpy sums each entropy pairwise.  The
+    # stacked stage still gives every point the sigma, entropy and emitted
+    # state of its own ctc_channel call, at the vertices (degenerate sets)
+    # and at mixed inputs (unique sets).
+    rng = np.random.default_rng(80 * dim1 + dim2)
+    ks = set()
+    for _ in range(6):
+        gate = UnitaryGate.from_permutation(dim1, dim2, rng.permutation(dim1 * dim2))
+        rhos = [DensityOperator.basis_state(dim1, v) for v in range(dim1)]
+        if dim1 > 1:
+            rhos += [DensityOperator(random_density(rng, dim1)) for _ in range(2)]
+        sets = [fixed_point_set(gate, rho) for rho in rhos]
+        entropies, sigmas, rho_hats = discontinuity._select_and_emit(
+            gate, np.stack([rho.matrix for rho in rhos]), sets, None)
+        for rho, entropy, sigma, rho_hat in zip(rhos, entropies, sigmas, rho_hats, strict=True):
+            want, sel = ctc_channel(gate, rho)
+            assert sigma.tobytes() == sel.sigma.matrix.tobytes()
+            assert np.float64(entropy).tobytes() == np.float64(sel.entropy).tobytes()
+            assert rho_hat.tobytes() == want.matrix.tobytes()
+        ks.update(fps.k for fps in sets)
+    assert max(ks) > 0 and (0 in ks) == (dim1 > 1)
 
 
 @pytest.mark.parametrize("kind", RULE_KINDS)
@@ -420,6 +450,10 @@ FIRST_STEP_GATES = {
 }
 
 
+# Small enough to stay inside every degenerate set of FIRST_STEP_GATES.
+CONSTANT_INDEX = SelectionRule(kind="constant_index", coordinates=(0.01,))
+
+
 @pytest.mark.parametrize("case", list(FIRST_STEP_GATES))
 def test_stacked_first_step_matches_select(case, monkeypatch):
     # The sets the stacked first step settles get select's sigma bits and
@@ -454,9 +488,10 @@ def test_stacked_first_step_matches_select(case, monkeypatch):
         for ref, sigma, entropy in zip(refs, sigmas, entropies, strict=True):
             assert sigma.tobytes() == ref.sigma.matrix.tobytes()
             assert np.float64(entropy).tobytes() == np.float64(ref.entropy).tobytes()
-        reached.clear()
-        discontinuity._select_and_emit(gate, rhos, sets, SelectionRule(kind="min_entropy"))
-        assert [id(fps) for fps in reached] == [id(fps) for fps in sets]
+        for rule in (SelectionRule(kind="min_entropy"), CONSTANT_INDEX):
+            reached.clear()
+            discontinuity._select_and_emit(gate, rhos, sets, rule)
+            assert [id(fps) for fps in reached] == [id(fps) for fps in sets]
         ks.update(fps.k for fps in sets)
         unsettled += settled.count(False)
     assert ks == expected_ks
@@ -488,7 +523,8 @@ PROBE_GATES = {
 }
 
 
-@pytest.mark.parametrize("rule", [None, SelectionRule(kind="min_entropy")], ids=["none", "min"])
+@pytest.mark.parametrize("rule", [None, SelectionRule(kind="min_entropy"), CONSTANT_INDEX],
+                         ids=["none", "min", "constant"])
 @pytest.mark.parametrize("case", list(PROBE_GATES))
 def test_probe_records_match_the_per_point_chain(case, rule):
     # Each record of probe() holds the bits of its point's own

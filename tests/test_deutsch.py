@@ -245,7 +245,7 @@ def test_trivial_loop_has_the_general_shape():
     u = UnitaryGate.from_permutation(3, 1, (2, 0, 1))
     rho = DensityOperator(random_density(np.random.default_rng(5), 3))
     fps = fixed_point_set(u, rho)
-    assert fps.k == 0 and fps.basis == []
+    assert fps.k == 0 and fps.basis.shape == (0, 1, 1)
     assert np.array_equal(fps.particular.matrix, np.eye(1))
     assert fps.residuals == {"map_trace_distance": 0.0, "affine_norm": 0.0,
                              "min_eigenvalue": 1.0, "iterations": 0}

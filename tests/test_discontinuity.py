@@ -443,9 +443,9 @@ class TestClassify:
             selections.append(fps)
             return choose(fps, rule)
 
-        def counted_settle(sets):
+        def counted_settle(sets, rule):
             settles.append(sets)
-            return settle(sets)
+            return settle(sets, rule)
 
         monkeypatch.setattr(DensityOperator, "pure", classmethod(counted_pure))
         monkeypatch.setattr(discontinuity, "_mix_toward", counted_mix)

@@ -11,10 +11,10 @@ from ctckit.reference import (
     reference_gate,
 )
 from ctckit.selection import (
+    _MAX_ITERS,
     SelectionRule,
+    _optimize,
     ctc_channel,
-    max_entropy_state,
-    min_entropy_state,
     sample_feasible,
     select,
 )
@@ -34,6 +34,14 @@ def center_fps():
 
 def identity_fps():
     return fixed_point_set(UnitaryGate.identity(2, 2), DensityOperator.maximally_mixed(2))
+
+
+def maximize_from(fps, start):
+    """The maximizer of :func:`select` under the default rule, from ``start``."""
+    return _optimize(fps, _MAX_ITERS, +1.0, start=start)
+
+
+MIN_ENTROPY = SelectionRule("min_entropy")
 
 
 class TestSelectionRule:
@@ -71,23 +79,23 @@ class TestSelectionRule:
 class TestMaxEntropy:
     def test_unique_set_returns_the_point(self):
         fps = fixed_point_set(reference_gate(), mixed_second_qubit(0.1))
-        sel = max_entropy_state(fps)
+        sel = select(fps)
         assert sel.iterations == 0 and sel.converged
         assert trace_distance(sel.sigma.matrix, np.eye(2) / 2) < 1e-10
 
     def test_z_axis_set_selects_midpoint(self):
-        sel = max_entropy_state(center_fps())
+        sel = select(center_fps())
         assert sel.converged
         assert trace_distance(sel.sigma.matrix, np.eye(2) / 2) < 1e-8
         assert sel.entropy == pytest.approx(np.log(2), abs=1e-10)
 
     def test_full_ball_selects_maximally_mixed(self):
-        sel = max_entropy_state(identity_fps())
+        sel = select(identity_fps())
         assert trace_distance(sel.sigma.matrix, np.eye(2) / 2) < 1e-8
 
     def test_beats_random_members(self):
         fps = identity_fps()
-        sel = max_entropy_state(fps)
+        sel = select(fps)
         rng = np.random.default_rng(0)
         for _ in range(50):
             other = fps.state_at(sample_feasible(fps, rng))
@@ -96,22 +104,22 @@ class TestMaxEntropy:
     @pytest.mark.parametrize("start", [[], [0.0, 0.0], [[0.0]]], ids=["0", "2", "1x1"])
     def test_start_needs_one_coefficient_per_basis_direction(self, start):
         with pytest.raises(ValueError, match="start must have 1 coefficients"):
-            max_entropy_state(center_fps(), start=start)
+            maximize_from(center_fps(), start)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_start_must_be_finite(self, value):
         with pytest.raises(ValueError, match="start coefficients must be finite"):
-            max_entropy_state(center_fps(), start=[value])
+            maximize_from(center_fps(), [value])
 
     def test_start_outside_the_cone_is_rejected(self):
         with pytest.raises(ValueError, match="start coefficients give a non-PSD state"):
-            max_entropy_state(center_fps(), start=[5.0])
+            maximize_from(center_fps(), [5.0])
 
     def test_start_point_does_not_change_answer(self):
         fps = identity_fps()
         rng = np.random.default_rng(3)
         sols = [
-            max_entropy_state(fps, start=sample_feasible(fps, rng)).sigma.matrix
+            maximize_from(fps, sample_feasible(fps, rng)).sigma.matrix
             for _ in range(5)
         ]
         for s in sols[1:]:
@@ -120,19 +128,19 @@ class TestMaxEntropy:
 
 class TestMinEntropy:
     def test_z_axis_set_reaches_a_pole(self):
-        sel = min_entropy_state(center_fps())
+        sel = select(center_fps(), MIN_ENTROPY)
         assert sel.converged
         assert sel.entropy < 1e-10
         diag = np.sort(np.diag(sel.sigma.matrix).real)
         np.testing.assert_allclose(diag, [0.0, 1.0], atol=1e-9)
 
     def test_deterministic_across_runs(self):
-        a = min_entropy_state(center_fps()).sigma.matrix
-        b = min_entropy_state(center_fps()).sigma.matrix
+        a = select(center_fps(), MIN_ENTROPY).sigma.matrix
+        b = select(center_fps(), MIN_ENTROPY).sigma.matrix
         assert trace_distance(a, b) < 1e-12
 
     def test_full_ball_reaches_a_pure_state(self):
-        sel = min_entropy_state(identity_fps())
+        sel = select(identity_fps(), MIN_ENTROPY)
         assert sel.entropy < 1e-8
         evals = np.linalg.eigvalsh(sel.sigma.matrix)
         np.testing.assert_allclose(np.sort(evals), [0.0, 1.0], atol=1e-8)
@@ -166,17 +174,6 @@ def test_optimizer_branches_keep_their_results(name, kind, entropy, iterations):
     assert sel.entropy == pytest.approx(entropy, abs=1e-12)
     assert sel.iterations == iterations
     assert sel.converged
-
-
-@pytest.mark.parametrize("name", sorted(BRANCH_SETS))
-def test_wrappers_equal_select_under_the_default_rules(name):
-    dims, perm, rho = BRANCH_SETS[name]
-    fps = fixed_point_set(UnitaryGate.from_permutation(*dims, perm), rho)
-    for sel, other in [(select(fps), max_entropy_state(fps)),
-                       (select(fps, SelectionRule("min_entropy")), min_entropy_state(fps))]:
-        assert sel.sigma.matrix.tobytes() == other.sigma.matrix.tobytes()
-        assert (sel.entropy, sel.iterations, sel.converged, sel.gradient_norm) == (
-            other.entropy, other.iterations, other.converged, other.gradient_norm)
 
 
 def test_a_rule_sets_the_step_budget():

@@ -23,15 +23,19 @@ settings, given every seventh generated family (the same fields), and
 and the sha256 of the result, :func:`_probe_sha`).  Then one line gives the
 error text of a given family whose direction wanders from its center, from
 ``probe`` and from ``classify``, and the ``eps`` of each call either made
-to that direction.
+to that direction.  Before it come the selection lines
+(:func:`selection_lines`): for the same first gates of each pool, one line
+per vertex center whose fixed-point set is degenerate, with the sha256 of
+its null basis and what ``select`` gives under each of
+:data:`SELECTION_RULES`.
 
 Then each of the 22 commands of :data:`CLI_RUNS` runs as ``ctckit`` in its
 own process, with one BLAS thread, in a temporary directory that holds the
 input files :func:`write_inputs` makes, on valid input only.  One JSON line
 per run gives its argv, exit code, and the sha256 of its stdout, its stderr
 and each file it wrote, with the census records' ``wall_time`` masked.  The
-output is 885 lines: 740 pool gates, 2 hashes, 40 refining gates, 40 given
-and 40 probed gates, 1 wandering family and 22 runs.
+output is 937 lines: 740 pool gates, 2 hashes, 40 refining gates, 40 given
+and 40 probed gates, 52 degenerate centers, 1 wandering family and 22 runs.
 
 A change is bit-identical on valid census and CLI input when the outputs of
 the parent checkout and of the change are equal:
@@ -46,8 +50,8 @@ change that moves only how the digest is taken moves the ``witness_digest``
 fields, and the CLI runs that print or write a digest, while every
 ``witness_sha`` stays equal.
 The pools take about a minute on one core, the refining gates about 7 s,
-their given-family and probe runs about 6 s more, and the CLI runs about
-15 s.
+their given-family and probe runs about 6 s more, the selection lines
+about 1 s, and the CLI runs about 15 s.
 """
 
 import os
@@ -68,6 +72,15 @@ import numpy as np  # noqa: E402
 POOLS = ("census_4x2", "census_3x3")
 REFINING_GATES = 20
 REFINING = {"jump_tol": 0.3, "max_refinements": 2}
+
+# The rules the selection lines apply, as ``SelectionRule`` keywords; None is
+# ``select``'s default.
+SELECTION_RULES = {
+    "none": None,
+    "min_entropy": {"kind": "min_entropy"},
+    "constant_index": {"kind": "constant_index", "coordinates": (0.01, -0.01)},
+    "one_step": {"max_iters": 1},
+}
 
 CLI_RUNS = (
     ("probe", "--paper-example", "--out", "probe_paper.csv"),
@@ -143,6 +156,44 @@ def _probe_sha(result):
             if state is not None:
                 digest.update(state.matrix.tobytes() + state.eigenvalues.tobytes())
     return digest.hexdigest()
+
+
+def selection_lines(name, ref):
+    """One JSON line per vertex center with a degenerate set (k > 0) of the
+    first :data:`REFINING_GATES` gates of a pool: the sha256 of the set's
+    null basis as one ``(k, d2, d2)`` array, and what ``select`` gives under
+    each of :data:`SELECTION_RULES`, as the sha256 of the sigma matrix,
+    ``repr`` of the entropy and of the gradient norm, the iterations and
+    ``converged``, or the error text of a rule the set cannot meet."""
+    from ctckit.deutsch import fixed_point_set
+    from ctckit.discontinuity import generate_probe_families
+    from ctckit.selection import SelectionRule, select
+    from ctckit.states import UnitaryGate
+
+    rules = {label: None if spec is None else SelectionRule(**spec)
+             for label, spec in SELECTION_RULES.items()}
+    semantics = ref["semantics"]
+    for perm, *_ in ref["records"][:REFINING_GATES]:
+        gate = UnitaryGate.from_permutation(semantics["dim1"], semantics["dim2"], perm)
+        centers = {}
+        for family in generate_probe_families(gate, semantics["strategy"]):
+            centers.setdefault(family.center.matrix.tobytes(), family.center)
+        for j, center in enumerate(centers.values()):
+            fps = fixed_point_set(gate, center)
+            if fps.k == 0:
+                continue
+            picks = {}
+            for label, rule in rules.items():
+                try:
+                    sel = select(fps, rule)
+                except ValueError as exc:
+                    picks[label] = str(exc)
+                    continue
+                picks[label] = [_sha(sel.sigma.matrix.tobytes()), repr(sel.entropy),
+                                sel.iterations, sel.converged, repr(sel.gradient_norm)]
+            print(json.dumps({"selection_pool": name, "permutation": perm, "center": j,
+                              "k": fps.k, "basis_sha": _sha(np.asarray(fps.basis).tobytes()),
+                              "select": picks}), flush=True)
 
 
 def wandering_family(ctckit):
@@ -265,6 +316,8 @@ def main(argv):
                   flush=True)
     discontinuity.fixed_point_set = solve
     census.classify = classify
+    for name, ref in refs.items():
+        selection_lines(name, ref)
     print(json.dumps({"wandering_family": wandering_family(ctckit)}), flush=True)
     run_cli(root)
 

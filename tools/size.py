@@ -10,7 +10,8 @@ parameter of every callable in ``ctckit.__all__``, plus every flag of every
 dataclass counts its defaulted fields; the parameters of its methods (such
 as ``HermitianBasis.from_traceless(trace=)``) and the ``*args, **kwargs``
 an exception class inherits from ``RuntimeError`` do not count.  Output is
-one line per module, then one line per option, then the totals.
+one line per module, then one line per option, then the totals, then the
+number of names in ``ctckit.__all__``.
 """
 
 import argparse
@@ -57,6 +58,7 @@ def main(argv):
     print(f"lines total {total}")
     print(f"options parameters {len(parameters)} flags {len(flags)} "
           f"total {len(parameters) + len(flags)}")
+    print(f"exports {len(ctckit.__all__)}")
 
 
 if __name__ == "__main__":
